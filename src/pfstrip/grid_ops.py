@@ -169,20 +169,59 @@ def assemble_stiffness(g: Grid) -> StiffnessOp:
     )
 
 
-def solve_spd(apply, diag: np.ndarray, rhs: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class ShiftedInverse:
+    """Exact inverse of K + c diag(m_comb) for any scalar c > 0 (fast diagonalization).
+
+    The x-edge weight of row j equals m_comb_j / hx^2, so with D = diag(m_comb
+    per row), A_x the periodic x-Laplacian and K_y the y-edge path Laplacian,
+    K + c M = D (x) (A_x + c I) + K_y (x) I.  qx is the real Fourier basis
+    diagonalizing A_x (eigenvalues a_k); vy solves K_y V = D V diag(s) with
+    V^T D V = I.  Then (K + c M)^-1 R = V [(V^T R qx) / (s_l + a_k + c)] qx^T.
+    """
+
+    vy: np.ndarray
+    qx: np.ndarray
+    eig: np.ndarray   # s_l + a_k, shape (ny+1, nx)
+
+    def solve(self, c: float, r: np.ndarray) -> np.ndarray:
+        y = self.vy.T @ r.reshape(self.eig.shape) @ self.qx
+        return (self.vy @ (y / (self.eig + c)) @ self.qx.T).ravel()
+
+
+def assemble_shifted_inverse(g: Grid, m: MassVectors) -> ShiftedInverse:
+    """The separable eigenbasis of K + c M: analytic in x, one eigh in y."""
+    k = np.arange(g.nx)
+    phase = 2.0 * np.pi * np.outer(k, k) / g.nx
+    qx = np.where(k <= g.nx // 2, np.cos(phase), np.sin(phase))
+    qx /= np.linalg.norm(qx, axis=0)
+    a = (2.0 * np.sin(np.pi * k / g.nx) / g.hx) ** 2
+    diff = np.diff(np.eye(g.ny + 1), axis=0)
+    d_isqrt = 1.0 / np.sqrt(m.m_comb[:: g.nx])
+    s, w = np.linalg.eigh((g.hx / g.hy) * d_isqrt[:, None] * (diff.T @ diff) * d_isqrt)
+    s[0] = 0.0   # constants span ker K_y; eigh's round-off there would swamp a small c
+    return ShiftedInverse(vy=d_isqrt[:, None] * w, qx=qx, eig=s[:, None] + a)
+
+
+def solve_spd(apply, precond, rhs: np.ndarray,
               tol: float = 1.0e-10, max_iter: int | None = None,
               x0: np.ndarray | None = None) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for an SPD operator.
+    """Preconditioned conjugate gradients for an SPD operator.
 
-    Stops when the true residual satisfies ||apply(x) - rhs||_2 <= tol ||rhs||_2.
+    precond is either the operator's diagonal (Jacobi preconditioning) or a
+    callable r -> P^-1 r applying an SPD approximate inverse.  Stops when the
+    true residual satisfies ||apply(x) - rhs||_2 <= tol ||rhs||_2.
     Sequential and deterministic for fixed inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
     if max_iter is None:
         max_iter = 10 * n
-    if np.any(diag <= 0.0):
-        raise ValueError("Jacobi preconditioner requires a strictly positive diagonal")
+    if not callable(precond):
+        if np.any(precond <= 0.0):
+            raise ValueError("a diagonal preconditioner must be strictly positive")
+        inv_diag = 1.0 / precond
+        precond = lambda v: inv_diag * v
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros_like(rhs)
@@ -192,8 +231,7 @@ def solve_spd(apply, diag: np.ndarray, rhs: np.ndarray,
     else:
         x = np.array(x0, dtype=float)
         r = rhs - apply(x)
-    inv_diag = 1.0 / diag
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(max_iter):
@@ -203,7 +241,7 @@ def solve_spd(apply, diag: np.ndarray, rhs: np.ndarray,
             if np.linalg.norm(r_true) <= tol * bnorm:
                 return x
             r = r_true
-            z = inv_diag * r
+            z = precond(r)
             p = z.copy()
             rz = float(r @ z)
         q = apply(p)
@@ -213,7 +251,7 @@ def solve_spd(apply, diag: np.ndarray, rhs: np.ndarray,
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        z = inv_diag * r
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -344,9 +344,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_config(c: Config) -> ValidationReport:
-    """Run every pre-flight check; never raises, failures land in the report."""
-    model = build_model(c)
+def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
+    """Run every pre-flight check on c and its model (built here unless the
+    caller passes build_model(c)); never raises, failures land in the report."""
+    model = build_model(c) if model is None else model
     ok = True
 
     compat = None
@@ -504,11 +505,11 @@ def _cmd_check(c: Config) -> int:
 
 
 def _cmd_simulate(c: Config) -> int:
-    report = validate_config(c)
+    model = build_model(c)
+    report = validate_config(c, model)
     if not report.ok:
         print(report.render(), file=sys.stderr)
         return 3
-    model = build_model(c)
     s0 = build_initial_state(c, model)
     source = build_source(c, model)
     cfg = build_stepper_config(c)
@@ -523,11 +524,11 @@ def _cmd_simulate(c: Config) -> int:
 
 
 def _cmd_stationary(c: Config) -> int:
-    report = validate_config(c)
+    model = build_model(c)
+    report = validate_config(c, model)
     if not report.ok:
         print(report.render(), file=sys.stderr)
         return 3
-    model = build_model(c)
     s0 = build_initial_state(c, model)
     mu_target = mass_mu(s0, model.l_bulk, model.l_surf, model.masses)
     theta0 = dm_mean(s0.theta, model.masses)

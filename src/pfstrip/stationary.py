@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, BracketError, SolverError
 from .functionals import State, dm_mean, dm_std, mass_mu
-from .grid_ops import solve_spd
 from .potentials import evaluate, latent_eval, latent_range, separating_slope_margin
 from .timestepper import MIN_BACKTRACK, Model, measure_norm
 
@@ -109,7 +108,7 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     for robustness only where the clamp is active.  Residuals are measured
     in the L^2(dm) density norm and driven below the absolute tol.
     """
-    k, m = model.stiffness, model.masses
+    m = model.masses
     mc = m.m_comb
     bnd = model.grid.boundary
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
@@ -130,8 +129,7 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     for _ in range(max_iter):
         if norm <= tol:
             return x, norm
-        d = jac_diag(x)
-        step = solve_spd(lambda z: k.apply(z) + d * z, k.diag + d, -r, tol=1.0e-12)
+        step = model.newton_step(jac_diag(x), r, tol=1.0e-12)
         alpha = 1.0
         xt = np.clip(x + step, lo, hi)
         rt = stationary_phase_residual(xt, u_inf, model)

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, FatalSolverError, SolverError
 from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_std,
                           energy, entropy, mass_mu)
-from .grid_ops import Grid, MassVectors, StiffnessOp, solve_spd
+from .grid_ops import (Grid, MassVectors, ShiftedInverse, StiffnessOp,
+                       assemble_shifted_inverse, solve_spd)
 from .potentials import LatentHeat, Potential, evaluate, latent_eval, scalar_f
 
 NEWTON_ABS_FLOOR = 1.0e-12
@@ -37,7 +38,8 @@ MIN_BACKTRACK = 2.0 ** -60
 
 @dataclass(eq=False)
 class Model:
-    """Grid, measures, stiffness, and the four constitutive ingredients."""
+    """Grid, measures, stiffness, the four constitutive ingredients, and the
+    exact inverse of K + c m_comb that preconditions every Newton solve."""
 
     grid: Grid
     masses: MassVectors
@@ -47,9 +49,20 @@ class Model:
     l_bulk: LatentHeat
     l_surf: LatentHeat
     surf_mask: np.ndarray = field(init=False, repr=False)
+    shifted_inverse: ShiftedInverse = field(init=False, repr=False)
 
     def __post_init__(self):
         self.surf_mask = self.masses.m_surf > 0.0
+        self.shifted_inverse = assemble_shifted_inverse(self.grid, self.masses)
+
+    def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float,
+                    max_iter: int | None = None) -> np.ndarray:
+        """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
+        inverse of K + c m_comb at c = mean(d / m_comb)."""
+        k, inv = self.stiffness, self.shifted_inverse
+        c = float(np.mean(d / self.masses.m_comb))
+        return solve_spd(lambda z: k.apply(z) + d * z, lambda v: inv.solve(c, v), -r,
+                         tol=tol, max_iter=max_iter)
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-node guard box for the phase field (surface domain on boundary rows)."""
@@ -99,9 +112,9 @@ def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
     return float(np.sqrt(np.sum(r * r / m_comb)))
 
 
-def _newton(x0, residual, jac_diag, k: StiffnessOp, m_comb, cfg: StepperConfig,
+def _newton(x0, residual, jac_diag, model: Model, cfg: StepperConfig,
             lo, hi, res_scale: float = 0.0) -> tuple[np.ndarray, int]:
-    """Damped Newton with Jacobi-PCG inner solves and a convex domain guard.
+    """Damped Newton with Model.newton_step inner solves and a convex domain guard.
 
     res_scale is the caller's estimate of the magnitude of the individual
     residual terms before cancellation; the convergence target is floored at
@@ -109,6 +122,7 @@ def _newton(x0, residual, jac_diag, k: StiffnessOp, m_comb, cfg: StepperConfig,
     evaluation prevents any iterate from doing better.  For small tau the
     mass term m/tau dominates and this floor rises above the absolute one.
     """
+    m_comb = model.masses.m_comb
     x = np.clip(x0, lo, hi)
     r = residual(x)
     norm = measure_norm(r, m_comb)
@@ -120,9 +134,7 @@ def _newton(x0, residual, jac_diag, k: StiffnessOp, m_comb, cfg: StepperConfig,
             raise SolverError(
                 f"Newton did not reach tolerance in {cfg.newton_max_iter} "
                 f"iterations (residual {norm:.3e}, target {target:.3e})")
-        d = jac_diag(x)
-        step = solve_spd(lambda z: k.apply(z) + d * z, k.diag + d, -r,
-                         tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
+        step = model.newton_step(jac_diag(x), r, cfg.cg_tol, cfg.cg_max_iter)
         alpha = 1.0
         xt = x + step
         while not (np.all(xt >= lo) and np.all(xt <= hi)):
@@ -179,7 +191,7 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model) -> tuple[np
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
     scale = measure_norm(mc * np.abs(chi_n) / tau + np.abs(rhs), mc)
-    return _newton(chi_n, residual, jac_diag, k, mc, cfg, lo, hi, scale)
+    return _newton(chi_n, residual, jac_diag, model, cfg, lo, hi, scale)
 
 
 def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
@@ -214,7 +226,7 @@ def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
     lo = np.full(model.grid.n_nodes, -math.inf)
     hi = np.full(model.grid.n_nodes, -cfg.guard_eps)
     scale = measure_norm(mc * np.abs(theta_n) / tau + np.abs(shift), mc)
-    return _newton(u_n, residual, jac_diag, k, mc, cfg, lo, hi, scale)
+    return _newton(u_n, residual, jac_diag, model, cfg, lo, hi, scale)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import oracles
 from pfstrip import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.errors import ConfigError, SolverError
-from pfstrip.grid_ops import solve_spd
+from pfstrip.grid_ops import assemble_shifted_inverse, solve_spd
 
 # First nonconstant eigenvalue of the x-independent reduction of the coupled
 # form: -z'' = lam z on (0,1) with flux condition z'(1) = lam z(1) and
@@ -192,3 +192,59 @@ def test_solve_spd_iteration_cap(rng):
     with pytest.raises(SolverError):
         solve_spd(lambda z: mc * z + k.apply(z), mc + k.diag, rhs,
                   tol=1e-14, max_iter=2)
+
+
+SHIFT_GRIDS = [(1.0, 1.0, 8, 4), (1.3, 0.7, 9, 3), (1.0, 1.0, 16, 16)]
+
+
+@pytest.mark.parametrize("lx,ly,nx,ny", SHIFT_GRIDS + [(0.5, 2.0, 8, 6)])
+def test_x_edge_weights_equal_row_mass_over_hx2(lx, ly, nx, ny):
+    # the identity that makes K + c M separable, hence its inverse exact
+    g = build_grid(lx, ly, nx, ny)
+    k = assemble_stiffness(g)
+    mc = assemble_masses(g).m_comb
+    x_edge = k.edge_a // nx == k.edge_b // nx
+    assert np.count_nonzero(x_edge) == (ny + 1) * nx
+    assert np.allclose(k.edge_w[x_edge], mc[k.edge_a[x_edge]] / g.hx ** 2,
+                       rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e4])
+@pytest.mark.parametrize("lx,ly,nx,ny", SHIFT_GRIDS)
+def test_shifted_inverse_matches_dense_solve(rng, lx, ly, nx, ny, c):
+    g = build_grid(lx, ly, nx, ny)
+    k = assemble_stiffness(g)
+    m = assemble_masses(g)
+    rhs = rng.standard_normal(g.n_nodes)
+    dense = oracles.dense_matrix(lambda z: k.apply(z) + c * m.m_comb * z, g.n_nodes)
+    xd = np.linalg.solve(dense, rhs)
+    x = assemble_shifted_inverse(g, m).solve(c, rhs)
+    assert np.linalg.norm(x - xd) <= 1e-10 * np.linalg.norm(xd)
+
+
+def test_shifted_inverse_pcg_agrees_with_jacobi(rng):
+    g = build_grid(1.0, 1.0, 16, 16)
+    k = assemble_stiffness(g)
+    m = assemble_masses(g)
+    # the phase-step shape m_comb / tau + m_bulk f'(chi), with f' varying over the strip
+    d = m.m_comb / 1e-3 \
+        + m.m_bulk * 50.0 * (1.0 + np.cos(2.0 * np.pi * g.x) * np.sin(np.pi * g.y))
+    apply_fn = lambda z: k.apply(z) + d * z
+    rhs = rng.standard_normal(g.n_nodes)
+    c = float(np.mean(d / m.m_comb))
+    inv = assemble_shifted_inverse(g, m)
+    calls = {"jacobi": 0, "shifted": 0}
+
+    def counted(name):
+        def fn(z):
+            calls[name] += 1
+            return apply_fn(z)
+        return fn
+
+    tol = 1e-10
+    xj = solve_spd(counted("jacobi"), k.diag + d, rhs, tol=tol)
+    xs = solve_spd(counted("shifted"), lambda v: inv.solve(c, v), rhs, tol=tol)
+    for x in (xj, xs):
+        assert np.linalg.norm(apply_fn(x) - rhs) <= tol * np.linalg.norm(rhs)
+    assert np.linalg.norm(xs - xj) <= 10 * tol * np.linalg.norm(xj)
+    assert calls["shifted"] < calls["jacobi"]

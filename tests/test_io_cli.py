@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import pfstrip.io_cli as io_cli
 from pfstrip import build_grid
 from pfstrip.errors import ConfigError, IoError
 from pfstrip.functionals import DiagnosticsRow
@@ -246,10 +247,19 @@ def test_cli_check_example_config(capsys):
     assert "overall: ok" in out
 
 
-def test_cli_simulate_zero_horizon(tmp_path, capsys):
+def count_model_builds(monkeypatch):
+    calls = []
+    real = io_cli.build_model
+    monkeypatch.setattr(io_cli, "build_model", lambda c: calls.append(c) or real(c))
+    return calls
+
+
+def test_cli_simulate_zero_horizon(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, MINIMAL)
     out_dir = tmp_path / "out"
+    builds = count_model_builds(monkeypatch)
     assert cli_main(["simulate", "--config", cfg, "--output", str(out_dir)]) == 0
+    assert len(builds) == 1
     lines = (out_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2 and lines[1].startswith("0,")
@@ -307,11 +317,13 @@ def test_cli_stationary_inadmissible_mass(tmp_path, capsys):
     assert "mass admissibility: FAIL" in capsys.readouterr().err
 
 
-def test_cli_stationary_writes_outputs(tmp_path, capsys):
+def test_cli_stationary_writes_outputs(tmp_path, capsys, monkeypatch):
     text = with_lines("init.chi_value = 0.2", "output.write_pgm = true")
     cfg = write_cfg(tmp_path, text)
     out_dir = tmp_path / "out"
+    builds = count_model_builds(monkeypatch)
     assert cli_main(["stationary", "--config", cfg, "--output", str(out_dir)]) == 0
+    assert len(builds) == 1
     assert (out_dir / "chi_inf.csv").exists()
     assert (out_dir / "chi_inf.pgm").exists()
     summary = (out_dir / "stationary_summary.txt").read_text()

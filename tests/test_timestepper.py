@@ -204,6 +204,35 @@ def test_adaptive_floor_raises_fatal(monkeypatch):
         stepper.advance(s, 1)
 
 
+def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
+    """Operator applies per Newton solve on a perturbed stripe stay bounded as
+    the grid is refined (Jacobi-PCG takes up to 17, 31 and 62 here)."""
+    real = ts.solve_spd
+    counts = []
+
+    def counting(apply, *args, **kwargs):
+        n = [0]
+
+        def counted(z):
+            n[0] += 1
+            return apply(z)
+
+        x = real(counted, *args, **kwargs)
+        counts.append(n[0])
+        return x
+
+    monkeypatch.setattr(ts, "solve_spd", counting)
+    for n in (16, 32, 64):
+        m = make_model(1.0, 1.0, n, n, p_bulk=Potential.logarithmic(1.0),
+                       l_bulk=LatentHeat(1.0, 0.0, 0.0))
+        g = m.grid
+        chi0 = preset_field(g, "tanh_stripe", amplitude=0.3, width=0.2) \
+            + 0.05 * np.cos(2.0 * math.pi * g.x) * np.sin(math.pi * g.y)
+        counts.clear()
+        run(m, StepperConfig(tau=1e-3), State(0.0, np.full(g.n_nodes, -1.0), chi0), 3e-3)
+        assert len(counts) >= 12 and max(counts) <= 8, (n, counts)
+
+
 def test_integrate_homogeneous_trivial_cases():
     lz = LatentHeat(0.0, 0.0, 0.0)
     _, theta, chi = integrate_homogeneous(1.3, 0.2, Potential.logarithmic(1.0),
