@@ -6,7 +6,8 @@ The three core quantities are linked by the exact algebraic identity
 
     energy = mass - entropy
 
-which holds per node before summation and is used as a cross-check:
+which holds per node before summation, and which is how the energy is
+computed from the mass and entropy sums:
 theta - ln(theta) + lambda + F - delta chi^2/2  =
 (theta + lambda) - (ln(theta) + delta chi^2/2 - F),
 with the gradient term entering the energy with +1/2 and the entropy
@@ -15,13 +16,16 @@ with -1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .grid_ops import MassVectors, StiffnessOp
 from .potentials import LatentHeat, Potential, evaluate, latent_eval
+
+_NO_LATENT = LatentHeat()
 
 
 @dataclass
@@ -79,22 +83,52 @@ class DiagnosticsRow:
 
 def dm_mean(v: np.ndarray, m: MassVectors) -> float:
     """Mean of a nodal field with respect to the combined measure."""
-    return float(np.sum(m.m_comb * v) / m.total)
+    return float(m.m_comb @ v) / m.total
 
 
 def dm_std(v: np.ndarray, m: MassVectors) -> float:
     """Standard deviation of a nodal field with respect to the combined measure."""
-    mean = dm_mean(v, m)
-    d = v - mean
-    return float(np.sqrt(np.sum(m.m_comb * d * d) / m.total))
+    d = v - dm_mean(v, m)
+    return math.sqrt(float(m.m_comb @ (d * d)) / m.total)
+
+
+def _parts(s: State, m: MassVectors):
+    """(weights, theta, chi) of the bulk and of the two boundary circles."""
+    theta, chi = s.theta, s.chi
+    surf = m.m_surf > 0.0
+    return (m.m_bulk, theta, chi), (m.m_surf[surf], theta[surf], chi[surf])
+
+
+def _mass_sum(parts, latents) -> float:
+    """Integral of the mass density theta + lambda(chi) over the parts."""
+    return sum(float(w @ (theta + latent_eval(l, chi)[0]))
+               for (w, theta, chi), l in zip(parts, latents))
+
+
+def _entropy_sum(parts, potentials) -> float:
+    """Integral of the entropy density ln theta + s0(chi) over the parts, with
+    s0(r) = delta r^2/2 - F(r); the gradient term is not included."""
+    return sum(float(w @ (np.log(theta) + (0.5 * p.delta * chi * chi - evaluate(p, chi)[0])))
+               for (w, theta, chi), p in zip(parts, potentials))
 
 
 def mass_mu(s: State, l_bulk: LatentHeat, l_surf: LatentHeat, m: MassVectors) -> float:
     """Internal-energy mass: integral of theta + lambda(chi), bulk plus surface."""
-    theta = s.theta
-    lam_b, _, _ = latent_eval(l_bulk, s.chi)
-    lam_s, _, _ = latent_eval(l_surf, s.chi)
-    return float(np.sum(m.m_bulk * (theta + lam_b)) + np.sum(m.m_surf * (theta + lam_s)))
+    return _mass_sum(_parts(s, m), (l_bulk, l_surf))
+
+
+def row_functionals(s: State, p_bulk: Potential, p_surf: Potential,
+                    l_bulk: LatentHeat, l_surf: LatentHeat,
+                    m: MassVectors, k: StiffnessOp) -> tuple[float, float, float]:
+    """(mass, energy, entropy) from one pass over theta, ln theta, F(chi),
+    lambda(chi) and one gradient term chi^T K chi / 2, with energy = mass - entropy."""
+    if not s.u.max() < 0.0:
+        raise DomainError("energy and entropy require u < 0")
+    parts = _parts(s, m)
+    mu = _mass_sum(parts, (l_bulk, l_surf))
+    s_nodal = _entropy_sum(parts, (p_bulk, p_surf))
+    half_grad = 0.5 * k.quad(s.chi)
+    return mu, mu - s_nodal + half_grad, s_nodal - half_grad
 
 
 def energy(s: State, p_bulk: Potential, p_surf: Potential,
@@ -102,46 +136,14 @@ def energy(s: State, p_bulk: Potential, p_surf: Potential,
            m: MassVectors, k: StiffnessOp) -> float:
     """Integral of theta - ln theta + lambda(chi) + F(chi) - delta chi^2/2, plus
     the combined gradient term chi^T K chi / 2."""
-    if not np.all(s.u < 0.0):
-        raise DomainError("energy requires u < 0")
-    theta = s.theta
-    log_theta = np.log(theta)
-    chi = s.chi
-    surf = m.m_surf > 0.0
-
-    big_f_b, _, _ = evaluate(p_bulk, chi)
-    lam_b, _, _ = latent_eval(l_bulk, chi)
-    bulk_density = theta - log_theta + lam_b + big_f_b - 0.5 * p_bulk.delta * chi * chi
-    total = float(np.sum(m.m_bulk * bulk_density))
-
-    chi_s = chi[surf]
-    big_f_s, _, _ = evaluate(p_surf, chi_s)
-    lam_s, _, _ = latent_eval(l_surf, chi_s)
-    surf_density = (theta[surf] - log_theta[surf] + lam_s + big_f_s
-                    - 0.5 * p_surf.delta * chi_s * chi_s)
-    total += float(np.sum(m.m_surf[surf] * surf_density))
-    return total + 0.5 * k.quad(chi)
+    return row_functionals(s, p_bulk, p_surf, l_bulk, l_surf, m, k)[1]
 
 
 def entropy(s: State, p_bulk: Potential, p_surf: Potential,
             m: MassVectors, k: StiffnessOp) -> float:
     """Integral of ln theta + s0(chi) minus the gradient term, with
     s0(r) = delta r^2/2 - F(r) normalized by s0(0) = 0."""
-    if not np.all(s.u < 0.0):
-        raise DomainError("entropy requires u < 0")
-    log_theta = np.log(s.theta)
-    chi = s.chi
-    surf = m.m_surf > 0.0
-
-    big_f_b, _, _ = evaluate(p_bulk, chi)
-    s0_b = 0.5 * p_bulk.delta * chi * chi - big_f_b
-    total = float(np.sum(m.m_bulk * (log_theta + s0_b)))
-
-    chi_s = chi[surf]
-    big_f_s, _, _ = evaluate(p_surf, chi_s)
-    s0_s = 0.5 * p_surf.delta * chi_s * chi_s - big_f_s
-    total += float(np.sum(m.m_surf[surf] * (log_theta[surf] + s0_s)))
-    return total - 0.5 * k.quad(chi)
+    return row_functionals(s, p_bulk, p_surf, _NO_LATENT, _NO_LATENT, m, k)[2]
 
 
 def dissipation_increment(u_new: np.ndarray, chi_old: np.ndarray, chi_new: np.ndarray,
@@ -152,7 +154,7 @@ def dissipation_increment(u_new: np.ndarray, chi_old: np.ndarray, chi_new: np.nd
     exactly in floating point.
     """
     r = (chi_new - chi_old) / tau
-    return tau * (k.quad(u_new) + float(np.sum(m.m_comb * r * r)))
+    return tau * (k.quad(u_new) + float(m.m_comb @ (r * r)))
 
 
 def energy_identity_residual(rows) -> float:

@@ -426,8 +426,8 @@ def write_diagnostics(rows, path: str) -> None:
 def write_snapshot(field: np.ndarray, grid: Grid, path: str) -> None:
     """One CSV matrix, ny+1 rows of nx values, top boundary row (j = ny) first."""
     z = grid.reshape(np.asarray(field, dtype=float))
-    lines = [",".join(f"{v:.16e}" for v in z[j]) for j in range(grid.ny, -1, -1)]
-    _write_text(path, "\n".join(lines) + "\n")
+    row_fmt = ",".join(["%.16e"] * grid.nx) + "\n"
+    _write_text(path, "".join([row_fmt % tuple(row) for row in z[::-1].tolist()]))
 
 
 def write_pgm(field: np.ndarray, grid: Grid, path: str) -> None:

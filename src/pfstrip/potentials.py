@@ -69,8 +69,11 @@ class Potential:
         return math.isfinite(self.domain_lo) or math.isfinite(self.domain_hi)
 
     def contains(self, r) -> bool:
+        """True when every entry lies in the open domain; NaN never does, and an
+        empty array trivially does."""
         r = np.asarray(r)
-        return bool(np.all(r > self.domain_lo) and np.all(r < self.domain_hi))
+        return r.size == 0 or bool(self.domain_lo < r.min() and
+                                   r.max() < self.domain_hi)
 
     def guarded_bounds(self, guard_eps: float) -> tuple[float, float]:
         """Closed box kept by Newton iterates: singular endpoints shrunk by guard_eps."""
@@ -80,7 +83,7 @@ class Potential:
 
 
 def evaluate(p: Potential, r):
-    """Return (F(r), f(r), f'(r)); r strictly inside the domain, scalar or array."""
+    """Return (F(r), f(r), f'(r)) for r strictly inside the domain (any shape)."""
     arr = np.asarray(r, dtype=float)
     if not p.contains(arr):
         raise DomainError(
@@ -88,16 +91,10 @@ def evaluate(p: Potential, r):
             f"of the {p.kind} potential"
         )
     if p.kind == "logarithmic":
-        big_f = (1.0 + arr) * np.log1p(arr) + (1.0 - arr) * np.log1p(-arr)
-        f = np.log1p(arr) - np.log1p(-arr)
-        fprime = 2.0 / (1.0 - arr * arr)
-    else:
-        big_f = 0.25 * arr**4
-        f = arr**3
-        fprime = 3.0 * arr * arr
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(big_f), float(f), float(fprime)
-    return big_f, f, fprime
+        log_p, log_m = np.log1p(arr), np.log1p(-arr)
+        big_f = (1.0 + arr) * log_p + (1.0 - arr) * log_m
+        return big_f, log_p - log_m, 2.0 / (1.0 - arr * arr)
+    return 0.25 * arr**4, arr**3, 3.0 * arr * arr
 
 
 def scalar_f(p: Potential):
@@ -122,13 +119,9 @@ class LatentHeat:
 
 
 def latent_eval(l: LatentHeat, r):
-    """Return (lambda(r), lambda'(r), lambda''(r)) for scalar or array r."""
+    """Return (lambda(r), lambda'(r), lambda''(r)); lambda'' is the constant -2a."""
     arr = np.asarray(r, dtype=float)
-    lam = -l.a * arr * arr + l.b * arr + l.c
-    lamp = -2.0 * l.a * arr + l.b
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(lam), float(lamp), -2.0 * l.a
-    return lam, lamp, np.full_like(arr, -2.0 * l.a)
+    return -l.a * arr * arr + l.b * arr + l.c, -2.0 * l.a * arr + l.b, -2.0 * l.a
 
 
 def latent_range(l: LatentHeat, lo: float = -1.0, hi: float = 1.0) -> tuple[float, float]:

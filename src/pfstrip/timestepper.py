@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FatalSolverError, SolverError
 from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_std,
-                          energy, entropy, mass_mu)
+                          energy_identity_residual, row_functionals)
 from .grid_ops import (Grid, MassVectors, ShiftedInverse, StiffnessOp,
                        assemble_shifted_inverse, solve_spd)
 from .potentials import LatentHeat, Potential, evaluate, latent_eval, scalar_f
@@ -49,10 +49,13 @@ class Model:
     l_bulk: LatentHeat
     l_surf: LatentHeat
     surf_mask: np.ndarray = field(init=False, repr=False)
+    inv_m_comb: np.ndarray = field(init=False, repr=False)
     shifted_inverse: ShiftedInverse = field(init=False, repr=False)
+    _chi_boxes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.surf_mask = self.masses.m_surf > 0.0
+        self.inv_m_comb = 1.0 / self.masses.m_comb
         self.shifted_inverse = assemble_shifted_inverse(self.grid, self.masses)
 
     def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float,
@@ -60,20 +63,25 @@ class Model:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
         inverse of K + c m_comb at c = mean(d / m_comb)."""
         k, inv = self.stiffness, self.shifted_inverse
-        c = float(np.mean(d / self.masses.m_comb))
+        c = float(d @ self.inv_m_comb) / d.size
         return solve_spd(lambda z: k.apply(z) + d * z, lambda v: inv.solve(c, v), -r,
                          tol=tol, max_iter=max_iter)
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node guard box for the phase field (surface domain on boundary rows)."""
-        lo_b, hi_b = self.p_bulk.guarded_bounds(guard_eps)
-        lo_s, hi_s = self.p_surf.guarded_bounds(guard_eps)
-        lo = np.full(self.grid.n_nodes, lo_b)
-        hi = np.full(self.grid.n_nodes, hi_b)
-        bnd = self.grid.boundary
-        lo[bnd] = max(lo_b, lo_s)
-        hi[bnd] = min(hi_b, hi_s)
-        return lo, hi
+        """Per-node guard box for the phase field (surface domain on boundary rows),
+        built once per guard_eps and returned as read-only arrays."""
+        box = self._chi_boxes.get(guard_eps)
+        if box is None:
+            lo_b, hi_b = self.p_bulk.guarded_bounds(guard_eps)
+            lo_s, hi_s = self.p_surf.guarded_bounds(guard_eps)
+            lo = np.full(self.grid.n_nodes, lo_b)
+            hi = np.full(self.grid.n_nodes, hi_b)
+            bnd = self.grid.boundary
+            lo[bnd] = max(lo_b, lo_s)
+            hi[bnd] = min(hi_b, hi_s)
+            lo.flags.writeable = hi.flags.writeable = False
+            box = self._chi_boxes[guard_eps] = (lo, hi)
+        return box
 
 
 @dataclass
@@ -109,12 +117,16 @@ class StepperConfig:
 
 def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
     """sqrt(sum r_i^2 / m_i): the L^2(dm) norm of the residual density."""
-    return float(np.sqrt(np.sum(r * r / m_comb)))
+    return math.sqrt(r @ (r / m_comb))
 
 
-def _newton(x0, residual, jac_diag, model: Model, cfg: StepperConfig,
+def _newton(x0, linearize, model: Model, cfg: StepperConfig,
             lo, hi, res_scale: float = 0.0) -> tuple[np.ndarray, int]:
     """Damped Newton with Model.newton_step inner solves and a convex domain guard.
+
+    linearize(x) returns the residual and the Jacobian diagonal at x from one
+    evaluation of the nonlinear terms.  Every trial point is linearized once;
+    the diagonal of the accepted trial is the one the next step solves with.
 
     res_scale is the caller's estimate of the magnitude of the individual
     residual terms before cancellation; the convergence target is floored at
@@ -124,7 +136,7 @@ def _newton(x0, residual, jac_diag, model: Model, cfg: StepperConfig,
     """
     m_comb = model.masses.m_comb
     x = np.clip(x0, lo, hi)
-    r = residual(x)
+    r, d = linearize(x)
     norm = measure_norm(r, m_comb)
     noise = NEWTON_NOISE_FACTOR * np.finfo(float).eps * res_scale
     target = max(cfg.newton_tol * norm, NEWTON_ABS_FLOOR, noise)
@@ -134,24 +146,24 @@ def _newton(x0, residual, jac_diag, model: Model, cfg: StepperConfig,
             raise SolverError(
                 f"Newton did not reach tolerance in {cfg.newton_max_iter} "
                 f"iterations (residual {norm:.3e}, target {target:.3e})")
-        step = model.newton_step(jac_diag(x), r, cfg.cg_tol, cfg.cg_max_iter)
+        step = model.newton_step(d, r, cfg.cg_tol, cfg.cg_max_iter)
         alpha = 1.0
         xt = x + step
-        while not (np.all(xt >= lo) and np.all(xt <= hi)):
+        while not ((xt >= lo).all() and (xt <= hi).all()):
             alpha *= cfg.backtrack_factor
             if alpha < MIN_BACKTRACK:
                 raise SolverError("Newton step cannot enter the domain guard box")
             xt = x + alpha * step
-        rt = residual(xt)
+        rt, dt = linearize(xt)
         nt = measure_norm(rt, m_comb)
         while nt > (1.0 - 1.0e-4 * alpha) * norm:
             alpha *= cfg.backtrack_factor
             if alpha < MIN_BACKTRACK:
                 raise SolverError(f"Newton backtracking stalled at residual {norm:.3e}")
             xt = x + alpha * step
-            rt = residual(xt)
+            rt, dt = linearize(xt)
             nt = measure_norm(rt, m_comb)
-        x, r, norm = xt, rt, nt
+        x, r, d, norm = xt, rt, dt, nt
         iters += 1
     return x, iters
 
@@ -175,23 +187,20 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model) -> tuple[np
     rhs = mb * (model.p_bulk.delta * chi_n + lamp_b * u_n)
     rhs[bnd] += ms_b * (model.p_surf.delta * chi_n[bnd] + lamp_s * u_n[bnd])
 
-    def residual(chi):
-        _, f_b, _ = evaluate(model.p_bulk, chi)
-        r = mc * (chi - chi_n) / tau + k.apply(chi) + mb * f_b - rhs
-        _, f_s, _ = evaluate(model.p_surf, chi[bnd])
-        r[bnd] += ms_b * f_s
-        return r
+    mc_tau = mc / tau
 
-    def jac_diag(chi):
-        _, _, fp_b = evaluate(model.p_bulk, chi)
-        d = mc / tau + mb * fp_b
-        _, _, fp_s = evaluate(model.p_surf, chi[bnd])
+    def linearize(chi):
+        _, f_b, fp_b = evaluate(model.p_bulk, chi)
+        _, f_s, fp_s = evaluate(model.p_surf, chi[bnd])
+        r = mc * (chi - chi_n) / tau + k.apply(chi) + mb * f_b - rhs
+        r[bnd] += ms_b * f_s
+        d = mc_tau + mb * fp_b
         d[bnd] += ms_b * fp_s
-        return d
+        return r, d
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
     scale = measure_norm(mc * np.abs(chi_n) / tau + np.abs(rhs), mc)
-    return _newton(chi_n, residual, jac_diag, model, cfg, lo, hi, scale)
+    return _newton(chi_n, linearize, model, cfg, lo, hi, scale)
 
 
 def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
@@ -217,16 +226,11 @@ def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
     if source_vec is not None:
         shift = shift - source_vec
 
-    def residual(u):
-        return mc * (-1.0 / u - theta_n) / tau + k.apply(u) + shift
+    def linearize(u):
+        return mc * (-1.0 / u - theta_n) / tau + k.apply(u) + shift, mc / (tau * u * u)
 
-    def jac_diag(u):
-        return mc / (tau * u * u)
-
-    lo = np.full(model.grid.n_nodes, -math.inf)
-    hi = np.full(model.grid.n_nodes, -cfg.guard_eps)
     scale = measure_norm(mc * np.abs(theta_n) / tau + np.abs(shift), mc)
-    return _newton(u_n, residual, jac_diag, model, cfg, lo, hi, scale)
+    return _newton(u_n, linearize, model, cfg, -math.inf, -cfg.guard_eps, scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +269,7 @@ class Stepper:
         self.successes = 0
         self.dissipation_cum = 0.0
         self.source_cum = 0.0
-        self.energy0 = None
+        self.row0 = None
 
     def _source_vec(self, t: float) -> np.ndarray | None:
         if self.source is None:
@@ -274,23 +278,23 @@ class Stepper:
 
     def _row(self, step: int, s: State, iters_chi: int, iters_theta: int) -> DiagnosticsRow:
         md = self.model
-        e = energy(s, md.p_bulk, md.p_surf, md.l_bulk, md.l_surf, md.masses, md.stiffness)
-        if self.energy0 is None:
-            self.energy0 = e
-        theta = s.theta
-        return DiagnosticsRow(
-            step=step, t=s.t,
-            mu=mass_mu(s, md.l_bulk, md.l_surf, md.masses),
-            energy=e,
-            entropy=entropy(s, md.p_bulk, md.p_surf, md.masses, md.stiffness),
+        mu, e, ent = row_functionals(s, md.p_bulk, md.p_surf, md.l_bulk, md.l_surf,
+                                     md.masses, md.stiffness)
+        row = DiagnosticsRow(
+            step=step, t=s.t, mu=mu, energy=e, entropy=ent,
             dissipation_cum=self.dissipation_cum,
             source_cum=self.source_cum,
-            energy_id_residual=e + self.dissipation_cum - self.energy0 - self.source_cum,
-            theta_min=float(theta.min()), theta_max=float(theta.max()),
+            energy_id_residual=0.0,
+            # theta = -1/u is increasing in u, and so is its rounding
+            theta_min=-1.0 / float(s.u.min()), theta_max=-1.0 / float(s.u.max()),
             chi_min=float(s.chi.min()), chi_max=float(s.chi.max()),
             u_spatial_std=dm_std(s.u, md.masses),
             newton_iters_chi=iters_chi, newton_iters_theta=iters_theta,
         )
+        if self.row0 is None:
+            self.row0 = row
+        row.energy_id_residual = energy_identity_residual((self.row0, row))
+        return row
 
     def initial_row(self, s: State) -> DiagnosticsRow:
         return self._row(0, s, 0, 0)

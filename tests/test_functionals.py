@@ -11,7 +11,7 @@ from pfstrip import LatentHeat, Potential, State, StepperConfig, run
 from pfstrip.errors import DomainError
 from pfstrip.functionals import (DiagnosticsRow, dissipation_increment, dm_mean,
                                  dm_std, energy, energy_identity_residual,
-                                 entropy, mass_mu)
+                                 entropy, mass_mu, row_functionals)
 from pfstrip.timestepper import preset_field
 
 
@@ -135,6 +135,33 @@ def test_energy_is_mass_minus_entropy(kind, rng):
         mu = mass_mu(s, m.l_bulk, m.l_surf, m.masses)
         ent = entropy(s, m.p_bulk, m.p_surf, m.masses, m.stiffness)
         assert e == pytest.approx(mu - ent, rel=1e-12)
+
+
+@pytest.mark.parametrize("p_bulk,p_surf,span", [
+    (Potential.logarithmic(1.5), Potential.logarithmic(0.5), 0.95),
+    (Potential.quartic(2.0), Potential.quartic(1.0), 1.5),
+    (Potential.quartic(0.7), Potential.logarithmic(1.2), 0.95),
+])
+def test_row_functionals_match_separate_functionals_and_oracles(p_bulk, p_surf, span, rng):
+    m = make_model(nx=16, ny=8, p_bulk=p_bulk, p_surf=p_surf,
+                   l_bulk=LatentHeat(0.6, 0.1, -0.2), l_surf=LatentHeat(-0.3, 0.2, 0.4))
+    g = m.grid
+    for _ in range(3):
+        s = random_state(m, rng, chi_span=(-span, span))
+        mu, e, ent = row_functionals(s, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf,
+                                     m.masses, m.stiffness)
+        assert mu == pytest.approx(mass_mu(s, m.l_bulk, m.l_surf, m.masses), rel=1e-13)
+        assert e == pytest.approx(energy(s, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf,
+                                         m.masses, m.stiffness), rel=1e-13)
+        assert ent == pytest.approx(entropy(s, m.p_bulk, m.p_surf, m.masses, m.stiffness),
+                                    rel=1e-13)
+        theta = s.theta
+        assert mu == pytest.approx(
+            oracles.mass_oracle(g, theta, s.chi, m.l_bulk, m.l_surf), rel=1e-13)
+        assert e == pytest.approx(oracles.energy_oracle(
+            g, theta, s.chi, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf), rel=1e-13)
+        assert ent == pytest.approx(
+            oracles.entropy_oracle(g, theta, s.chi, m.p_bulk, m.p_surf), rel=1e-13)
 
 
 def test_functionals_invariant_under_x_translation(rng):

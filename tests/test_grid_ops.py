@@ -100,18 +100,19 @@ def test_surface_form_cosine_example():
         d = np.cos(2.0 * np.pi * (i + 1) / g.nx) - np.cos(2.0 * np.pi * i / g.nx)
         direct += d * d / g.hx
     direct *= 2.0  # both boundary circles
-    val = z @ (k.surf @ z)
+    val = oracles.surf_form(g, z, z)
     assert val > 0.0
     assert val == pytest.approx(direct, rel=1e-12)
+    # z is constant in y, so K adds only the bulk x edges (row weights summing to ny)
+    bulk = g.ny * g.hy * direct / 2.0
+    assert k.quad(z) - bulk == pytest.approx(direct, rel=1e-12)
 
 
 def test_surface_form_vanishes_on_interior_support(rng):
     g = build_grid(1.0, 1.0, 8, 4)
-    k = assemble_stiffness(g)
     z = rng.standard_normal(g.n_nodes)
     z[g.boundary] = 0.0
     w = rng.standard_normal(g.n_nodes)
-    assert abs(z @ (k.surf @ w)) <= 1e-14
     assert abs(oracles.surf_form(g, z, w)) <= 1e-14
 
 

@@ -46,6 +46,27 @@ def test_logarithmic_rejects_domain_boundary():
         evaluate(p, np.array([0.0, -1.0]))
 
 
+@pytest.mark.parametrize("kind,bad", [
+    ("logarithmic", [1.0, -1.0, 1.5, -3.0, np.nan, np.inf]),
+    ("quartic", [np.nan, np.inf, -np.inf]),
+])
+def test_evaluate_rejects_every_point_off_the_open_domain(kind, bad):
+    p = getattr(Potential, kind)(1.0)
+    for value in bad:
+        with pytest.raises(DomainError, match=f"outside the open domain .* {kind} potential"):
+            evaluate(p, value)
+        with pytest.raises(DomainError):
+            evaluate(p, np.array([0.0, 0.5, value, -0.5]))
+        with pytest.raises(DomainError):
+            evaluate(p, np.array([[0.1, value], [0.2, 0.3]]))
+
+
+@pytest.mark.parametrize("kind", ["logarithmic", "quartic"])
+def test_evaluate_accepts_empty_arrays(kind):
+    big_f, f, fp = evaluate(getattr(Potential, kind)(1.0), np.zeros(0))
+    assert big_f.shape == f.shape == fp.shape == (0,)
+
+
 def test_latent_eval_closed_forms():
     assert latent_eval(LatentHeat(1.0, 0.0, 1.0), 0.0) == (1.0, 0.0, -2.0)
     lam, lamp, lam2 = latent_eval(LatentHeat(0.0, 0.0, 0.0), 0.37)

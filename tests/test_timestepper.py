@@ -1,11 +1,13 @@
 """Implicit steps, adaptive control, presets, sources, and the ODE oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
+import pfstrip.functionals as fn
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model
 from pfstrip import (LatentHeat, Potential, State, Stepper, StepperConfig,
@@ -231,6 +233,66 @@ def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
         counts.clear()
         run(m, StepperConfig(tau=1e-3), State(0.0, np.full(g.n_nodes, -1.0), chi0), 3e-3)
         assert len(counts) >= 12 and max(counts) <= 8, (n, counts)
+
+
+def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch):
+    """One accepted 8x4 step of the criterion-4 data: one linearization per Newton
+    iterate of the phase solve and one shared pass for the diagnostics row."""
+    m = make_model(p_bulk=Potential.logarithmic(1.8628), l_bulk=LatentHeat(0.2, 0.0, 0.0))
+    stepper = Stepper(m, StepperConfig(tau=1.0e-4, cg_tol=1.0e-12))
+    s = constant_state(m, 2.0, 0.3)
+    stepper.initial_row(s)
+    calls = {"evaluate": 0, "latent_eval": 0}
+    for name in calls:
+        real = getattr(ts, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        for module in (ts, fn):
+            monkeypatch.setattr(module, name, counted)
+    _, row = stepper.advance(s, 1)
+    assert row.newton_iters_chi == 1 and row.newton_iters_theta == 1
+    assert calls["evaluate"] <= 6 and calls["latent_eval"] <= 8, calls
+
+
+def test_newton_solves_with_the_accepted_iterates_diagonal():
+    """_newton on the toy residual atan(x - 0.3): the full first step from x = 3
+    overshoots and is backtracked; each solve must use the diagonal of the
+    iterate it steps from, never one from a rejected trial."""
+    n = 4
+    events = []   # ("lin", x, r, d) per linearize call, ("solve", r, d, step) per solve
+
+    def linearize(x):
+        r, d = np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+        events.append(("lin", x.copy(), r, d))
+        return r, d
+
+    def newton_step(d, r, tol, max_iter):
+        step = -r / d
+        events.append(("solve", r, d, step))
+        return step
+
+    model = SimpleNamespace(masses=SimpleNamespace(m_comb=np.ones(n)), newton_step=newton_step)
+    x, iters = ts._newton(np.full(n, 3.0), linearize, model, StepperConfig(tau=1.0),
+                          np.full(n, -10.0), np.full(n, 10.0))
+    assert np.max(np.abs(x - 0.3)) <= 1e-10
+    kinds = [e[0] for e in events]
+    assert kinds[0] == "lin" and kinds.count("solve") == iters
+    rejected = [i for i in range(len(events) - 1)
+                if kinds[i] == "lin" and kinds[i + 1] == "lin"]
+    assert rejected   # the first full step was backtracked
+    for i, kind in enumerate(kinds):
+        if kind != "solve":
+            continue
+        _, x_acc, r_acc, d_acc = events[i - 1]
+        _, r, d, step = events[i]
+        assert d is d_acc and r is r_acc   # the newest trial, i.e. the accepted one
+        alpha = (events[i + 1][1] - x_acc) / step   # next trials start from it
+        assert np.allclose(alpha, alpha[0]) and 0.0 < alpha[0] <= 1.0
+    points = [tuple(e[1]) for e in events if e[0] == "lin"]
+    assert len(points) == len(set(points))   # no point is linearized twice
 
 
 def test_integrate_homogeneous_trivial_cases():
