@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
 
@@ -85,35 +84,49 @@ def assemble_masses(g: Grid) -> MassVectors:
 
 @dataclass(frozen=True, eq=False)
 class StiffnessOp:
-    """Sparse symmetric PSD operator K = K_bulk + K_surf with its edge list.
+    """Symmetric PSD operator K = K_bulk + K_surf in tensor form, with its edge list.
 
-    The edge list (a, b, w) stores every difference pair once with its total
-    weight, so the quadratic form can be evaluated as a sum of squares,
-    exactly nonnegative in floating point.
+    The x-edge weight wx_j depends only on the row j and every y edge weighs
+    hx/hy, so on the (ny+1, nx) view Z of z, K z = wx (.) (Z Lx) + Ly Z, with
+    Lx the periodic second difference and Ly = (hx/hy) D^T D the path
+    Laplacian in y.  The edge list (a, b, w) stores every difference pair once
+    with its total weight, so the quadratic form can be evaluated as a sum of
+    squares, exactly nonnegative in floating point.
     """
 
-    matrix: sp.csr_matrix
     diag: np.ndarray
     edge_a: np.ndarray
     edge_b: np.ndarray
     edge_w: np.ndarray
+    wx: np.ndarray = field(repr=False)   # (ny+1, 1): x-edge weight of each row
+    lx: np.ndarray = field(repr=False)   # (nx, nx)
+    ly: np.ndarray = field(repr=False)   # (ny+1, ny+1)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.matrix @ z
+        zz = z.reshape(self.ly.shape[0], -1)
+        kz = zz @ self.lx
+        kz *= self.wx
+        kz += self.ly @ zz
+        return kz.ravel()
 
     def quad(self, z: np.ndarray) -> float:
         """z^T K z as sum of w (z_a - z_b)^2; >= 0 exactly."""
         d = z[self.edge_a] - z[self.edge_b]
         return float(self.edge_w @ (d * d))
 
+    @cached_property
+    def matrix(self):
+        """K as a scipy CSR matrix, built from the edge list on first access.
 
-def _edges_to_matrix(a, b, w, n) -> sp.csr_matrix:
-    """Symmetric CSR matrix of the edge form; int32 triplet indices keep assembly small."""
-    a, b = a.astype(np.int32), b.astype(np.int32)
-    rows = np.concatenate([a, b, a, b])
-    cols = np.concatenate([a, b, b, a])
-    vals = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        For tests and outside tools; the package itself never touches it, so
+        importing pfstrip does not load scipy."""
+        import scipy.sparse as sp
+
+        a, b, w = self.edge_a.astype(np.int32), self.edge_b.astype(np.int32), self.edge_w
+        n = self.diag.size
+        return sp.coo_matrix((np.concatenate([w, w, -w, -w]),
+                              (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                             shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(g: Grid) -> StiffnessOp:
@@ -124,31 +137,22 @@ def assemble_stiffness(g: Grid) -> StiffnessOp:
     form; y edges carry hx/hy.
     """
     nx, ny, n = g.nx, g.ny, g.n_nodes
-    i = np.arange(nx)
-    inext = (i + 1) % nx
+    wx = np.full(ny + 1, g.hy / g.hx)
+    wx[[0, ny]] = g.hy * 0.5 / g.hx + 1.0 / g.hx
 
-    xa, xb, xw = [], [], []
-    for j in range(ny + 1):
-        base = j * nx
-        alpha = 0.5 if j in (0, ny) else 1.0
-        w = np.full(nx, g.hy * alpha / g.hx)
-        xa.append(base + i)
-        xb.append(base + inext)
-        if j in (0, ny):
-            w = w + 1.0 / g.hx
-        xw.append(w)
+    idx = np.arange(n).reshape(ny + 1, nx)
+    edge_a = np.concatenate([idx.ravel(), idx[:-1].ravel()])
+    edge_b = np.concatenate([np.roll(idx, -1, axis=1).ravel(), idx[1:].ravel()])
+    edge_w = np.concatenate([np.repeat(wx, nx), np.full(ny * nx, g.hx / g.hy)])
 
-    ya = np.concatenate([j * nx + i for j in range(ny)])
-    yb = ya + nx
-    yw = np.full(ny * nx, g.hx / g.hy)
-
-    edge_a = np.concatenate(xa + [ya])
-    edge_b = np.concatenate(xb + [yb])
-    edge_w = np.concatenate(xw + [yw])
-
-    matrix = _edges_to_matrix(edge_a, edge_b, edge_w, n)
-    return StiffnessOp(matrix=matrix, diag=matrix.diagonal(),
-                       edge_a=edge_a, edge_b=edge_b, edge_w=edge_w)
+    eye = np.eye(nx)
+    diff = np.diff(np.eye(ny + 1), axis=0)
+    return StiffnessOp(
+        diag=np.bincount(np.concatenate([edge_a, edge_b]),
+                         weights=np.concatenate([edge_w, edge_w]), minlength=n),
+        edge_a=edge_a, edge_b=edge_b, edge_w=edge_w, wx=wx[:, None],
+        lx=2.0 * eye - np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0),
+        ly=(g.hx / g.hy) * (diff.T @ diff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +191,18 @@ def assemble_shifted_inverse(g: Grid, m: MassVectors) -> ShiftedInverse:
 
 def solve_spd(apply, precond, rhs: np.ndarray,
               tol: float = 1.0e-10, max_iter: int | None = None,
-              x0: np.ndarray | None = None) -> np.ndarray:
+              x0: np.ndarray | None = None, split: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned conjugate gradients for an SPD operator.
 
     precond is either the operator's diagonal (Jacobi preconditioning) or a
     callable r -> P^-1 r applying an SPD approximate inverse.  Stops when the
     true residual satisfies ||apply(x) - rhs||_2 <= tol ||rhs||_2.
-    Sequential and deterministic for fixed inputs.
+
+    split = e declares that precond inverts P exactly and that the operator is
+    P + diag(e).  Then P p follows the recurrence P p <- r + beta P p, each
+    iteration forms the operator product as P p + e p, and apply runs only for
+    the true-residual checks (after Eisenstat's trick).  Sequential and
+    deterministic for fixed inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -215,6 +224,7 @@ def solve_spd(apply, precond, rhs: np.ndarray,
         r = rhs - apply(x)
     z = precond(r)
     p = z.copy()
+    pp = r.copy()   # P p, carried only when split is given
     rz = float(r @ z)
     for _ in range(max_iter):
         if math.sqrt(r @ r) <= tol * bnorm:
@@ -225,8 +235,9 @@ def solve_spd(apply, precond, rhs: np.ndarray,
             r = r_true
             z = precond(r)
             p = z.copy()
+            pp = r.copy()
             rz = float(r @ z)
-        q = apply(p)
+        q = apply(p) if split is None else pp + split * p
         pq = float(p @ q)
         if pq <= 0.0:
             raise SolverError("conjugate gradients: operator not positive definite")
@@ -235,7 +246,10 @@ def solve_spd(apply, precond, rhs: np.ndarray,
         r -= alpha * q
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p = z + beta * p
+        if split is not None:
+            pp = r + beta * pp
         rz = rz_new
     r = rhs - apply(x)
     if math.sqrt(r @ r) <= tol * bnorm:

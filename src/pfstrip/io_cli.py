@@ -15,7 +15,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 
 import numpy as np
 
@@ -34,163 +34,91 @@ _POTENTIAL_KINDS = ("logarithmic", "quartic")
 LOCK_NAME = ".lock"
 
 
-@dataclass(frozen=True)
-class DomainCfg:
-    lx: float
-    ly: float
-    nx: int
-    ny: int
-
-
-@dataclass(frozen=True)
-class TimeCfg:
-    dt: float
-    t_end: float
-    snapshot_every: int
-    min_dt: float
-
-
-@dataclass(frozen=True)
-class PotentialCfg:
-    kind: str
-    delta: float
-
-
-@dataclass(frozen=True)
-class LatentCfg:
-    a: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True)
-class SourceCfg:
-    kind: str
-    amplitude: float
-    kx: int
-    omega: float
-
-
-@dataclass(frozen=True)
-class InitCfg:
-    theta_kind: str
-    theta_value: float
-    theta_amplitude: float
-    theta_kx: int
-    theta_width: float
-    chi_kind: str
-    chi_value: float
-    chi_amplitude: float
-    chi_kx: int
-    chi_width: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class SolverCfg:
-    newton_tol: float
-    newton_max_iter: int
-    cg_tol: float
-    guard_eps: float
-
-
-@dataclass(frozen=True)
-class OutputCfg:
-    dir: str
-    write_pgm: bool
-
-
-@dataclass(frozen=True)
-class Config:
-    domain: DomainCfg
-    time: TimeCfg
-    potential_bulk: PotentialCfg
-    potential_surf: PotentialCfg
-    latent_bulk: LatentCfg
-    latent_surf: LatentCfg
-    source: SourceCfg
-    init: InitCfg
-    solver: SolverCfg
-    output: OutputCfg
-
-
 _REQUIRED = object()
 _DT_FRACTION = object()
 
 # name, type, default, bound check, bound message; order fixes serialization.
 _SCHEMA = (
-    ("domain.lx", "float", _REQUIRED, lambda v: v > 0.0, "must be positive"),
-    ("domain.ly", "float", _REQUIRED, lambda v: v > 0.0, "must be positive"),
-    ("domain.nx", "int", _REQUIRED, lambda v: v >= 4, "must be at least 4"),
-    ("domain.ny", "int", _REQUIRED, lambda v: v >= 2, "must be at least 2"),
-    ("time.dt", "float", _REQUIRED, lambda v: v > 0.0, "must be positive"),
-    ("time.t_end", "float", _REQUIRED, lambda v: v >= 0.0, "must be nonnegative"),
-    ("time.snapshot_every", "int", 0, lambda v: v >= 0, "must be nonnegative"),
-    ("time.min_dt", "float", _DT_FRACTION, lambda v: v > 0.0, "must be positive"),
-    ("potential_bulk.kind", "str", _REQUIRED,
+    ("domain.lx", float, _REQUIRED, lambda v: v > 0.0, "must be positive"),
+    ("domain.ly", float, _REQUIRED, lambda v: v > 0.0, "must be positive"),
+    ("domain.nx", int, _REQUIRED, lambda v: v >= 4, "must be at least 4"),
+    ("domain.ny", int, _REQUIRED, lambda v: v >= 2, "must be at least 2"),
+    ("time.dt", float, _REQUIRED, lambda v: v > 0.0, "must be positive"),
+    ("time.t_end", float, _REQUIRED, lambda v: v >= 0.0, "must be nonnegative"),
+    ("time.snapshot_every", int, 0, lambda v: v >= 0, "must be nonnegative"),
+    ("time.min_dt", float, _DT_FRACTION, lambda v: v > 0.0, "must be positive"),
+    ("potential_bulk.kind", str, _REQUIRED,
      lambda v: v in _POTENTIAL_KINDS, "must be one of " + "/".join(_POTENTIAL_KINDS)),
-    ("potential_bulk.delta", "float", 0.0, lambda v: v >= 0.0, "must be nonnegative"),
-    ("potential_surf.kind", "str", _REQUIRED,
+    ("potential_bulk.delta", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
+    ("potential_surf.kind", str, _REQUIRED,
      lambda v: v in _POTENTIAL_KINDS, "must be one of " + "/".join(_POTENTIAL_KINDS)),
-    ("potential_surf.delta", "float", 0.0, lambda v: v >= 0.0, "must be nonnegative"),
-    ("latent_bulk.a", "float", _REQUIRED, None, ""),
-    ("latent_bulk.b", "float", _REQUIRED, None, ""),
-    ("latent_bulk.c", "float", _REQUIRED, None, ""),
-    ("latent_surf.a", "float", _REQUIRED, None, ""),
-    ("latent_surf.b", "float", _REQUIRED, None, ""),
-    ("latent_surf.c", "float", _REQUIRED, None, ""),
-    ("source.kind", "str", "zero",
+    ("potential_surf.delta", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
+    ("latent_bulk.a", float, _REQUIRED, None, ""),
+    ("latent_bulk.b", float, _REQUIRED, None, ""),
+    ("latent_bulk.c", float, _REQUIRED, None, ""),
+    ("latent_surf.a", float, _REQUIRED, None, ""),
+    ("latent_surf.b", float, _REQUIRED, None, ""),
+    ("latent_surf.c", float, _REQUIRED, None, ""),
+    ("source.kind", str, "zero",
      lambda v: v in ("zero", "sinusoid"), "must be zero or sinusoid"),
-    ("source.amplitude", "float", 0.0, None, ""),
-    ("source.kx", "int", 1, None, ""),
-    ("source.omega", "float", 0.0, None, ""),
-    ("init.theta_kind", "str", "constant",
+    ("source.amplitude", float, 0.0, None, ""),
+    ("source.kx", int, 1, None, ""),
+    ("source.omega", float, 0.0, None, ""),
+    ("init.theta_kind", str, "constant",
      lambda v: v in _PRESET_KINDS, "must be one of " + "/".join(_PRESET_KINDS)),
-    ("init.theta_value", "float", 1.0, None, ""),
-    ("init.theta_amplitude", "float", 0.0, None, ""),
-    ("init.theta_kx", "int", 1, None, ""),
-    ("init.theta_width", "float", 0.1, lambda v: v > 0.0, "must be positive"),
-    ("init.chi_kind", "str", "constant",
+    ("init.theta_value", float, 1.0, None, ""),
+    ("init.theta_amplitude", float, 0.0, None, ""),
+    ("init.theta_kx", int, 1, None, ""),
+    ("init.theta_width", float, 0.1, lambda v: v > 0.0, "must be positive"),
+    ("init.chi_kind", str, "constant",
      lambda v: v in _PRESET_KINDS, "must be one of " + "/".join(_PRESET_KINDS)),
-    ("init.chi_value", "float", 0.0, None, ""),
-    ("init.chi_amplitude", "float", 0.0, None, ""),
-    ("init.chi_kx", "int", 1, None, ""),
-    ("init.chi_width", "float", 0.1, lambda v: v > 0.0, "must be positive"),
-    ("init.seed", "int", 0, lambda v: v >= 0, "must be nonnegative"),
-    ("solver.newton_tol", "float", 1.0e-10, lambda v: v > 0.0, "must be positive"),
-    ("solver.newton_max_iter", "int", 50, lambda v: v >= 1, "must be at least 1"),
-    ("solver.cg_tol", "float", 1.0e-10, lambda v: v > 0.0, "must be positive"),
-    ("solver.guard_eps", "float", 1.0e-12, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    ("output.dir", "str", "out", None, ""),
-    ("output.write_pgm", "bool", False, None, ""),
-)
-
-_SECTIONS = (
-    ("domain", DomainCfg), ("time", TimeCfg),
-    ("potential_bulk", PotentialCfg), ("potential_surf", PotentialCfg),
-    ("latent_bulk", LatentCfg), ("latent_surf", LatentCfg),
-    ("source", SourceCfg), ("init", InitCfg),
-    ("solver", SolverCfg), ("output", OutputCfg),
+    ("init.chi_value", float, 0.0, None, ""),
+    ("init.chi_amplitude", float, 0.0, None, ""),
+    ("init.chi_kx", int, 1, None, ""),
+    ("init.chi_width", float, 0.1, lambda v: v > 0.0, "must be positive"),
+    ("init.seed", int, 0, lambda v: v >= 0, "must be nonnegative"),
+    ("solver.newton_tol", float, 1.0e-10, lambda v: v > 0.0, "must be positive"),
+    ("solver.newton_max_iter", int, 50, lambda v: v >= 1, "must be at least 1"),
+    ("solver.cg_tol", float, 1.0e-10, lambda v: v > 0.0, "must be positive"),
+    ("solver.guard_eps", float, 1.0e-12, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ("output.dir", str, "out", None, ""),
+    ("output.write_pgm", bool, False, None, ""),
 )
 
 
-def _convert(name: str, typ: str, text: str, line_no: int):
+def _make_sections() -> dict[str, type]:
+    """One frozen dataclass per config section, its fields the _SCHEMA keys in order."""
+    keys: dict[str, list] = {}
+    for name, typ, *_ in _SCHEMA:
+        sec, _, key = name.partition(".")
+        keys.setdefault(sec, []).append((key, typ))
+    return {sec: make_dataclass(sec.title().replace("_", "") + "Cfg", fields, frozen=True,
+                                namespace={"__module__": __name__})
+            for sec, fields in keys.items()}
+
+
+_SECTIONS = _make_sections()
+Config = make_dataclass("Config", list(_SECTIONS.items()), frozen=True,
+                        namespace={"__module__": __name__})
+
+
+def _convert(name: str, typ: type, text: str, line_no: int):
     try:
-        if typ == "float":
+        if typ is float:
             v = float(text)
             if not math.isfinite(v):
                 raise ValueError
             return v
-        if typ == "int":
+        if typ is int:
             return int(text, 10)
-        if typ == "bool":
+        if typ is bool:
             if text not in ("true", "false"):
                 raise ValueError
             return text == "true"
         return text
     except ValueError:
         raise ConfigError(
-            f"line {line_no}: key '{name}' expects a {typ}, got '{text}'") from None
+            f"line {line_no}: key '{name}' expects a {typ.__name__}, got '{text}'") from None
 
 
 def parse_config(text: str) -> Config:
@@ -230,13 +158,11 @@ def parse_config(text: str) -> Config:
     if values["time.min_dt"] > values["time.dt"]:
         raise ConfigError("time.min_dt must not exceed time.dt")
 
-    sections = {}
-    for sec_name, cls in _SECTIONS:
-        prefix = sec_name + "."
-        kw = {name[len(prefix):]: v for name, v in values.items()
-              if name.startswith(prefix)}
-        sections[sec_name] = cls(**kw)
-    return Config(**sections)
+    sections: dict[str, dict] = {}
+    for name, v in values.items():
+        sec, _, key = name.partition(".")
+        sections.setdefault(sec, {})[key] = v
+    return Config(**{sec: _SECTIONS[sec](**kw) for sec, kw in sections.items()})
 
 
 def serialize_config(c: Config) -> str:
@@ -245,9 +171,9 @@ def serialize_config(c: Config) -> str:
     for name, typ, _, _, _ in _SCHEMA:
         sec, _, key = name.partition(".")
         v = getattr(getattr(c, sec), key)
-        if typ == "float":
+        if typ is float:
             out = repr(float(v))
-        elif typ == "bool":
+        elif typ is bool:
             out = "true" if v else "false"
         else:
             out = str(v)
@@ -255,7 +181,7 @@ def serialize_config(c: Config) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _make_potential(pc: PotentialCfg) -> Potential:
+def _make_potential(pc) -> Potential:
     if pc.kind == "logarithmic":
         return Potential.logarithmic(pc.delta)
     return Potential.quartic(pc.delta)

@@ -84,18 +84,34 @@ def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
     )
 
 
-def stationary_phase_residual(chi: np.ndarray, u_inf: float, model: Model) -> np.ndarray:
-    """Residual vector of the stationary phase system at (chi, u_inf)."""
+def _linearization(u_inf: float, model: Model):
+    """linearize(chi) -> (r, d): the stationary phase residual at (chi, u_inf)
+    and its Jacobian diagonal m (f' - delta - lambda'' u_inf), clamped from
+    below at 1e-10 m_comb, from one evaluate and one latent_eval per part."""
     k, m = model.stiffness, model.masses
     bnd = model.grid.boundary
-    _, f_b, _ = evaluate(model.p_bulk, chi)
-    _, lamp_b, _ = latent_eval(model.l_bulk, chi)
-    r = k.apply(chi) + m.m_bulk * (f_b - model.p_bulk.delta * chi - lamp_b * u_inf)
-    chi_b = chi[bnd]
-    _, f_s, _ = evaluate(model.p_surf, chi_b)
-    _, lamp_s, _ = latent_eval(model.l_surf, chi_b)
-    r[bnd] += m.m_surf[bnd] * (f_s - model.p_surf.delta * chi_b - lamp_s * u_inf)
-    return r
+    ms_b = m.m_surf[bnd]
+    floor = 1.0e-10 * m.m_comb
+    delta_b, delta_s = model.p_bulk.delta, model.p_surf.delta
+
+    def linearize(chi):
+        _, f_b, fp_b = evaluate(model.p_bulk, chi)
+        _, lamp_b, lampp_b = latent_eval(model.l_bulk, chi)
+        r = k.apply(chi) + m.m_bulk * (f_b - delta_b * chi - lamp_b * u_inf)
+        d = m.m_bulk * (fp_b - delta_b - lampp_b * u_inf)
+        chi_b = chi[bnd]
+        _, f_s, fp_s = evaluate(model.p_surf, chi_b)
+        _, lamp_s, lampp_s = latent_eval(model.l_surf, chi_b)
+        r[bnd] += ms_b * (f_s - delta_s * chi_b - lamp_s * u_inf)
+        d[bnd] += ms_b * (fp_s - delta_s - lampp_s * u_inf)
+        return r, np.maximum(d, floor)
+
+    return linearize
+
+
+def stationary_phase_residual(chi: np.ndarray, u_inf: float, model: Model) -> np.ndarray:
+    """Residual vector of the stationary phase system at (chi, u_inf)."""
+    return _linearization(u_inf, model)(chi)[0]
 
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,
@@ -105,43 +121,33 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     The true Jacobian diagonal m (f' - delta - lambda'' u_inf) can lose
     positivity; it is clamped from below at a small multiple of the combined
     measure so every inner system stays SPD, trading quadratic convergence
-    for robustness only where the clamp is active.  Residuals are measured
-    in the L^2(dm) density norm and driven below the absolute tol.
+    for robustness only where the clamp is active.  Each trial point is
+    linearized once, and the accepted trial's diagonal feeds the next solve.
+    Residuals are measured in the L^2(dm) density norm and driven below the
+    absolute tol.
     """
-    m = model.masses
-    mc = m.m_comb
-    bnd = model.grid.boundary
+    mc = model.masses.m_comb
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    lam2_b = -2.0 * model.l_bulk.a
-    lam2_s = -2.0 * model.l_surf.a
-    floor = 1.0e-10 * mc
-
-    def jac_diag(chi):
-        _, _, fp_b = evaluate(model.p_bulk, chi)
-        d = m.m_bulk * (fp_b - model.p_bulk.delta - lam2_b * u_inf)
-        _, _, fp_s = evaluate(model.p_surf, chi[bnd])
-        d[bnd] += m.m_surf[bnd] * (fp_s - model.p_surf.delta - lam2_s * u_inf)
-        return np.maximum(d, floor)
-
+    linearize = _linearization(u_inf, model)
     x = np.clip(np.asarray(guess, dtype=float), lo, hi)
-    r = stationary_phase_residual(x, u_inf, model)
+    r, d = linearize(x)
     norm = measure_norm(r, mc)
     for _ in range(max_iter):
         if norm <= tol:
             return x, norm
-        step = model.newton_step(jac_diag(x), r, tol=1.0e-12)
+        step = model.newton_step(d, r, tol=1.0e-12)
         alpha = 1.0
         xt = np.clip(x + step, lo, hi)
-        rt = stationary_phase_residual(xt, u_inf, model)
+        rt, dt = linearize(xt)
         nt = measure_norm(rt, mc)
         while nt > (1.0 - 1.0e-4 * alpha) * norm:
             alpha *= 0.5
             if alpha < MIN_BACKTRACK:
                 raise SolverError(f"stationary Newton stalled at residual {norm:.3e}")
             xt = np.clip(x + alpha * step, lo, hi)
-            rt = stationary_phase_residual(xt, u_inf, model)
+            rt, dt = linearize(xt)
             nt = measure_norm(rt, mc)
-        x, r, norm = xt, rt, nt
+        x, r, d, norm = xt, rt, dt, nt
     raise SolverError(f"stationary Newton did not converge in {max_iter} iterations "
                       f"(residual {norm:.3e})")
 

@@ -68,6 +68,19 @@ def test_stiffness_annihilates_constants():
         assert np.max(np.abs(k.apply(np.ones(g.n_nodes)))) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("lx,ly,nx,ny", [(1.0, 1.0, 4, 2), (1.3, 0.7, 9, 3),
+                                         (2.0, 1.0, 8, 4), (1.0, 1.0, 16, 8)])
+def test_tensor_apply_matches_csr(rng, lx, ly, nx, ny):
+    g = build_grid(lx, ly, nx, ny)
+    k = assemble_stiffness(g)
+    for _ in range(5):
+        z = rng.standard_normal(g.n_nodes)
+        ref = k.matrix @ z
+        assert np.linalg.norm(k.apply(z) - ref) <= 1e-15 * np.linalg.norm(ref)
+    assert np.array_equal(k.apply(np.ones(g.n_nodes)), np.zeros(g.n_nodes))
+    assert np.array_equal(k.diag, k.matrix.diagonal())
+
+
 def test_stiffness_symmetry_and_psd(rng):
     g = build_grid(1.0, 1.0, 16, 8)
     k = assemble_stiffness(g)
@@ -223,13 +236,17 @@ def test_shifted_inverse_matches_dense_solve(rng, lx, ly, nx, ny, c):
     assert np.linalg.norm(x - xd) <= 1e-10 * np.linalg.norm(xd)
 
 
+def phase_shift(g, m):
+    """The phase-step shape m_comb / tau + m_bulk f'(chi), with f' varying over the strip."""
+    return m.m_comb / 1e-3 \
+        + m.m_bulk * 50.0 * (1.0 + np.cos(2.0 * np.pi * g.x) * np.sin(np.pi * g.y))
+
+
 def test_shifted_inverse_pcg_agrees_with_jacobi(rng):
     g = build_grid(1.0, 1.0, 16, 16)
     k = assemble_stiffness(g)
     m = assemble_masses(g)
-    # the phase-step shape m_comb / tau + m_bulk f'(chi), with f' varying over the strip
-    d = m.m_comb / 1e-3 \
-        + m.m_bulk * 50.0 * (1.0 + np.cos(2.0 * np.pi * g.x) * np.sin(np.pi * g.y))
+    d = phase_shift(g, m)
     apply_fn = lambda z: k.apply(z) + d * z
     rhs = rng.standard_normal(g.n_nodes)
     c = float(np.mean(d / m.m_comb))
@@ -249,3 +266,49 @@ def test_shifted_inverse_pcg_agrees_with_jacobi(rng):
         assert np.linalg.norm(apply_fn(x) - rhs) <= tol * np.linalg.norm(rhs)
     assert np.linalg.norm(xs - xj) <= 10 * tol * np.linalg.norm(xj)
     assert calls["shifted"] < calls["jacobi"]
+
+
+def split_system(nx, ny):
+    """The non-uniform phase-step shift, split as P + diag(e) with P = K + c M."""
+    g = build_grid(1.0, 1.0, nx, ny)
+    k = assemble_stiffness(g)
+    m = assemble_masses(g)
+    d = phase_shift(g, m)
+    c = float(np.mean(d / m.m_comb))
+    inv = assemble_shifted_inverse(g, m)
+    calls = [0]
+
+    def apply_fn(z):
+        calls[0] += 1
+        return k.apply(z) + d * z
+
+    return apply_fn, lambda v: inv.solve(c, v), d - c * m.m_comb, calls
+
+
+def test_split_pcg_agrees_with_plain_pcg_and_skips_applies(rng):
+    apply_fn, precond, e, calls = split_system(16, 16)
+    rhs = rng.standard_normal(e.size)
+    tol = 1e-10
+    xp = solve_spd(apply_fn, precond, rhs, tol=tol)
+    plain = calls[0]
+    calls[0] = 0
+    xs = solve_spd(apply_fn, precond, rhs, tol=tol, split=e)
+    assert calls[0] <= 2 < plain, (calls[0], plain)
+    for x in (xp, xs):
+        assert np.linalg.norm(apply_fn(x) - rhs) <= tol * np.linalg.norm(rhs)
+    assert np.linalg.norm(xs - xp) <= 10 * tol * np.linalg.norm(xp)
+
+
+@pytest.mark.parametrize("nx,ny", [(8, 4), (16, 16)])
+@pytest.mark.parametrize("factor", [0.0, 3.0, -20.0, 50.0])
+def test_split_pcg_with_a_wrong_split_verifies_or_raises(rng, nx, ny, factor):
+    # factor 0 and 3 converge by restarts from the true residual; -20 and 50
+    # make the recurrence operator indefinite or divergent
+    apply_fn, precond, e, _ = split_system(nx, ny)
+    rhs = rng.standard_normal(e.size)
+    try:
+        x = solve_spd(apply_fn, precond, rhs, tol=1e-10, split=factor * e)
+    except SolverError:
+        assert factor not in (0.0, 3.0)
+        return
+    assert np.linalg.norm(apply_fn(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)

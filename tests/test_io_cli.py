@@ -1,6 +1,8 @@
 """Config grammar, validation report, output formats, and CLI exit codes."""
 
 import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -397,3 +399,19 @@ def test_cli_runs_are_byte_identical(tmp_path):
         a = (dirs[0] / name).read_bytes()
         b = (dirs[1] / name).read_bytes()
         assert a == b, name
+
+
+def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
+    """The runtime is numpy-only: scipy is a test dependency."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = textwrap.dedent("""\
+        import sys
+        from pfstrip.io_cli import cli_main
+        code = cli_main(["simulate", "--config", sys.argv[1], "--output", sys.argv[2]])
+        print(code, [m for m in sys.modules if m.split(".")[0] == "scipy"])
+        """)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", script, os.path.join(root, "configs", "example.cfg"),
+                          str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 []", out.stdout + out.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import pfstrip.stationary as st
 from helpers import constant_state, make_model, roll_x
 from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
 from pfstrip.errors import AdmissibilityError, BracketError
@@ -39,6 +40,25 @@ def test_solve_chi_matches_scalar_bisection_oracle():
 
     root = oracles.bisect(h, -0.999999, 0.999999)
     assert np.max(np.abs(chi - root)) <= 1e-10
+
+
+def test_solve_chi_linearizes_each_trial_point_once(monkeypatch):
+    """One evaluate and one latent_eval per part (bulk, boundary) per trial point."""
+    m = coupled_model()
+    n = m.grid.n_nodes
+    calls = {"evaluate": [], "latent_eval": []}
+    for name, args in calls.items():
+        def counted(p, x, real=getattr(st, name), args=args):
+            args.append(np.array(x))
+            return real(p, x)
+
+        monkeypatch.setattr(st, name, counted)
+    guess = preset_field(m.grid, "sinusoid", value=0.2, amplitude=0.5, kx=2)
+    solve_chi_given_u(-0.8, guess, m)
+    for name, args in calls.items():
+        points = [a.tobytes() for a in args if a.size == n]
+        assert len(points) >= 4 and len(set(points)) == len(points), name
+        assert len(args) <= 2 * len(points), (name, len(args), len(points))
 
 
 def test_mass_gap_closed_forms():

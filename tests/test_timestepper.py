@@ -207,20 +207,26 @@ def test_adaptive_floor_raises_fatal(monkeypatch):
 
 
 def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
-    """Operator applies per Newton solve on a perturbed stripe stay bounded as
-    the grid is refined (Jacobi-PCG takes up to 17, 31 and 62 here)."""
+    """Operator and preconditioner applies per Newton solve on a perturbed stripe
+    stay bounded as the grid is refined (Jacobi-PCG takes up to 17, 31 and 62
+    operator applies here)."""
     real = ts.solve_spd
-    counts = []
+    counts, precond_counts = [], []
 
-    def counting(apply, *args, **kwargs):
-        n = [0]
+    def counting(apply, precond, *args, **kwargs):
+        n = [0, 0]
 
         def counted(z):
             n[0] += 1
             return apply(z)
 
-        x = real(counted, *args, **kwargs)
+        def counted_precond(v):
+            n[1] += 1
+            return precond(v)
+
+        x = real(counted, counted_precond, *args, **kwargs)
         counts.append(n[0])
+        precond_counts.append(n[1])
         return x
 
     monkeypatch.setattr(ts, "solve_spd", counting)
@@ -231,8 +237,10 @@ def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
         chi0 = preset_field(g, "tanh_stripe", amplitude=0.3, width=0.2) \
             + 0.05 * np.cos(2.0 * math.pi * g.x) * np.sin(math.pi * g.y)
         counts.clear()
+        precond_counts.clear()
         run(m, StepperConfig(tau=1e-3), State(0.0, np.full(g.n_nodes, -1.0), chi0), 3e-3)
         assert len(counts) >= 12 and max(counts) <= 8, (n, counts)
+        assert max(precond_counts) <= 8, (n, precond_counts)
 
 
 def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch):
