@@ -191,7 +191,7 @@ def assemble_shifted_inverse(g: Grid, m: MassVectors) -> ShiftedInverse:
 
 def solve_spd(apply, precond, rhs: np.ndarray,
               tol: float = 1.0e-10, max_iter: int | None = None,
-              x0: np.ndarray | None = None, split: np.ndarray | None = None) -> np.ndarray:
+              split: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned conjugate gradients for an SPD operator.
 
     precond is either the operator's diagonal (Jacobi preconditioning) or a
@@ -216,12 +216,8 @@ def solve_spd(apply, precond, rhs: np.ndarray,
     bnorm = math.sqrt(rhs @ rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
-    if x0 is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = rhs - apply(x)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     z = precond(r)
     p = z.copy()
     pp = r.copy()   # P p, carried only when split is given

@@ -112,11 +112,6 @@ class LatentHeat:
     b: float = 0.0
     c: float = 0.0
 
-    @property
-    def constant(self) -> bool:
-        """True when lambda' vanishes identically, decoupling phase and heat."""
-        return self.a == 0.0 and self.b == 0.0
-
 
 def latent_eval(l: LatentHeat, r):
     """Return (lambda(r), lambda'(r), lambda''(r)); lambda'' is the constant -2a."""

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AdmissibilityError, BracketError, SolverError
 from .functionals import State, dm_mean, dm_std, mass_mu
 from .potentials import evaluate, latent_eval, latent_range, separating_slope_margin
-from .timestepper import MIN_BACKTRACK, Model, measure_norm
+from .timestepper import Model, _newton, measure_norm
 
 STATIONARY_GUARD_EPS = 1.0e-12
 BRACKET_EXPANSIONS = 10
@@ -116,50 +116,26 @@ def stationary_phase_residual(chi: np.ndarray, u_inf: float, model: Model) -> np
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,
                       max_iter: int = 200) -> tuple[np.ndarray, float]:
-    """Damped Newton for the stationary phase system at fixed u_inf.
+    """Damped Newton (timestepper._newton) for the stationary phase system at
+    fixed u_inf; returns (chi, residual).
 
     The true Jacobian diagonal m (f' - delta - lambda'' u_inf) can lose
     positivity; it is clamped from below at a small multiple of the combined
     measure so every inner system stays SPD, trading quadratic convergence
-    for robustness only where the clamp is active.  Each trial point is
-    linearized once, and the accepted trial's diagonal feeds the next solve.
-    Residuals are measured in the L^2(dm) density norm and driven below the
-    absolute tol.
+    for robustness only where the clamp is active.  Residuals are measured in
+    the L^2(dm) density norm and driven below the absolute tol, or to their
+    round-off level, which next to a singular wall can lie above tol.
     """
-    mc = model.masses.m_comb
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    linearize = _linearization(u_inf, model)
-    x = np.clip(np.asarray(guess, dtype=float), lo, hi)
-    r, d = linearize(x)
-    norm = measure_norm(r, mc)
-    for _ in range(max_iter):
-        if norm <= tol:
-            return x, norm
-        step = model.newton_step(d, r, tol=1.0e-12)
-        alpha = 1.0
-        xt = np.clip(x + step, lo, hi)
-        rt, dt = linearize(xt)
-        nt = measure_norm(rt, mc)
-        while nt > (1.0 - 1.0e-4 * alpha) * norm:
-            alpha *= 0.5
-            if alpha < MIN_BACKTRACK:
-                raise SolverError(f"stationary Newton stalled at residual {norm:.3e}")
-            xt = np.clip(x + alpha * step, lo, hi)
-            rt, dt = linearize(xt)
-            nt = measure_norm(rt, mc)
-        x, r, d, norm = xt, rt, dt, nt
-    raise SolverError(f"stationary Newton did not converge in {max_iter} iterations "
-                      f"(residual {norm:.3e})")
+    chi, _, residual = _newton(guess, _linearization(u_inf, model), model, lo, hi,
+                               1.0e-12, max_iter, 0.0, tol)
+    return chi, residual
 
 
 def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model) -> float:
     """Mass of the candidate steady state minus the target mass."""
-    m = model.masses
-    theta_inf = -1.0 / u_inf
-    lam_b, _, _ = latent_eval(model.l_bulk, chi_inf)
-    lam_s, _, _ = latent_eval(model.l_surf, chi_inf)
-    return float(np.sum(m.m_bulk * (theta_inf + lam_b))
-                 + np.sum(m.m_surf * (theta_inf + lam_s)) - mu_target)
+    steady = State(0.0, np.full(chi_inf.shape, u_inf), chi_inf)
+    return mass_mu(steady, model.l_bulk, model.l_surf, model.masses) - mu_target
 
 
 def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],

@@ -34,6 +34,7 @@ from .potentials import LatentHeat, Potential, evaluate, latent_eval, scalar_f
 
 NEWTON_ABS_FLOOR = 1.0e-12
 NEWTON_NOISE_FACTOR = 8.0
+EPS = float(np.finfo(float).eps)
 MIN_BACKTRACK = 2.0 ** -60
 
 
@@ -77,15 +78,14 @@ class Model:
         self.inv_m_comb = 1.0 / self.masses.m_comb
         self.shifted_inverse = assemble_shifted_inverse(self.grid, self.masses)
 
-    def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float,
-                    max_iter: int | None = None) -> np.ndarray:
+    def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
         inverse of P = K + c m_comb at c = mean(d / m_comb); the operator is
         P + diag(d - c m_comb), so CG carries P p and applies K only to check."""
         k, inv, mc = self.stiffness, self.shifted_inverse, self.masses.m_comb
         c = float(d @ self.inv_m_comb) / d.size
         return solve_spd(lambda z: k.apply(z) + d * z, lambda v: inv.solve(c, v), -r,
-                         tol=tol, max_iter=max_iter, split=d - c * mc)
+                         tol=tol, split=d - c * mc)
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-node guard box for the phase field (surface domain on boundary rows),
@@ -110,9 +110,9 @@ class StepperConfig:
 
     newton_tol applies to the residual 2-norm weighted by the combined
     measure (the discrete L^2(dm) norm of the residual density), relative to
-    the initial residual and floored at an absolute 1e-12.  A second floor
-    at roundoff level of the residual terms keeps tiny steps solvable: the
-    m/tau mass term grows as tau shrinks and cancellation noise with it.
+    the initial residual and floored at an absolute 1e-12; _newton also stops
+    at the residual's round-off level, which the m/tau mass term raises as
+    tau shrinks.  cg_tol is the relative tolerance of each inner PCG solve.
     """
 
     tau: float
@@ -120,9 +120,7 @@ class StepperConfig:
     newton_max_iter: int = 50
     guard_eps: float = 1.0e-12
     min_tau: float | None = None
-    backtrack_factor: float = 0.5
     cg_tol: float = 1.0e-10
-    cg_max_iter: int | None = None
 
     def __post_init__(self):
         if self.tau <= 0.0:
@@ -140,44 +138,44 @@ def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
     return math.sqrt(r @ (r / m_comb))
 
 
-def _newton(x0, linearize, model: Model, cfg: StepperConfig,
-            lo, hi, res_scale: float = 0.0) -> tuple[np.ndarray, int]:
+def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
+            rel_tol: float, abs_tol: float) -> tuple[np.ndarray, int, float]:
     """Damped Newton with Model.newton_step inner solves and a convex domain guard.
 
     linearize(x) returns the residual and the Jacobian diagonal at x from one
     evaluation of the nonlinear terms.  Every trial point is linearized once;
     the diagonal of the accepted trial is the one the next step solves with.
+    A step is halved until it lies in the box [lo, hi], then until the
+    residual decreases.  Returns (x, iterations, residual norm).
 
-    res_scale is the caller's estimate of the magnitude of the individual
-    residual terms before cancellation; the convergence target is floored at
-    a machine-epsilon multiple of it, since roundoff in the residual
-    evaluation prevents any iterate from doing better.  For small tau the
-    mass term m/tau dominates and this floor rises above the absolute one.
+    The iteration stops when the L^2(dm) residual norm is at most
+    max(rel_tol * initial norm, abs_tol), or at most its round-off level at
+    x: NEWTON_NOISE_FACTOR * eps * ||d x||, the size of the diagonal terms
+    that cancel in the residual (the m/tau mass term in a time step, m f'(x)
+    next to a singular wall).  No iterate can do better than that.
     """
     m_comb = model.masses.m_comb
     x = np.clip(x0, lo, hi)
     r, d = linearize(x)
     norm = measure_norm(r, m_comb)
-    noise = NEWTON_NOISE_FACTOR * np.finfo(float).eps * res_scale
-    target = max(cfg.newton_tol * norm, NEWTON_ABS_FLOOR, noise)
+    target = max(rel_tol * norm, abs_tol)
     iters = 0
-    while norm > target:
-        if iters >= cfg.newton_max_iter:
-            raise SolverError(
-                f"Newton did not reach tolerance in {cfg.newton_max_iter} "
-                f"iterations (residual {norm:.3e}, target {target:.3e})")
-        step = model.newton_step(d, r, cfg.cg_tol, cfg.cg_max_iter)
+    while norm > target and norm > NEWTON_NOISE_FACTOR * EPS * measure_norm(d * x, m_comb):
+        if iters >= max_iter:
+            raise SolverError(f"Newton did not reach tolerance in {max_iter} iterations "
+                              f"(residual {norm:.3e}, target {target:.3e})")
+        step = model.newton_step(d, r, cg_tol)
         alpha = 1.0
         xt = x + step
         while not ((xt >= lo).all() and (xt <= hi).all()):
-            alpha *= cfg.backtrack_factor
+            alpha *= 0.5
             if alpha < MIN_BACKTRACK:
                 raise SolverError("Newton step cannot enter the domain guard box")
             xt = x + alpha * step
         rt, dt = linearize(xt)
         nt = measure_norm(rt, m_comb)
         while nt > (1.0 - 1.0e-4 * alpha) * norm:
-            alpha *= cfg.backtrack_factor
+            alpha *= 0.5
             if alpha < MIN_BACKTRACK:
                 raise SolverError(f"Newton backtracking stalled at residual {norm:.3e}")
             xt = x + alpha * step
@@ -185,7 +183,7 @@ def _newton(x0, linearize, model: Model, cfg: StepperConfig,
             nt = measure_norm(rt, m_comb)
         x, r, d, norm = xt, rt, dt, nt
         iters += 1
-    return x, iters
+    return x, iters, norm
 
 
 def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model) -> tuple[np.ndarray, int]:
@@ -219,8 +217,8 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model) -> tuple[np
         return r, d
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
-    scale = measure_norm(mc * np.abs(chi_n) / tau + np.abs(rhs), mc)
-    return _newton(chi_n, linearize, model, cfg, lo, hi, scale)
+    return _newton(chi_n, linearize, model, lo, hi, cfg.cg_tol, cfg.newton_max_iter,
+                   cfg.newton_tol, NEWTON_ABS_FLOOR)[:2]
 
 
 def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
@@ -249,8 +247,8 @@ def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
     def linearize(u):
         return mc * (-1.0 / u - theta_n) / tau + k.apply(u) + shift, mc / (tau * u * u)
 
-    scale = measure_norm(mc * np.abs(theta_n) / tau + np.abs(shift), mc)
-    return _newton(u_n, linearize, model, cfg, -math.inf, -cfg.guard_eps, scale)
+    return _newton(u_n, linearize, model, -math.inf, -cfg.guard_eps, cfg.cg_tol,
+                   cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)[:2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,18 +28,35 @@ def test_solve_chi_trivial_roots():
 
 
 def test_solve_chi_matches_scalar_bisection_oracle():
-    lat = LatentHeat(0.2, 0.05, 0.0)
-    m = make_model(p_bulk=Potential.logarithmic(0.5), l_bulk=lat)
+    """b = 40 and b = -40 put the roots at -(1 - 1.16e-7) and 1 - 1.16e-7, where
+    f'(chi) ulp(chi) makes the smallest attainable residual (1.3e-10) exceed
+    tol: the solve must stop at its round-off floor, not run out of iterations."""
     u_inf = -0.4
-    chi, _ = solve_chi_given_u(u_inf, np.zeros(m.grid.n_nodes), m)
-    f = scalar_f(m.p_bulk)
+    for b in (0.05, 40.0, -40.0):
+        lat = LatentHeat(0.2, b, 0.0)
+        m = make_model(p_bulk=Potential.logarithmic(0.5), l_bulk=lat)
+        chi, _ = solve_chi_given_u(u_inf, np.zeros(m.grid.n_nodes), m)
+        f = scalar_f(m.p_bulk)
 
-    def h(c):
-        lamp = -2.0 * lat.a * c + lat.b
-        return f(c) - m.p_bulk.delta * c - lamp * u_inf
+        def h(c):
+            lamp = -2.0 * lat.a * c + lat.b
+            return f(c) - m.p_bulk.delta * c - lamp * u_inf
 
-    root = oracles.bisect(h, -0.999999, 0.999999)
-    assert np.max(np.abs(chi - root)) <= 1e-10
+        root = oracles.bisect(h, -1.0 + 1e-12, 1.0 - 1e-12)
+        assert np.max(np.abs(chi - root)) <= 1e-10, b
+
+
+def test_solve_chi_checks_its_last_iterate(monkeypatch):
+    """A solve capped at exactly the Newton steps it needs returns the same root."""
+    m = coupled_model()
+    guess = preset_field(m.grid, "sinusoid", value=0.2, amplitude=0.5, kx=2)
+    steps = []
+    real = m.newton_step
+    monkeypatch.setattr(m, "newton_step", lambda *a, **k: steps.append(1) or real(*a, **k))
+    chi, resid = solve_chi_given_u(-0.8, guess, m)
+    assert len(steps) >= 2
+    chi_cap, resid_cap = solve_chi_given_u(-0.8, guess, m, max_iter=len(steps))
+    assert np.array_equal(chi_cap, chi) and resid_cap == resid
 
 
 def test_solve_chi_linearizes_each_trial_point_once(monkeypatch):

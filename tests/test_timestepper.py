@@ -20,7 +20,7 @@ from pfstrip.potentials import scalar_f
 def test_config_defaults_and_bounds():
     cfg = StepperConfig(tau=0.01)
     assert cfg.newton_tol == 1e-10 and cfg.newton_max_iter == 50
-    assert cfg.min_tau == 0.01 / 1024.0 and cfg.backtrack_factor == 0.5
+    assert cfg.min_tau == 0.01 / 1024.0
     with pytest.raises(ConfigError):
         StepperConfig(tau=-1.0)
     with pytest.raises(ConfigError):
@@ -268,39 +268,43 @@ def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch)
 def test_newton_solves_with_the_accepted_iterates_diagonal():
     """_newton on the toy residual atan(x - 0.3): the full first step from x = 3
     overshoots and is backtracked; each solve must use the diagonal of the
-    iterate it steps from, never one from a rejected trial."""
+    iterate it steps from, never one from a rejected trial.  Run with the
+    time-step target and with the stationary one (absolute only)."""
     n = 4
-    events = []   # ("lin", x, r, d) per linearize call, ("solve", r, d, step) per solve
+    for rel_tol, abs_tol in ((1.0e-10, ts.NEWTON_ABS_FLOOR), (0.0, 1.0e-12)):
+        events = []   # ("lin", x, r, d) per linearize call, ("solve", r, d, step) per solve
 
-    def linearize(x):
-        r, d = np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
-        events.append(("lin", x.copy(), r, d))
-        return r, d
+        def linearize(x):
+            r, d = np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+            events.append(("lin", x.copy(), r, d))
+            return r, d
 
-    def newton_step(d, r, tol, max_iter):
-        step = -r / d
-        events.append(("solve", r, d, step))
-        return step
+        def newton_step(d, r, tol):
+            step = -r / d
+            events.append(("solve", r, d, step))
+            return step
 
-    model = SimpleNamespace(masses=SimpleNamespace(m_comb=np.ones(n)), newton_step=newton_step)
-    x, iters = ts._newton(np.full(n, 3.0), linearize, model, StepperConfig(tau=1.0),
-                          np.full(n, -10.0), np.full(n, 10.0))
-    assert np.max(np.abs(x - 0.3)) <= 1e-10
-    kinds = [e[0] for e in events]
-    assert kinds[0] == "lin" and kinds.count("solve") == iters
-    rejected = [i for i in range(len(events) - 1)
-                if kinds[i] == "lin" and kinds[i + 1] == "lin"]
-    assert rejected   # the first full step was backtracked
-    for i, kind in enumerate(kinds):
-        if kind != "solve":
-            continue
-        _, x_acc, r_acc, d_acc = events[i - 1]
-        _, r, d, step = events[i]
-        assert d is d_acc and r is r_acc   # the newest trial, i.e. the accepted one
-        alpha = (events[i + 1][1] - x_acc) / step   # next trials start from it
-        assert np.allclose(alpha, alpha[0]) and 0.0 < alpha[0] <= 1.0
-    points = [tuple(e[1]) for e in events if e[0] == "lin"]
-    assert len(points) == len(set(points))   # no point is linearized twice
+        model = SimpleNamespace(masses=SimpleNamespace(m_comb=np.ones(n)),
+                                newton_step=newton_step)
+        x, iters, norm = ts._newton(np.full(n, 3.0), linearize, model, np.full(n, -10.0),
+                                    np.full(n, 10.0), 1.0e-10, 50, rel_tol, abs_tol)
+        assert np.max(np.abs(x - 0.3)) <= 1e-10
+        assert norm == ts.measure_norm(np.arctan(x - 0.3), np.ones(n))
+        kinds = [e[0] for e in events]
+        assert kinds[0] == "lin" and kinds.count("solve") == iters
+        rejected = [i for i in range(len(events) - 1)
+                    if kinds[i] == "lin" and kinds[i + 1] == "lin"]
+        assert rejected   # the first full step was backtracked
+        for i, kind in enumerate(kinds):
+            if kind != "solve":
+                continue
+            _, x_acc, r_acc, d_acc = events[i - 1]
+            _, r, d, step = events[i]
+            assert d is d_acc and r is r_acc   # the newest trial, i.e. the accepted one
+            alpha = (events[i + 1][1] - x_acc) / step   # next trials start from it
+            assert np.allclose(alpha, alpha[0]) and 0.0 < alpha[0] <= 1.0
+        points = [tuple(e[1]) for e in events if e[0] == "lin"]
+        assert len(points) == len(set(points))   # no point is linearized twice
 
 
 def test_integrate_homogeneous_trivial_cases():
