@@ -94,7 +94,6 @@ class StiffnessOp:
     squares, exactly nonnegative in floating point.
     """
 
-    diag: np.ndarray
     edge_a: np.ndarray
     edge_b: np.ndarray
     edge_w: np.ndarray
@@ -123,7 +122,7 @@ class StiffnessOp:
         import scipy.sparse as sp
 
         a, b, w = self.edge_a.astype(np.int32), self.edge_b.astype(np.int32), self.edge_w
-        n = self.diag.size
+        n = self.ly.shape[0] * self.lx.shape[0]
         return sp.coo_matrix((np.concatenate([w, w, -w, -w]),
                               (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
                              shape=(n, n)).tocsr()
@@ -148,8 +147,6 @@ def assemble_stiffness(g: Grid) -> StiffnessOp:
     eye = np.eye(nx)
     diff = np.diff(np.eye(ny + 1), axis=0)
     return StiffnessOp(
-        diag=np.bincount(np.concatenate([edge_a, edge_b]),
-                         weights=np.concatenate([edge_w, edge_w]), minlength=n),
         edge_a=edge_a, edge_b=edge_b, edge_w=edge_w, wx=wx[:, None],
         lx=2.0 * eye - np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0),
         ly=(g.hx / g.hy) * (diff.T @ diff))
@@ -189,30 +186,22 @@ def assemble_shifted_inverse(g: Grid, m: MassVectors) -> ShiftedInverse:
     return ShiftedInverse(vy=d_isqrt[:, None] * w, qx=qx, eig=s[:, None] + a)
 
 
-def solve_spd(apply, precond, rhs: np.ndarray,
-              tol: float = 1.0e-10, max_iter: int | None = None,
-              split: np.ndarray | None = None) -> np.ndarray:
-    """Preconditioned conjugate gradients for an SPD operator.
+def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
+              tol: float = 1.0e-10, max_iter: int | None = None) -> np.ndarray:
+    """Split preconditioned conjugate gradients for the SPD operator P + diag(split).
 
-    precond is either the operator's diagonal (Jacobi preconditioning) or a
-    callable r -> P^-1 r applying an SPD approximate inverse.  Stops when the
-    true residual satisfies ||apply(x) - rhs||_2 <= tol ||rhs||_2.
-
-    split = e declares that precond inverts P exactly and that the operator is
-    P + diag(e).  Then P p follows the recurrence P p <- r + beta P p, each
-    iteration forms the operator product as P p + e p, and apply runs only for
-    the true-residual checks (after Eisenstat's trick).  Sequential and
-    deterministic for fixed inputs.
+    precond is a callable r -> P^-1 r applying the exact inverse of P, and
+    apply(z) the full operator product (P + diag(split)) z.  P p follows the
+    recurrence P p <- r + beta P p, so each iteration forms the operator
+    product as P p + split p, and apply runs only for the true-residual
+    checks (after Eisenstat's trick).  Stops when the true residual satisfies
+    ||apply(x) - rhs||_2 <= tol ||rhs||_2.  Sequential and deterministic for
+    fixed inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
     if max_iter is None:
         max_iter = 10 * n
-    if not callable(precond):
-        if np.any(precond <= 0.0):
-            raise ValueError("a diagonal preconditioner must be strictly positive")
-        inv_diag = 1.0 / precond
-        precond = lambda v: inv_diag * v
     bnorm = math.sqrt(rhs @ rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
@@ -220,7 +209,7 @@ def solve_spd(apply, precond, rhs: np.ndarray,
     r = rhs.copy()
     z = precond(r)
     p = z.copy()
-    pp = r.copy()   # P p, carried only when split is given
+    pp = r.copy()   # P p
     rz = float(r @ z)
     for _ in range(max_iter):
         if math.sqrt(r @ r) <= tol * bnorm:
@@ -233,7 +222,7 @@ def solve_spd(apply, precond, rhs: np.ndarray,
             p = z.copy()
             pp = r.copy()
             rz = float(r @ z)
-        q = apply(p) if split is None else pp + split * p
+        q = pp + split * p
         pq = float(p @ q)
         if pq <= 0.0:
             raise SolverError("conjugate gradients: operator not positive definite")
@@ -244,8 +233,7 @@ def solve_spd(apply, precond, rhs: np.ndarray,
         rz_new = float(r @ z)
         beta = rz_new / rz
         p = z + beta * p
-        if split is not None:
-            pp = r + beta * pp
+        pp = r + beta * pp
         rz = rz_new
     r = rhs - apply(x)
     if math.sqrt(r @ r) <= tol * bnorm:

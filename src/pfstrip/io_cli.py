@@ -23,14 +23,13 @@ from .errors import (AdmissibilityError, BracketError, ConfigError, DomainError,
                      FatalSolverError, IoError, SolverError)
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, assemble_masses, assemble_stiffness, build_grid
-from .potentials import (CoercivityReport, CompatReport, LatentHeat, Potential,
+from .potentials import (DOMAINS, CoercivityReport, CompatReport, LatentHeat, Potential,
                          check_coercivity, check_compatibility)
 from .stationary import HypothesisReport, StationaryResult, hypothesis_report, solve_stationary
 from .timestepper import (HeatSource, Model, StepperConfig, integrate_homogeneous,
                           make_source, preset_field, run)
 
 _PRESET_KINDS = ("constant", "sinusoid", "tanh_stripe", "random")
-_POTENTIAL_KINDS = ("logarithmic", "quartic")
 LOCK_NAME = ".lock"
 
 
@@ -48,10 +47,10 @@ _SCHEMA = (
     ("time.snapshot_every", int, 0, lambda v: v >= 0, "must be nonnegative"),
     ("time.min_dt", float, _DT_FRACTION, lambda v: v > 0.0, "must be positive"),
     ("potential_bulk.kind", str, _REQUIRED,
-     lambda v: v in _POTENTIAL_KINDS, "must be one of " + "/".join(_POTENTIAL_KINDS)),
+     lambda v: v in DOMAINS, "must be one of " + "/".join(DOMAINS)),
     ("potential_bulk.delta", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
     ("potential_surf.kind", str, _REQUIRED,
-     lambda v: v in _POTENTIAL_KINDS, "must be one of " + "/".join(_POTENTIAL_KINDS)),
+     lambda v: v in DOMAINS, "must be one of " + "/".join(DOMAINS)),
     ("potential_surf.delta", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
     ("latent_bulk.a", float, _REQUIRED, None, ""),
     ("latent_bulk.b", float, _REQUIRED, None, ""),
@@ -182,9 +181,7 @@ def serialize_config(c: Config) -> str:
 
 
 def _make_potential(pc) -> Potential:
-    if pc.kind == "logarithmic":
-        return Potential.logarithmic(pc.delta)
-    return Potential.quartic(pc.delta)
+    return Potential(pc.kind, pc.delta)
 
 
 def build_model(c: Config) -> Model:
@@ -459,7 +456,7 @@ def _cmd_stationary(c: Config) -> int:
     mu_target = mass_mu(s0, model.l_bulk, model.l_surf, model.masses)
     theta0 = dm_mean(s0.theta, model.masses)
     result = solve_stationary(mu_target, (theta0 / 4.0, theta0 * 4.0),
-                              [s0.chi], model, tol=c.solver.newton_tol)
+                              s0.chi, model, tol=c.solver.newton_tol)
     summary = _stationary_summary(result)
     with _output_lock(c.output.dir) as out_dir:
         write_snapshot(result.chi_inf, model.grid, os.path.join(out_dir, "chi_inf.csv"))

@@ -26,47 +26,54 @@ violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 
 # Sampling controls for the hypothesis checks: relative margin kept away from
-# singular endpoints, and the radius substituted for an infinite domain side.
+# singular endpoints, and the sampled radius of an unbounded domain.
 SAMPLE_MARGIN_REL = 1.0e-6
 SAMPLE_RADIUS = 10.0
 
-_KINDS = ("logarithmic", "quartic")
+# The open domain of each potential family: singular on a bounded interval,
+# regular on the whole line.
+DOMAINS = {"logarithmic": (-1.0, 1.0), "quartic": (-math.inf, math.inf)}
 
 
 @dataclass(frozen=True)
 class Potential:
-    """One member of a potential family plus its concave coefficient delta."""
+    """One member of a potential family plus its concave coefficient delta.
+
+    The open domain (domain_lo, domain_hi) is fixed by the family (DOMAINS)."""
 
     kind: str
     delta: float = 0.0
-    domain_lo: float = -math.inf
-    domain_hi: float = math.inf
+    domain_lo: float = field(init=False)
+    domain_hi: float = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in DOMAINS:
             raise DomainError(f"unknown potential kind '{self.kind}'")
         if self.delta < 0.0:
             raise DomainError("delta must be >= 0")
+        lo, hi = DOMAINS[self.kind]
+        object.__setattr__(self, "domain_lo", lo)
+        object.__setattr__(self, "domain_hi", hi)
 
     @classmethod
     def logarithmic(cls, delta: float = 0.0) -> "Potential":
-        return cls("logarithmic", delta, -1.0, 1.0)
+        return cls("logarithmic", delta)
 
     @classmethod
     def quartic(cls, delta: float = 0.0) -> "Potential":
-        return cls("quartic", delta, -math.inf, math.inf)
+        return cls("quartic", delta)
 
     @property
     def singular(self) -> bool:
         """True when the domain is a bounded interval with f blowing up at the ends."""
-        return math.isfinite(self.domain_lo) or math.isfinite(self.domain_hi)
+        return math.isfinite(self.domain_lo)
 
     def contains(self, r) -> bool:
         """True when every entry lies in the open domain; NaN never does, and an
@@ -76,10 +83,9 @@ class Potential:
                                    r.max() < self.domain_hi)
 
     def guarded_bounds(self, guard_eps: float) -> tuple[float, float]:
-        """Closed box kept by Newton iterates: singular endpoints shrunk by guard_eps."""
-        lo = self.domain_lo + guard_eps if math.isfinite(self.domain_lo) else -math.inf
-        hi = self.domain_hi - guard_eps if math.isfinite(self.domain_hi) else math.inf
-        return lo, hi
+        """Closed box kept by Newton iterates: singular endpoints shrunk by guard_eps
+        (an infinite end stays infinite)."""
+        return self.domain_lo + guard_eps, self.domain_hi - guard_eps
 
 
 def evaluate(p: Potential, r):
@@ -139,21 +145,14 @@ def separating_slope_margin(l: LatentHeat) -> float:
     return min(l.b - 2.0 * l.a, -l.b - 2.0 * l.a)
 
 
-def _sample_points(lo: float, hi: float, n: int, singular_lo: bool, singular_hi: bool):
-    """n points filling (lo, hi): margin near singular endpoints, SAMPLE_RADIUS for inf."""
-    if math.isinf(lo):
-        lo_s, margin_lo = -SAMPLE_RADIUS, 0.0
-    else:
-        half = 0.5 * (hi - lo) if math.isfinite(hi) else 1.0
-        margin_lo = SAMPLE_MARGIN_REL * half if singular_lo else 0.0
-        lo_s = lo + margin_lo
-    if math.isinf(hi):
-        hi_s, margin_hi = SAMPLE_RADIUS, 0.0
-    else:
-        half = 0.5 * (hi - lo) if math.isfinite(lo) else 1.0
-        margin_hi = SAMPLE_MARGIN_REL * half if singular_hi else 0.0
-        hi_s = hi - margin_hi
-    return np.linspace(lo_s, hi_s, n), max(margin_lo, margin_hi)
+def _sample_points(p: Potential, n: int):
+    """n points filling the domain of p and the margin kept from its ends:
+    SAMPLE_MARGIN_REL of the half-width inside a singular domain,
+    [-SAMPLE_RADIUS, SAMPLE_RADIUS] on the whole line."""
+    if not p.singular:
+        return np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, n), 0.0
+    margin = SAMPLE_MARGIN_REL * (0.5 * (p.domain_hi - p.domain_lo))
+    return np.linspace(p.domain_lo + margin, p.domain_hi - margin, n), margin
 
 
 @dataclass(frozen=True)
@@ -186,10 +185,7 @@ def check_compatibility(f_bulk: Potential, f_surf: Potential, n_samples: int = 4
             f"({f_surf.domain_lo}, {f_surf.domain_hi}) is not inside "
             f"({f_bulk.domain_lo}, {f_bulk.domain_hi})"
         )
-    samples, margin = _sample_points(
-        f_surf.domain_lo, f_surf.domain_hi, n_samples,
-        singular_lo=f_surf.singular, singular_hi=f_surf.singular,
-    )
+    samples, margin = _sample_points(f_surf, n_samples)
     _, fb, _ = evaluate(f_bulk, samples)
     _, fs, _ = evaluate(f_surf, samples)
     nonzero = fb != 0.0
@@ -233,10 +229,7 @@ class CoercivityReport:
 
 
 def _coercivity_pair(p: Potential, l: LatentHeat, n_samples: int) -> PairCoercivity:
-    samples, _ = _sample_points(
-        p.domain_lo, p.domain_hi, n_samples,
-        singular_lo=p.singular, singular_hi=p.singular,
-    )
+    samples, _ = _sample_points(p, n_samples)
     big_f, _, _ = evaluate(p, samples)
     lam, _, _ = latent_eval(l, samples)
     # g = lambda - s0 = lambda + F - delta r^2 / 2 must dominate c1 r^2.

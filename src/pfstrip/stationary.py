@@ -139,14 +139,14 @@ def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model) 
 
 
 def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
-                     guesses, model: Model, tol: float = 1.0e-12) -> StationaryResult:
+                     guess: np.ndarray, model: Model, tol: float = 1.0e-12) -> StationaryResult:
     """Find one steady state with the prescribed mass.
 
     Outer bisection on g(u) = mass_gap(u, chi(u)) over u = -1/theta, with up
     to 10 symmetric bracket expansions (halving theta_lo, doubling theta_hi)
-    before requiring a sign change; the inner phase solve is warm-started
-    from the previous chi along the path.  Guesses are tried in order and
-    the first convergent one wins.
+    before requiring a sign change; the inner phase solve starts from guess
+    and is warm-started from the previous chi along the path.  Every
+    evaluation point is a candidate result; the first that meets tol wins.
     """
     hyp = hypothesis_report(model, mu_target)
     if not hyp.mass_admissible:
@@ -156,38 +156,25 @@ def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
     theta_lo, theta_hi = theta_bracket
     if not (0.0 < theta_lo < theta_hi):
         raise AdmissibilityError("theta bracket must satisfy 0 < lo < hi")
-    guesses = list(guesses)
-    if not guesses:
-        raise ValueError("at least one phase guess is required")
-
-    last_error = None
-    for guess in guesses:
-        try:
-            return _solve_from_guess(mu_target, theta_lo, theta_hi, guess, model, tol, hyp)
-        except (SolverError, BracketError) as exc:
-            last_error = exc
-    raise last_error
-
-
-def _solve_from_guess(mu_target, theta_lo, theta_hi, guess, model, tol, hyp):
     warm = np.asarray(guess, dtype=float).copy()
 
-    def gap_at(u):
+    def point_at(u) -> StationaryResult:
         nonlocal warm
-        chi, _ = solve_chi_given_u(u, warm, model, tol)
-        warm = chi
-        return mass_gap(u, chi, mu_target, model), chi
+        warm, residual = solve_chi_given_u(u, warm, model, tol)
+        return StationaryResult(
+            u_inf=float(u), theta_inf=float(-1.0 / u), chi_inf=warm,
+            phase_residual=residual, mass_gap=mass_gap(u, warm, mu_target, model),
+            mu_target=mu_target, separation=float(1.0 - np.max(np.abs(warm))),
+            hypothesis_report=hyp)
 
     lo_t, hi_t = theta_lo, theta_hi
     for _ in range(BRACKET_EXPANSIONS + 1):
-        u_lo, u_hi = -1.0 / lo_t, -1.0 / hi_t
-        g_lo, chi_lo = gap_at(u_lo)
-        g_hi, chi_hi = gap_at(u_hi)
-        if g_lo == 0.0:
-            return _finish(u_lo, chi_lo, mu_target, model, tol, hyp)
-        if g_hi == 0.0:
-            return _finish(u_hi, chi_hi, mu_target, model, tol, hyp)
-        if g_lo * g_hi < 0.0:
+        lo, hi = point_at(-1.0 / lo_t), point_at(-1.0 / hi_t)
+        if lo.mass_gap == 0.0:
+            return lo
+        if hi.mass_gap == 0.0:
+            return hi
+        if lo.mass_gap * hi.mass_gap < 0.0:
             break
         lo_t, hi_t = 0.5 * lo_t, 2.0 * hi_t
     else:
@@ -195,33 +182,17 @@ def _solve_from_guess(mu_target, theta_lo, theta_hi, guess, model, tol, hyp):
             f"no sign change of the mass gap for theta in ({lo_t:.3g}, {hi_t:.3g}) "
             f"after {BRACKET_EXPANSIONS} expansions")
 
-    u_a, u_b = u_lo, u_hi
-    g_a = g_lo
-    u_mid, chi_mid, g_mid = u_a, chi_lo, g_a
+    a, b, mid = lo, hi, lo
     for _ in range(BISECTION_STEPS):
-        u_mid = 0.5 * (u_a + u_b)
-        g_mid, chi_mid = gap_at(u_mid)
-        if abs(g_mid) <= tol:
-            break
-        if g_a * g_mid < 0.0:
-            u_b = u_mid
+        mid = point_at(0.5 * (a.u_inf + b.u_inf))
+        if abs(mid.mass_gap) <= tol:
+            return mid
+        if a.mass_gap * mid.mass_gap < 0.0:
+            b = mid
         else:
-            u_a, g_a = u_mid, g_mid
-    if abs(g_mid) > tol:
-        raise SolverError(f"mass gap {g_mid:.3e} above tolerance after "
-                          f"{BISECTION_STEPS} bisection steps")
-    return _finish(u_mid, chi_mid, mu_target, model, tol, hyp)
-
-
-def _finish(u_inf, chi_inf, mu_target, model, tol, hyp) -> StationaryResult:
-    chi_inf, residual = solve_chi_given_u(u_inf, chi_inf, model, tol)
-    gap = mass_gap(u_inf, chi_inf, mu_target, model)
-    return StationaryResult(
-        u_inf=float(u_inf), theta_inf=float(-1.0 / u_inf), chi_inf=chi_inf,
-        phase_residual=residual, mass_gap=gap, mu_target=mu_target,
-        separation=float(1.0 - np.max(np.abs(chi_inf))),
-        hypothesis_report=hyp,
-    )
+            a = mid
+    raise SolverError(f"mass gap {mid.mass_gap:.3e} above tolerance after "
+                      f"{BISECTION_STEPS} bisection steps")
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ class Model:
         k, inv, mc = self.stiffness, self.shifted_inverse, self.masses.m_comb
         c = float(d @ self.inv_m_comb) / d.size
         return solve_spd(lambda z: k.apply(z) + d * z, lambda v: inv.solve(c, v), -r,
-                         tol=tol, split=d - c * mc)
+                         d - c * mc, tol=tol)
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-node guard box for the phase field (surface domain on boundary rows),

@@ -174,7 +174,7 @@ def test_criterion_7_stationary_cross_check():
     model = make_model(1.0, 1.0, 16, 8, p_bulk=Potential.logarithmic(1.0),
                        l_bulk=LatentHeat(-1.0, 0.0, 0.0))
     n = model.grid.n_nodes
-    result = solve_stationary(3.12, (0.5, 2.0), [np.zeros(n)], model, tol=1.0e-12)
+    result = solve_stationary(3.12, (0.5, 2.0), np.zeros(n), model, tol=1.0e-12)
     s_inf = State(0.0, np.full(n, result.u_inf), result.chi_inf)
 
     cfg = StepperConfig(tau=0.05, newton_tol=1.0e-12, cg_tol=1.0e-13)

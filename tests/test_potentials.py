@@ -46,6 +46,17 @@ def test_logarithmic_rejects_domain_boundary():
         evaluate(p, np.array([0.0, -1.0]))
 
 
+def test_family_fixes_the_domain():
+    p = Potential("logarithmic")
+    assert (p.domain_lo, p.domain_hi) == (-1.0, 1.0) and p.singular
+    with pytest.raises(DomainError):
+        evaluate(p, 2.0)
+    q = Potential("quartic", 0.5)
+    assert (q.domain_lo, q.domain_hi) == (-math.inf, math.inf) and not q.singular
+    with pytest.raises(TypeError):
+        Potential("quartic", 0.0, -1.0, 1.0)
+
+
 @pytest.mark.parametrize("kind,bad", [
     ("logarithmic", [1.0, -1.0, 1.5, -3.0, np.nan, np.inf]),
     ("quartic", [np.nan, np.inf, -np.inf]),

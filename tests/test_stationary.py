@@ -97,7 +97,7 @@ def test_mass_gap_matches_summation_oracle(rng):
 
 def test_solve_stationary_decoupled_closed_form():
     m = make_model(p_bulk=Potential.quartic(0.0))
-    res = solve_stationary(3.0, (0.5, 2.0), [np.zeros(m.grid.n_nodes)], m)
+    res = solve_stationary(3.0, (0.5, 2.0), np.zeros(m.grid.n_nodes), m)
     assert res.theta_inf == pytest.approx(1.0, rel=1e-10)
     assert np.max(np.abs(res.chi_inf)) <= 1e-12
     assert abs(res.mass_gap) <= 1e-10 and res.phase_residual <= 1e-12
@@ -108,7 +108,7 @@ def test_solve_stationary_shifted_latent_closed_form():
     # mu = 3*theta + 1*(lx*ly) + 2*(2*lx) so mu = 8 puts theta at 1
     m = make_model(p_bulk=Potential.quartic(0.0),
                    l_bulk=LatentHeat(0.0, 0.0, 1.0), l_surf=LatentHeat(0.0, 0.0, 2.0))
-    res = solve_stationary(8.0, (0.3, 3.0), [np.zeros(m.grid.n_nodes)], m)
+    res = solve_stationary(8.0, (0.3, 3.0), np.zeros(m.grid.n_nodes), m)
     assert res.theta_inf == pytest.approx(1.0, rel=1e-10)
 
 
@@ -121,7 +121,7 @@ def test_solve_stationary_coupled_is_advance_fixed_point():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
-    res = solve_stationary(mu_t, (0.25, 4.0), [s0.chi], m)
+    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
     assert res.theta_inf > 0.0 and res.separation > 0.0
 
     cfg = StepperConfig(tau=0.01)
@@ -135,7 +135,7 @@ def test_stationary_result_residuals_are_reproducible():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
-    res = solve_stationary(mu_t, (0.25, 4.0), [s0.chi], m)
+    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
     re_resid = measure_norm(stationary_phase_residual(res.chi_inf, res.u_inf, m),
                             m.masses.m_comb)
     re_gap = mass_gap(res.u_inf, res.chi_inf, mu_t, m)
@@ -148,8 +148,8 @@ def test_solve_stationary_translation_invariance():
     guess = preset_field(m.grid, "sinusoid", value=0.2, amplitude=0.15, kx=1)
     s0 = State(0.0, np.full(m.grid.n_nodes, -1.0), guess)
     mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
-    res_a = solve_stationary(mu_t, (0.25, 4.0), [guess], m)
-    res_b = solve_stationary(mu_t, (0.25, 4.0), [roll_x(m.grid, guess, 3)], m)
+    res_a = solve_stationary(mu_t, (0.25, 4.0), guess, m)
+    res_b = solve_stationary(mu_t, (0.25, 4.0), roll_x(m.grid, guess, 3), m)
     assert res_b.u_inf == pytest.approx(res_a.u_inf, rel=1e-9)
     assert np.max(np.abs(res_b.chi_inf - roll_x(m.grid, res_a.chi_inf, 3))) <= 1e-8
 
@@ -171,21 +171,21 @@ def test_solve_stationary_rejects_inadmissible_mass():
     m = make_model(p_bulk=Potential.quartic(1.0), l_bulk=LatentHeat(1.0, 0.0, 0.0))
     # lambda = -r^2 has minimum -1 on [-1,1]: bound is -3 on the (1,1) strip
     with pytest.raises(AdmissibilityError):
-        solve_stationary(-5.0, (0.5, 2.0), [np.zeros(m.grid.n_nodes)], m)
+        solve_stationary(-5.0, (0.5, 2.0), np.zeros(m.grid.n_nodes), m)
 
 
 def test_solve_stationary_bracket_failure():
     m = make_model(p_bulk=Potential.quartic(0.0), l_bulk=LatentHeat(0.0, 0.0, -10.0))
     # root sits at theta = 1/3; the bracket never reaches it
     with pytest.raises(BracketError):
-        solve_stationary(-29.0, (1000.0, 2000.0), [np.zeros(m.grid.n_nodes)], m)
+        solve_stationary(-29.0, (1000.0, 2000.0), np.zeros(m.grid.n_nodes), m)
 
 
 def test_omega_limit_report_exact_and_negative():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
-    res = solve_stationary(mu_t, (0.25, 4.0), [s0.chi], m)
+    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
 
     exact = State(0.0, np.full(m.grid.n_nodes, res.u_inf), res.chi_inf.copy())
     rep = omega_limit_report(exact, res, m)
