@@ -48,7 +48,7 @@ class State:
     def copy(self) -> "State":
         return State(self.t, self.u.copy(), self.chi.copy())
 
-    def validate(self, p_bulk: Potential, p_surf: Potential, surf_mask: np.ndarray) -> None:
+    def validate(self, p_bulk: Potential, p_surf: Potential, boundary: np.ndarray) -> None:
         """Raise DomainError unless u < 0, everything finite, chi inside both domains."""
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.chi))):
             raise DomainError("state contains non-finite entries")
@@ -56,7 +56,7 @@ class State:
             raise DomainError("entropy variable must satisfy u < 0 (theta > 0)")
         if not p_bulk.contains(self.chi):
             raise DomainError("phase field leaves the bulk potential domain")
-        if not p_surf.contains(self.chi[surf_mask]):
+        if not p_surf.contains(self.chi[boundary]):
             raise DomainError("boundary phase field leaves the surface potential domain")
 
 

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 
+MAX_RESTARTS = 32   # failed true-residual checks per CG solve; a healthy solve has <= 1
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -195,8 +197,9 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
     recurrence P p <- r + beta P p, so each iteration forms the operator
     product as P p + split p, and apply runs only for the true-residual
     checks (after Eisenstat's trick).  Stops when the true residual satisfies
-    ||apply(x) - rhs||_2 <= tol ||rhs||_2.  Sequential and deterministic for
-    fixed inputs.
+    ||apply(x) - rhs||_2 <= tol ||rhs||_2; restarts from the true residual when
+    only the recurrence does, and raises SolverError after MAX_RESTARTS
+    restarts.  Sequential and deterministic for fixed inputs.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -211,12 +214,17 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
     p = z.copy()
     pp = r.copy()   # P p
     rz = float(r @ z)
-    for _ in range(max_iter):
+    restarts = 0
+    for it in range(max_iter):
         if math.sqrt(r @ r) <= tol * bnorm:
             # confirm against the true residual; the recurrence may have drifted
             r_true = rhs - apply(x)
             if math.sqrt(r_true @ r_true) <= tol * bnorm:
                 return x
+            restarts += 1
+            if restarts > MAX_RESTARTS:
+                raise SolverError(f"conjugate gradients stagnated: {MAX_RESTARTS} restarts "
+                                  f"in {it} iterations")
             r = r_true
             z = precond(r)
             p = z.copy()

@@ -292,7 +292,7 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     mu0 = None
     try:
         s0 = build_initial_state(c, model)
-        s0.validate(model.p_bulk, model.p_surf, model.surf_mask)
+        s0.validate(model.p_bulk, model.p_surf, model.grid.boundary)
         mu0 = mass_mu(s0, model.l_bulk, model.l_surf, model.masses)
     except (DomainError, ConfigError) as exc:
         state_err = str(exc)

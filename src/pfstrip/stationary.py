@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, BracketError, SolverError
 from .functionals import State, dm_mean, dm_std, mass_mu
-from .potentials import evaluate, latent_eval, latent_range, separating_slope_margin
+from .potentials import latent_range, separating_slope_margin
 from .timestepper import Model, _newton, measure_norm
 
 STATIONARY_GUARD_EPS = 1.0e-12
@@ -60,21 +60,14 @@ class StationaryResult:
     hypothesis_report: HypothesisReport
 
 
-def _lambda_bound(model: Model, which) -> float:
-    """|Omega| extremum(lambda_b) + |Gamma| extremum(lambda_s) over the pure-state
-    interval [-1, 1]."""
+def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
+    """Both latent bounds |Omega| ext(lambda_b) + |Gamma| ext(lambda_s) over the
+    pure-state interval [-1, 1], and the smaller of the two slope margins."""
     g = model.grid
     area, perimeter = g.lx * g.ly, 2.0 * g.lx
-    lo_b, hi_b = latent_range(model.l_bulk)
-    lo_s, hi_s = latent_range(model.l_surf)
-    if which == "min":
-        return area * lo_b + perimeter * lo_s
-    return area * hi_b + perimeter * hi_s
-
-
-def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
-    min_bound = _lambda_bound(model, "min")
-    max_bound = _lambda_bound(model, "max")
+    (lo_b, hi_b), (lo_s, hi_s) = latent_range(model.l_bulk), latent_range(model.l_surf)
+    min_bound = area * lo_b + perimeter * lo_s
+    max_bound = area * hi_b + perimeter * hi_s
     margin = min(separating_slope_margin(model.l_bulk),
                  separating_slope_margin(model.l_surf))
     return HypothesisReport(
@@ -85,33 +78,22 @@ def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
 
 
 def _linearization(u_inf: float, model: Model):
-    """linearize(chi) -> (r, d): the stationary phase residual at (chi, u_inf)
-    and its Jacobian diagonal m (f' - delta - lambda'' u_inf), clamped from
-    below at 1e-10 m_comb, from one evaluate and one latent_eval per part."""
-    k, m = model.stiffness, model.masses
-    bnd = model.grid.boundary
-    ms_b = m.m_surf[bnd]
-    floor = 1.0e-10 * m.m_comb
-    delta_b, delta_s = model.p_bulk.delta, model.p_surf.delta
+    """linearize(chi) -> (r, d): the stationary phase residual at (chi, u_inf),
+    Model.implicit_terms minus Model.lagged_terms, and its Jacobian diagonal
+    m (f' - delta - lambda'' u_inf), clamped from below at 1e-10 m_comb."""
+    floor = 1.0e-10 * model.masses.m_comb
 
     def linearize(chi):
-        _, f_b, fp_b = evaluate(model.p_bulk, chi)
-        _, lamp_b, lampp_b = latent_eval(model.l_bulk, chi)
-        r = k.apply(chi) + m.m_bulk * (f_b - delta_b * chi - lamp_b * u_inf)
-        d = m.m_bulk * (fp_b - delta_b - lampp_b * u_inf)
-        chi_b = chi[bnd]
-        _, f_s, fp_s = evaluate(model.p_surf, chi_b)
-        _, lamp_s, lampp_s = latent_eval(model.l_surf, chi_b)
-        r[bnd] += ms_b * (f_s - delta_s * chi_b - lamp_s * u_inf)
-        d[bnd] += ms_b * (fp_s - delta_s - lampp_s * u_inf)
-        return r, np.maximum(d, floor)
+        r, d = model.implicit_terms(chi)
+        r_lag, d_lag = model.lagged_terms(chi, u_inf)
+        return r - r_lag, np.maximum(d - d_lag, floor)
 
     return linearize
 
 
 def stationary_phase_residual(chi: np.ndarray, u_inf: float, model: Model) -> np.ndarray:
     """Residual vector of the stationary phase system at (chi, u_inf)."""
-    return _linearization(u_inf, model)(chi)[0]
+    return model.implicit_terms(chi)[0] - model.lagged_terms(chi, u_inf)[0]
 
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, FatalSolverError, SolverError
-from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_std,
+from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean, dm_std,
                           energy_identity_residual, row_functionals)
 from .grid_ops import (Grid, MassVectors, ShiftedInverse, StiffnessOp,
                        assemble_shifted_inverse, solve_spd)
@@ -58,7 +58,10 @@ def _keep_freed_heap() -> None:
 @dataclass(eq=False)
 class Model:
     """Grid, measures, stiffness, the four constitutive ingredients, and the
-    exact inverse of K + c m_comb that preconditions every Newton solve."""
+    exact inverse of K + c m_comb that preconditions every Newton solve.
+
+    The *_terms methods compose the phase operator: each puts the bulk term
+    on every row and the surface term on the boundary rows."""
 
     grid: Grid
     masses: MassVectors
@@ -67,16 +70,44 @@ class Model:
     p_surf: Potential
     l_bulk: LatentHeat
     l_surf: LatentHeat
-    surf_mask: np.ndarray = field(init=False, repr=False)
+    ms_bnd: np.ndarray = field(init=False, repr=False)   # m_surf on the boundary rows
     inv_m_comb: np.ndarray = field(init=False, repr=False)
     shifted_inverse: ShiftedInverse = field(init=False, repr=False)
     _chi_boxes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         _keep_freed_heap()
-        self.surf_mask = self.masses.m_surf > 0.0
+        self.ms_bnd = self.masses.m_surf[self.grid.boundary]
         self.inv_m_comb = 1.0 / self.masses.m_comb
         self.shifted_inverse = assemble_shifted_inverse(self.grid, self.masses)
+
+    def _compose(self, bulk, surf) -> np.ndarray:
+        """m_bulk bulk on every row plus m_surf surf on the boundary rows."""
+        out = self.masses.m_bulk * bulk
+        out[self.grid.boundary] += self.ms_bnd * surf
+        return out
+
+    def implicit_terms(self, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K chi + m f(chi), m f'(chi)): the convex part, implicit in every solve."""
+        _, f_b, fp_b = evaluate(self.p_bulk, chi)
+        _, f_s, fp_s = evaluate(self.p_surf, chi[self.grid.boundary])
+        return self.stiffness.apply(chi) + self._compose(f_b, f_s), self._compose(fp_b, fp_s)
+
+    def lagged_terms(self, chi: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+        """(m (delta chi + lambda'(chi) u), m (delta + lambda'' u)): the concave
+        part and the temperature coupling; u is nodal or a scalar u_inf."""
+        bnd = self.grid.boundary
+        chi_b, u_b = chi[bnd], (u[bnd] if np.ndim(u) else u)
+        _, lamp_b, lampp_b = latent_eval(self.l_bulk, chi)
+        _, lamp_s, lampp_s = latent_eval(self.l_surf, chi_b)
+        db, ds = self.p_bulk.delta, self.p_surf.delta
+        return (self._compose(db * chi + lamp_b * u, ds * chi_b + lamp_s * u_b),
+                self._compose(db + lampp_b * u, ds + lampp_s * u_b))
+
+    def latent_terms(self, chi: np.ndarray) -> np.ndarray:
+        """m lambda(chi), the latent part of the internal energy."""
+        return self._compose(latent_eval(self.l_bulk, chi)[0],
+                             latent_eval(self.l_surf, chi[self.grid.boundary])[0])
 
     def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
@@ -189,32 +220,19 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
 def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model) -> tuple[np.ndarray, int]:
     """Convex-split backward-Euler phase step with the temperature lagged at t_n.
 
-    Solves, per node,
+    Solves m_comb (chi - chi_n)/tau + Model.implicit_terms(chi) equal to
+    Model.lagged_terms(chi_n, u_n), that is, per node,
       m_comb (chi - chi_n)/tau + K chi + m_bulk f(chi) + m_surf f_s(chi)
         = m_bulk (delta_b chi_n + lambda_b'(chi_n) u_n)
         + m_surf (delta_s chi_n + lambda_s'(chi_n) u_n).
     """
-    k, m = model.stiffness, model.masses
-    mb, ms, mc = m.m_bulk, m.m_surf, m.m_comb
-    bnd = model.grid.boundary
-    ms_b = ms[bnd]
-    chi_n, u_n = s.chi, s.u
-
-    _, lamp_b, _ = latent_eval(model.l_bulk, chi_n)
-    _, lamp_s, _ = latent_eval(model.l_surf, chi_n[bnd])
-    rhs = mb * (model.p_bulk.delta * chi_n + lamp_b * u_n)
-    rhs[bnd] += ms_b * (model.p_surf.delta * chi_n[bnd] + lamp_s * u_n[bnd])
-
+    chi_n, mc = s.chi, model.masses.m_comb
+    rhs = model.lagged_terms(chi_n, s.u)[0]
     mc_tau = mc / tau
 
     def linearize(chi):
-        _, f_b, fp_b = evaluate(model.p_bulk, chi)
-        _, f_s, fp_s = evaluate(model.p_surf, chi[bnd])
-        r = mc * (chi - chi_n) / tau + k.apply(chi) + mb * f_b - rhs
-        r[bnd] += ms_b * f_s
-        d = mc_tau + mb * fp_b
-        d[bnd] += ms_b * fp_s
-        return r, d
+        r, d = model.implicit_terms(chi)
+        return r + mc * (chi - chi_n) / tau - rhs, d + mc_tau
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
     return _newton(chi_n, linearize, model, lo, hi, cfg.cg_tol, cfg.newton_max_iter,
@@ -229,18 +247,9 @@ def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
     latent difference quotient and H the measure-weighted source.  The
     Jacobian m_comb/(tau u^2) + K is SPD for any u < 0.
     """
-    k, m = model.stiffness, model.masses
-    mb, ms, mc = m.m_bulk, m.m_surf, m.m_comb
-    bnd = model.grid.boundary
-    chi_n, u_n = s.chi, s.u
+    k, mc, u_n = model.stiffness, model.masses.m_comb, s.u
     theta_n = -1.0 / u_n
-
-    lam_b_new, _, _ = latent_eval(model.l_bulk, chi_new)
-    lam_b_old, _, _ = latent_eval(model.l_bulk, chi_n)
-    lam_s_new, _, _ = latent_eval(model.l_surf, chi_new[bnd])
-    lam_s_old, _, _ = latent_eval(model.l_surf, chi_n[bnd])
-    shift = mb * (lam_b_new - lam_b_old) / tau
-    shift[bnd] += ms[bnd] * (lam_s_new - lam_s_old) / tau
+    shift = (model.latent_terms(chi_new) - model.latent_terms(s.chi)) / tau
     if source_vec is not None:
         shift = shift - source_vec
 
@@ -272,7 +281,7 @@ def make_source(grid: Grid, masses: MassVectors, kind: str,
     if kind != "sinusoid":
         raise ConfigError(f"unknown source kind '{kind}'")
     profile = amplitude * np.cos(2.0 * math.pi * kx * grid.x / grid.lx)
-    mean = float(np.sum(masses.m_comb * profile) / masses.total)
+    mean = dm_mean(profile, masses)
     return HeatSource(profile=profile - mean, omega=omega, projected_mean=abs(mean))
 
 
@@ -357,7 +366,7 @@ def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
     Snapshots fire at step 0, every snapshot_every accepted steps, and at the
     final step (when snapshot_every > 0).  Deterministic for fixed inputs.
     """
-    state0.validate(model.p_bulk, model.p_surf, model.surf_mask)
+    state0.validate(model.p_bulk, model.p_surf, model.grid.boundary)
     stepper = Stepper(model, cfg, source)
     s = state0.copy()
     rows = [stepper.initial_row(s)]

@@ -113,6 +113,33 @@ def latent(l, r):
     return -l.a * r * r + l.b * r + l.c
 
 
+def small_f_pair(p, r):
+    """(f, f') = (F', F'') of the potential family, by closed form."""
+    if p.kind == "logarithmic":
+        return math.log(1.0 + r) - math.log(1.0 - r), 2.0 / (1.0 - r * r)
+    return r ** 3, 3.0 * r * r
+
+
+def phase_operator_oracle(g, chi, u, p_bulk, p_surf, l_bulk, l_surf):
+    """Stationary phase residual K chi + sum_parts m (f - delta chi - lambda' u),
+    its diagonal sum_parts m (f' - delta - lambda'' u) and m lambda(chi), node by
+    node; surface terms only where the surface weight is nonzero."""
+    mb, ms = mass_weights(g)
+    res = stiffness_apply(g, chi)
+    diag = np.zeros(g.n_nodes)
+    lam = np.zeros(g.n_nodes)
+    for i in range(g.n_nodes):
+        r = chi[i]
+        for w, p, l in ((mb[i], p_bulk, l_bulk), (ms[i], p_surf, l_surf)):
+            if w == 0.0:
+                continue
+            f, fp = small_f_pair(p, r)
+            res[i] += w * (f - p.delta * r - (-2.0 * l.a * r + l.b) * u[i])
+            diag[i] += w * (fp - p.delta + 2.0 * l.a * u[i])
+            lam[i] += w * latent(l, r)
+    return res, diag, lam
+
+
 def mass_oracle(g, theta, chi, l_bulk, l_surf):
     mb, ms = mass_weights(g)
     total = 0.0

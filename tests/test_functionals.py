@@ -31,7 +31,7 @@ def test_state_theta_roundtrip():
 def test_state_validate_rejects_bad_fields():
     m = make_model()
     s = constant_state(m, 1.0, 0.0)
-    ok = lambda st: st.validate(m.p_bulk, m.p_surf, m.surf_mask)
+    ok = lambda st: st.validate(m.p_bulk, m.p_surf, m.grid.boundary)
     ok(s)
     with pytest.raises(DomainError):
         ok(State(0.0, np.abs(s.u), s.chi))

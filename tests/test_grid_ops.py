@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import oracles
 from pfstrip import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.errors import ConfigError, SolverError
-from pfstrip.grid_ops import assemble_shifted_inverse, solve_spd
+from pfstrip.grid_ops import MAX_RESTARTS, assemble_shifted_inverse, solve_spd
 
 # First nonconstant eigenvalue of the x-independent reduction of the coupled
 # form: -z'' = lam z on (0,1) with flux condition z'(1) = lam z(1) and
@@ -297,3 +297,13 @@ def test_split_pcg_with_a_wrong_split_verifies_or_raises(rng, nx, ny, factor):
         assert factor not in (0.0, 3.0)
         return
     assert np.linalg.norm(apply_fn(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_split_pcg_caps_its_restarts(rng):
+    # split -20 e on 16x16 stagnates: the recurrence converges, the true residual
+    # does not, and every check restarts; the solve must stop at the cap
+    apply_fn, precond, e, calls = split_system(16, 16)
+    rhs = rng.standard_normal(e.size)
+    with pytest.raises(SolverError, match="restarts"):
+        solve_spd(apply_fn, precond, rhs, -20.0 * e, tol=1e-10)
+    assert calls[0] <= MAX_RESTARTS + 1, calls[0]

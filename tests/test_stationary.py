@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-import pfstrip.stationary as st
+import pfstrip.timestepper as ts
 from helpers import constant_state, make_model, roll_x
 from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
 from pfstrip.errors import AdmissibilityError, BracketError
@@ -65,11 +65,11 @@ def test_solve_chi_linearizes_each_trial_point_once(monkeypatch):
     n = m.grid.n_nodes
     calls = {"evaluate": [], "latent_eval": []}
     for name, args in calls.items():
-        def counted(p, x, real=getattr(st, name), args=args):
+        def counted(p, x, real=getattr(ts, name), args=args):
             args.append(np.array(x))
             return real(p, x)
 
-        monkeypatch.setattr(st, name, counted)
+        monkeypatch.setattr(ts, name, counted)
     guess = preset_field(m.grid, "sinusoid", value=0.2, amplitude=0.5, kx=2)
     solve_chi_given_u(-0.8, guess, m)
     for name, args in calls.items():

@@ -265,6 +265,24 @@ def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch)
     assert calls["evaluate"] <= 6 and calls["latent_eval"] <= 8, calls
 
 
+def test_model_phase_terms_match_pointwise_oracle(rng):
+    """implicit_terms - lagged_terms is the phase operator of both parts, each with
+    its own potential, delta and latent heat; a scalar u is the constant field."""
+    m = make_model(p_bulk=Potential.quartic(0.7), p_surf=Potential.logarithmic(2.5),
+                   l_bulk=LatentHeat(0.3, -0.2, 0.1), l_surf=LatentHeat(-0.6, 0.4, 0.5))
+    n = m.grid.n_nodes
+    chi = rng.uniform(-0.9, 0.9, n)
+    u = -rng.uniform(0.5, 2.0, n)
+    r_imp, d_imp = m.implicit_terms(chi)
+    r_lag, d_lag = m.lagged_terms(chi, u)
+    oracle = oracles.phase_operator_oracle(m.grid, chi, u, m.p_bulk, m.p_surf,
+                                           m.l_bulk, m.l_surf)
+    for got, want in zip((r_imp - r_lag, d_imp - d_lag, m.latent_terms(chi)), oracle):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    scalar, nodal = m.lagged_terms(chi, -0.8), m.lagged_terms(chi, np.full(n, -0.8))
+    assert all(np.array_equal(a, b) for a, b in zip(scalar, nodal))
+
+
 def test_newton_solves_with_the_accepted_iterates_diagonal():
     """_newton on the toy residual atan(x - 0.3): the full first step from x = 3
     overshoots and is backtracked; each solve must use the diagonal of the
