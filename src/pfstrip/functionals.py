@@ -95,8 +95,8 @@ def dm_std(v: np.ndarray, m: MassVectors) -> float:
 def _parts(s: State, m: MassVectors):
     """(weights, theta, chi) of the bulk and of the two boundary circles."""
     theta, chi = s.theta, s.chi
-    surf = m.m_surf > 0.0
-    return (m.m_bulk, theta, chi), (m.m_surf[surf], theta[surf], chi[surf])
+    bnd = m.boundary
+    return (m.m_bulk, theta, chi), (m.m_surf[bnd], theta[bnd], chi[bnd])
 
 
 def _mass_sum(parts, latents) -> float:

@@ -67,6 +67,7 @@ class MassVectors:
     m_bulk: np.ndarray
     m_surf: np.ndarray
     m_comb: np.ndarray
+    boundary: np.ndarray = field(repr=False)   # Grid.boundary: where m_surf > 0, ascending
 
     @cached_property
     def total(self) -> float:
@@ -76,12 +77,11 @@ class MassVectors:
 def assemble_masses(g: Grid) -> MassVectors:
     """Trapezoidal-in-y bulk weights plus surface weights on the boundary rows."""
     m_bulk = np.full(g.n_nodes, g.hx * g.hy)
-    m_bulk[: g.nx] = 0.5 * g.hx * g.hy
-    m_bulk[g.ny * g.nx:] = 0.5 * g.hx * g.hy
+    m_bulk[g.boundary] = 0.5 * g.hx * g.hy
     m_surf = np.zeros(g.n_nodes)
-    m_surf[: g.nx] = g.hx
-    m_surf[g.ny * g.nx:] = g.hx
-    return MassVectors(m_bulk=m_bulk, m_surf=m_surf, m_comb=m_bulk + m_surf)
+    m_surf[g.boundary] = g.hx
+    return MassVectors(m_bulk=m_bulk, m_surf=m_surf, m_comb=m_bulk + m_surf,
+                       boundary=g.boundary)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,9 @@ a phase field chi_inf solving the semilinear elliptic system
           + m_surf (f_s(chi) - delta chi - lambda_s'(chi) u_inf) = 0,
 
 subject to the mass constraint that theta_inf + lambda(chi_inf) integrates
-to the prescribed mass.  The scalar unknown u_inf is found by bisection on
-the mass gap (robust: the gap need not be monotone when lambda' != 0), with
-the inner phase solve warm-started along the bisection path.
+to the prescribed mass.  The scalar unknown u_inf is found by bracketing
+Anderson-Bjorck regula falsi on the mass gap (the gap need not be monotone
+when lambda' != 0), with the inner phase solve warm-started along the path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .timestepper import Model, _newton, measure_norm
 
 STATIONARY_GUARD_EPS = 1.0e-12
 BRACKET_EXPANSIONS = 10
-BISECTION_STEPS = 200
+REGULA_FALSI_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,10 @@ def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
                      guess: np.ndarray, model: Model, tol: float = 1.0e-12) -> StationaryResult:
     """Find one steady state with the prescribed mass.
 
-    Outer bisection on g(u) = mass_gap(u, chi(u)) over u = -1/theta, with up
-    to 10 symmetric bracket expansions (halving theta_lo, doubling theta_hi)
-    before requiring a sign change; the inner phase solve starts from guess
-    and is warm-started from the previous chi along the path.  Every
+    Outer regula falsi (_regula_falsi) on g(u) = mass_gap(u, chi(u)) over
+    u = -1/theta, after up to 10 symmetric bracket expansions (halving theta_lo,
+    doubling theta_hi) to find a sign change; the inner phase solve starts from
+    guess and is warm-started from the previous chi along the path.  Every
     evaluation point is a candidate result; the first that meets tol wins.
     """
     hyp = hypothesis_report(model, mu_target)
@@ -135,8 +135,8 @@ def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
         raise AdmissibilityError(
             f"mass target {mu_target:.6g} is not above the admissibility bound "
             f"{hyp.mass_lower_bound:.6g}")
-    theta_lo, theta_hi = theta_bracket
-    if not (0.0 < theta_lo < theta_hi):
+    lo_t, hi_t = theta_bracket
+    if not (0.0 < lo_t < hi_t):
         raise AdmissibilityError("theta bracket must satisfy 0 < lo < hi")
     warm = np.asarray(guess, dtype=float).copy()
 
@@ -149,13 +149,11 @@ def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
             mu_target=mu_target, separation=float(1.0 - np.max(np.abs(warm))),
             hypothesis_report=hyp)
 
-    lo_t, hi_t = theta_lo, theta_hi
     for _ in range(BRACKET_EXPANSIONS + 1):
         lo, hi = point_at(-1.0 / lo_t), point_at(-1.0 / hi_t)
-        if lo.mass_gap == 0.0:
-            return lo
-        if hi.mass_gap == 0.0:
-            return hi
+        for end in (lo, hi):
+            if end.mass_gap == 0.0:
+                return end
         if lo.mass_gap * hi.mass_gap < 0.0:
             break
         lo_t, hi_t = 0.5 * lo_t, 2.0 * hi_t
@@ -164,17 +162,29 @@ def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
             f"no sign change of the mass gap for theta in ({lo_t:.3g}, {hi_t:.3g}) "
             f"after {BRACKET_EXPANSIONS} expansions")
 
-    a, b, mid = lo, hi, lo
-    for _ in range(BISECTION_STEPS):
-        mid = point_at(0.5 * (a.u_inf + b.u_inf))
-        if abs(mid.mass_gap) <= tol:
-            return mid
-        if a.mass_gap * mid.mass_gap < 0.0:
-            b = mid
+    return _regula_falsi(point_at, lo, hi, tol)
+
+
+def _regula_falsi(point_at, a, b, tol: float):
+    """Anderson-Bjorck regula falsi on point_at(u).mass_gap over the sign-changing
+    pair (a, b) of points; the first point with |gap| <= tol wins."""
+    ga, gb = a.mass_gap, b.mass_gap
+    for _ in range(REGULA_FALSI_STEPS):
+        if abs(b.u_inf - a.u_inf) <= 4.0 * np.finfo(float).eps * abs(b.u_inf):
+            break
+        u = b.u_inf - gb * (b.u_inf - a.u_inf) / (gb - ga)
+        if not min(a.u_inf, b.u_inf) < u < max(a.u_inf, b.u_inf):
+            u = 0.5 * (a.u_inf + b.u_inf)
+        new = point_at(u)
+        if abs(new.mass_gap) <= tol:
+            return new
+        if new.mass_gap * gb < 0.0:
+            a, ga = b, gb
         else:
-            a = mid
-    raise SolverError(f"mass gap {mid.mass_gap:.3e} above tolerance after "
-                      f"{BISECTION_STEPS} bisection steps")
+            k = 1.0 - new.mass_gap / gb
+            ga *= k if k > 0.0 else 0.5
+        b, gb = new, new.mass_gap
+    raise SolverError(f"mass gap {gb:.3e} above tolerance at u = {b.u_inf:.17g}")
 
 
 @dataclass(frozen=True)

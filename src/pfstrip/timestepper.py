@@ -77,7 +77,7 @@ class Model:
 
     def __post_init__(self):
         _keep_freed_heap()
-        self.ms_bnd = self.masses.m_surf[self.grid.boundary]
+        self.ms_bnd = self.masses.m_surf[self.masses.boundary]
         self.inv_m_comb = 1.0 / self.masses.m_comb
         self.shifted_inverse = assemble_shifted_inverse(self.grid, self.masses)
 

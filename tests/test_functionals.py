@@ -1,17 +1,22 @@
 """State container and the scalar functionals over the combined measure."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import oracles
 from helpers import constant_state, make_model, roll_x
+import pfstrip.functionals as fn
 from pfstrip import LatentHeat, Potential, State, StepperConfig, run
 from pfstrip.errors import DomainError
 from pfstrip.functionals import (DiagnosticsRow, dissipation_increment, dm_mean,
                                  dm_std, energy, energy_identity_residual,
                                  entropy, mass_mu, row_functionals)
+from pfstrip.io_cli import (build_initial_state, build_model, build_source,
+                            build_stepper_config, load_config)
+from pfstrip.stationary import mass_gap
 from pfstrip.timestepper import preset_field
 
 
@@ -226,3 +231,28 @@ def test_energy_identity_residual_is_first_order_in_tau():
         rows, _ = run(m, StepperConfig(tau=tau), s0, tau * nsteps)
         resid[tau] = rows[-1].energy_id_residual
     assert 1.5 <= resid[2e-3] / resid[1e-3] <= 2.7
+
+
+def test_boundary_index_split_matches_surface_mask_bitwise(monkeypatch):
+    """The functionals split off the boundary rows through masses.boundary; on
+    configs/example.cfg every diagnostics row and mass gap equals, bit for bit,
+    the split through the mask m_surf > 0 that the index replaced."""
+    c = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.cfg"))
+    m = build_model(c)
+    assert np.array_equal(m.masses.boundary, np.flatnonzero(m.masses.m_surf > 0.0))
+
+    def diagnostics():
+        rows, final = run(m, build_stepper_config(c), build_initial_state(c, m),
+                          c.time.t_end, source=build_source(c, m))
+        gaps = [mass_gap(u, final.chi, rows[0].mu, m) for u in (-2.0, -1.0, -0.5)]
+        return rows, gaps
+
+    by_index = diagnostics()
+
+    def parts_by_mask(s, masses):
+        surf = masses.m_surf > 0.0
+        return ((masses.m_bulk, s.theta, s.chi),
+                (masses.m_surf[surf], s.theta[surf], s.chi[surf]))
+
+    monkeypatch.setattr(fn, "_parts", parts_by_mask)
+    assert diagnostics() == by_index

@@ -1,5 +1,7 @@
 """Steady-state solver, admissibility checks, and omega-limit reports."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ import oracles
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model, roll_x
 from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
-from pfstrip.errors import AdmissibilityError, BracketError
+import pfstrip.stationary as st
+from pfstrip.errors import AdmissibilityError, BracketError, SolverError
 from pfstrip.functionals import mass_mu
 from pfstrip.potentials import scalar_f
 from pfstrip.stationary import (hypothesis_report, mass_gap, omega_limit_report,
@@ -179,6 +182,63 @@ def test_solve_stationary_bracket_failure():
     # root sits at theta = 1/3; the bracket never reaches it
     with pytest.raises(BracketError):
         solve_stationary(-29.0, (1000.0, 2000.0), np.zeros(m.grid.n_nodes), m)
+
+
+def regula_falsi_on(gap, a=-4.0, b=-0.25, tol=1e-12):
+    """Drive stationary._regula_falsi on a toy gap over (a, b); returns the
+    result (or the SolverError) and the points evaluated inside the bracket."""
+    calls = []
+
+    def point_at(u):
+        calls.append(u)
+        return SimpleNamespace(u_inf=u, mass_gap=gap(u))
+
+    ends = point_at(a), point_at(b)
+    calls.clear()
+    try:
+        return st._regula_falsi(point_at, *ends, tol), calls
+    except SolverError as err:
+        return err, calls
+
+
+def test_regula_falsi_nonmonotone_cubic():
+    """Three roots in the bracket: the result is one of them, well before the
+    ~42 points bisection needs from a 3.75-wide bracket to 1e-12."""
+    res, calls = regula_falsi_on(lambda u: (u + 3.0) * (u + 2.0) * (u + 1.0))
+    assert -4.0 < res.u_inf < -0.25 and abs(res.mass_gap) <= 1e-12
+    assert min(abs(res.u_inf - r) for r in (-3.0, -2.0, -1.0)) <= 1e-12
+    assert len(calls) <= 12 and all(-4.0 < u < -0.25 for u in calls)
+
+
+def test_regula_falsi_triple_root():
+    """At a triple root plain regula falsi stalls on one end; the Anderson-Bjorck
+    scaling keeps both ends moving."""
+    res, calls = regula_falsi_on(lambda u: (u + 1.1) ** 3)
+    assert abs(res.mass_gap) <= 1e-12 and abs(res.u_inf + 1.1) <= 1e-4
+    assert len(calls) <= 40
+
+
+def test_regula_falsi_jump_raises_when_bracket_closes():
+    """A +-1 jump has no zero: the loop stops once the bracket is a few ulps
+    wide, long before the REGULA_FALSI_STEPS cap."""
+    err, calls = regula_falsi_on(lambda u: 1.0 if u > -1.0 else -1.0)
+    assert isinstance(err, SolverError)
+    assert abs(calls[-1] + 1.0) <= 1e-14
+    assert 50 <= len(calls) <= 70 < st.REGULA_FALSI_STEPS
+
+
+def test_solve_stationary_coupled_needs_few_inner_solves(monkeypatch):
+    """Two bracket ends plus a handful of regula falsi points (bisection made 42)."""
+    m = coupled_model()
+    s0 = constant_state(m, 1.0, 0.2)
+    mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
+    solves = []
+    real = st.solve_chi_given_u
+    monkeypatch.setattr(st, "solve_chi_given_u",
+                        lambda *a, **k: solves.append(a[0]) or real(*a, **k))
+    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
+    assert abs(res.mass_gap) <= 1e-12 and res.u_inf == solves[-1]
+    assert len(solves) <= 10
 
 
 def test_omega_limit_report_exact_and_negative():
