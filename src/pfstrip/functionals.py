@@ -2,6 +2,8 @@
 
 All functionals integrate against the combined measure: bulk quadrature
 weights over the strip plus surface weights on the two boundary circles.
+Every function that reads more than the masses takes the timestepper.Model,
+whose grid.boundary and ms_bnd are the bulk/boundary split.
 The three core quantities are linked by the exact algebraic identity
 
     energy = mass - entropy
@@ -18,14 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
-from .grid_ops import MassVectors, StiffnessOp
-from .potentials import LatentHeat, Potential, evaluate, latent_eval
+from .grid_ops import MassVectors
+from .potentials import evaluate, latent_eval
 
-_NO_LATENT = LatentHeat()
+if TYPE_CHECKING:   # timestepper imports this module
+    from .timestepper import Model
 
 
 @dataclass
@@ -48,15 +52,16 @@ class State:
     def copy(self) -> "State":
         return State(self.t, self.u.copy(), self.chi.copy())
 
-    def validate(self, p_bulk: Potential, p_surf: Potential, boundary: np.ndarray) -> None:
-        """Raise DomainError unless u < 0, everything finite, chi inside both domains."""
+    def validate(self, model: Model) -> None:
+        """Raise DomainError unless everything is finite, u < 0, chi lies in the
+        bulk potential domain and, on the boundary rows, in the surface one."""
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.chi))):
             raise DomainError("state contains non-finite entries")
         if not np.all(self.u < 0.0):
             raise DomainError("entropy variable must satisfy u < 0 (theta > 0)")
-        if not p_bulk.contains(self.chi):
+        if not model.p_bulk.contains(self.chi):
             raise DomainError("phase field leaves the bulk potential domain")
-        if not p_surf.contains(self.chi[boundary]):
+        if not model.p_surf.contains(self.chi[model.grid.boundary]):
             raise DomainError("boundary phase field leaves the surface potential domain")
 
 
@@ -92,11 +97,10 @@ def dm_std(v: np.ndarray, m: MassVectors) -> float:
     return math.sqrt(float(m.m_comb @ (d * d)) / m.total)
 
 
-def _parts(s: State, m: MassVectors):
+def _parts(s: State, model: Model):
     """(weights, theta, chi) of the bulk and of the two boundary circles."""
-    theta, chi = s.theta, s.chi
-    bnd = m.boundary
-    return (m.m_bulk, theta, chi), (m.m_surf[bnd], theta[bnd], chi[bnd])
+    theta, chi, bnd = s.theta, s.chi, model.grid.boundary
+    return (model.masses.m_bulk, theta, chi), (model.ms_bnd, theta[bnd], chi[bnd])
 
 
 def _mass_sum(parts, latents) -> float:
@@ -112,49 +116,45 @@ def _entropy_sum(parts, potentials) -> float:
                for (w, theta, chi), p in zip(parts, potentials))
 
 
-def mass_mu(s: State, l_bulk: LatentHeat, l_surf: LatentHeat, m: MassVectors) -> float:
+def mass_mu(s: State, model: Model) -> float:
     """Internal-energy mass: integral of theta + lambda(chi), bulk plus surface."""
-    return _mass_sum(_parts(s, m), (l_bulk, l_surf))
+    return _mass_sum(_parts(s, model), (model.l_bulk, model.l_surf))
 
 
-def row_functionals(s: State, p_bulk: Potential, p_surf: Potential,
-                    l_bulk: LatentHeat, l_surf: LatentHeat,
-                    m: MassVectors, k: StiffnessOp) -> tuple[float, float, float]:
+def row_functionals(s: State, model: Model) -> tuple[float, float, float]:
     """(mass, energy, entropy) from one pass over theta, ln theta, F(chi),
     lambda(chi) and one gradient term chi^T K chi / 2, with energy = mass - entropy."""
     if not s.u.max() < 0.0:
         raise DomainError("energy and entropy require u < 0")
-    parts = _parts(s, m)
-    mu = _mass_sum(parts, (l_bulk, l_surf))
-    s_nodal = _entropy_sum(parts, (p_bulk, p_surf))
-    half_grad = 0.5 * k.quad(s.chi)
+    parts = _parts(s, model)
+    mu = _mass_sum(parts, (model.l_bulk, model.l_surf))
+    s_nodal = _entropy_sum(parts, (model.p_bulk, model.p_surf))
+    half_grad = 0.5 * model.stiffness.quad(s.chi)
     return mu, mu - s_nodal + half_grad, s_nodal - half_grad
 
 
-def energy(s: State, p_bulk: Potential, p_surf: Potential,
-           l_bulk: LatentHeat, l_surf: LatentHeat,
-           m: MassVectors, k: StiffnessOp) -> float:
+def energy(s: State, model: Model) -> float:
     """Integral of theta - ln theta + lambda(chi) + F(chi) - delta chi^2/2, plus
     the combined gradient term chi^T K chi / 2."""
-    return row_functionals(s, p_bulk, p_surf, l_bulk, l_surf, m, k)[1]
+    return row_functionals(s, model)[1]
 
 
-def entropy(s: State, p_bulk: Potential, p_surf: Potential,
-            m: MassVectors, k: StiffnessOp) -> float:
+def entropy(s: State, model: Model) -> float:
     """Integral of ln theta + s0(chi) minus the gradient term, with
-    s0(r) = delta r^2/2 - F(r) normalized by s0(0) = 0."""
-    return row_functionals(s, p_bulk, p_surf, _NO_LATENT, _NO_LATENT, m, k)[2]
+    s0(r) = delta r^2/2 - F(r) normalized by s0(0) = 0; the latent heats do
+    not enter it."""
+    return row_functionals(s, model)[2]
 
 
 def dissipation_increment(u_new: np.ndarray, chi_old: np.ndarray, chi_new: np.ndarray,
-                          tau: float, m: MassVectors, k: StiffnessOp) -> float:
+                          tau: float, model: Model) -> float:
     """One step of the entropy production integral: tau (u^T K u + ||chi_t||^2).
 
     Both terms are sums of nonnegative products, so the increment is >= 0
     exactly in floating point.
     """
     r = (chi_new - chi_old) / tau
-    return tau * (k.quad(u_new) + float(m.m_comb @ (r * r)))
+    return tau * (model.stiffness.quad(u_new) + float(model.masses.m_comb @ (r * r)))
 
 
 def energy_identity_residual(rows) -> float:

@@ -67,7 +67,6 @@ class MassVectors:
     m_bulk: np.ndarray
     m_surf: np.ndarray
     m_comb: np.ndarray
-    boundary: np.ndarray = field(repr=False)   # Grid.boundary: where m_surf > 0, ascending
 
     @cached_property
     def total(self) -> float:
@@ -80,8 +79,7 @@ def assemble_masses(g: Grid) -> MassVectors:
     m_bulk[g.boundary] = 0.5 * g.hx * g.hy
     m_surf = np.zeros(g.n_nodes)
     m_surf[g.boundary] = g.hx
-    return MassVectors(m_bulk=m_bulk, m_surf=m_surf, m_comb=m_bulk + m_surf,
-                       boundary=g.boundary)
+    return MassVectors(m_bulk=m_bulk, m_surf=m_surf, m_comb=m_bulk + m_surf)
 
 
 @dataclass(frozen=True, eq=False)

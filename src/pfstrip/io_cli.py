@@ -220,7 +220,7 @@ def build_initial_state(c: Config, model: Model) -> State:
 
 def build_source(c: Config, model: Model) -> HeatSource | None:
     sc = c.source
-    return make_source(model.grid, model.masses, sc.kind, sc.amplitude, sc.kx, sc.omega)
+    return make_source(model, sc.kind, sc.amplitude, sc.kx, sc.omega)
 
 
 @dataclass
@@ -292,8 +292,8 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     mu0 = None
     try:
         s0 = build_initial_state(c, model)
-        s0.validate(model.p_bulk, model.p_surf, model.grid.boundary)
-        mu0 = mass_mu(s0, model.l_bulk, model.l_surf, model.masses)
+        s0.validate(model)
+        mu0 = mass_mu(s0, model)
     except (DomainError, ConfigError) as exc:
         state_err = str(exc)
         ok = False
@@ -453,9 +453,8 @@ def _cmd_stationary(c: Config) -> int:
         print(report.render(), file=sys.stderr)
         return 3
     s0 = build_initial_state(c, model)
-    mu_target = mass_mu(s0, model.l_bulk, model.l_surf, model.masses)
     theta0 = dm_mean(s0.theta, model.masses)
-    result = solve_stationary(mu_target, (theta0 / 4.0, theta0 * 4.0),
+    result = solve_stationary(report.mu0, (theta0 / 4.0, theta0 * 4.0),
                               s0.chi, model, tol=c.solver.newton_tol)
     summary = _stationary_summary(result)
     with _output_lock(c.output.dir) as out_dir:

@@ -145,14 +145,14 @@ def separating_slope_margin(l: LatentHeat) -> float:
     return min(l.b - 2.0 * l.a, -l.b - 2.0 * l.a)
 
 
-def _sample_points(p: Potential, n: int):
-    """n points filling the domain of p and the margin kept from its ends:
-    SAMPLE_MARGIN_REL of the half-width inside a singular domain,
-    [-SAMPLE_RADIUS, SAMPLE_RADIUS] on the whole line."""
+def _sample_points(p: Potential, n: int) -> np.ndarray:
+    """n points filling the domain of p: SAMPLE_MARGIN_REL of the half-width
+    away from the ends of a singular domain, [-SAMPLE_RADIUS, SAMPLE_RADIUS]
+    on the whole line."""
     if not p.singular:
-        return np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, n), 0.0
+        return np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, n)
     margin = SAMPLE_MARGIN_REL * (0.5 * (p.domain_hi - p.domain_lo))
-    return np.linspace(p.domain_lo + margin, p.domain_hi - margin, n), margin
+    return np.linspace(p.domain_lo + margin, p.domain_hi - margin, n)
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,6 @@ class CompatReport:
     big_c_s: float
     kappa_s: float | None
     big_c_sing: float | None
-    sample_lo: float
-    sample_hi: float
-    margin: float
-    n_samples: int
 
 
 def check_compatibility(f_bulk: Potential, f_surf: Potential, n_samples: int = 4001) -> CompatReport:
@@ -185,7 +181,7 @@ def check_compatibility(f_bulk: Potential, f_surf: Potential, n_samples: int = 4
             f"({f_surf.domain_lo}, {f_surf.domain_hi}) is not inside "
             f"({f_bulk.domain_lo}, {f_bulk.domain_hi})"
         )
-    samples, margin = _sample_points(f_surf, n_samples)
+    samples = _sample_points(f_surf, n_samples)
     _, fb, _ = evaluate(f_bulk, samples)
     _, fs, _ = evaluate(f_surf, samples)
     nonzero = fb != 0.0
@@ -202,23 +198,17 @@ def check_compatibility(f_bulk: Potential, f_surf: Potential, n_samples: int = 4
         kappa_s = float(min(1.0, np.min(np.abs(fs[nonzero]) / np.abs(fb[nonzero]))))
         big_c_sing = float(max(0.0, np.max(kappa_s * np.abs(fb) - np.abs(fs))))
         ok = ok and kappa_s > 0.0
-    return CompatReport(
-        ok=ok, c_s=c_s, big_c_s=big_c, kappa_s=kappa_s, big_c_sing=big_c_sing,
-        sample_lo=float(samples[0]), sample_hi=float(samples[-1]),
-        margin=margin, n_samples=n_samples,
-    )
+    return CompatReport(ok=ok, c_s=c_s, big_c_s=big_c, kappa_s=kappa_s, big_c_sing=big_c_sing)
 
 
 @dataclass(frozen=True)
 class PairCoercivity:
-    """Coercivity fit lambda - s0 >= c1 r^2 - c2 for one (potential, latent) pair."""
+    """Slope c1 of the coercivity fit lambda - s0 >= c1 r^2 - c2 for one
+    (potential, latent) pair."""
 
     ok: bool
     bounded_domain: bool
     c1: float
-    c2: float
-    sample_lo: float
-    sample_hi: float
 
 
 @dataclass(frozen=True)
@@ -229,7 +219,7 @@ class CoercivityReport:
 
 
 def _coercivity_pair(p: Potential, l: LatentHeat, n_samples: int) -> PairCoercivity:
-    samples, _ = _sample_points(p, n_samples)
+    samples = _sample_points(p, n_samples)
     big_f, _, _ = evaluate(p, samples)
     lam, _, _ = latent_eval(l, samples)
     # g = lambda - s0 = lambda + F - delta r^2 / 2 must dominate c1 r^2.
@@ -243,11 +233,7 @@ def _coercivity_pair(p: Potential, l: LatentHeat, n_samples: int) -> PairCoerciv
         # growth beats the quadratic terms within the sampled radius.
         c1 = 0.5 * min(g[0] / samples[0] ** 2, g[-1] / samples[-1] ** 2)
         ok = c1 > 0.0
-    c2 = float(np.max(c1 * samples * samples - g))
-    return PairCoercivity(
-        ok=ok, bounded_domain=bounded, c1=float(c1), c2=c2,
-        sample_lo=float(samples[0]), sample_hi=float(samples[-1]),
-    )
+    return PairCoercivity(ok=ok, bounded_domain=bounded, c1=float(c1))
 
 
 def check_coercivity(

@@ -117,7 +117,7 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
 def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model) -> float:
     """Mass of the candidate steady state minus the target mass."""
     steady = State(0.0, np.full(chi_inf.shape, u_inf), chi_inf)
-    return mass_mu(steady, model.l_bulk, model.l_surf, model.masses) - mu_target
+    return mass_mu(steady, model) - mu_target
 
 
 def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
@@ -149,14 +149,15 @@ def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
             mu_target=mu_target, separation=float(1.0 - np.max(np.abs(warm))),
             hypothesis_report=hyp)
 
-    for _ in range(BRACKET_EXPANSIONS + 1):
+    for expansion in range(BRACKET_EXPANSIONS + 1):
+        if expansion:
+            lo_t, hi_t = 0.5 * lo_t, 2.0 * hi_t
         lo, hi = point_at(-1.0 / lo_t), point_at(-1.0 / hi_t)
         for end in (lo, hi):
             if end.mass_gap == 0.0:
                 return end
         if lo.mass_gap * hi.mass_gap < 0.0:
             break
-        lo_t, hi_t = 0.5 * lo_t, 2.0 * hi_t
     else:
         raise BracketError(
             f"no sign change of the mass gap for theta in ({lo_t:.3g}, {hi_t:.3g}) "
@@ -212,8 +213,7 @@ def omega_limit_report(final: State, result: StationaryResult, model: Model,
     residual = measure_norm(
         stationary_phase_residual(final.chi, u_mean, model), model.masses.m_comb)
     u_std = dm_std(final.u, model.masses)
-    mu_gap_val = abs(mass_mu(final, model.l_bulk, model.l_surf, model.masses)
-                     - result.mu_target)
+    mu_gap_val = abs(mass_mu(final, model) - result.mu_target)
     return OmegaLimitReport(
         u_spatial_std=u_std,
         phase_residual=residual,

@@ -60,8 +60,9 @@ class Model:
     """Grid, measures, stiffness, the four constitutive ingredients, and the
     exact inverse of K + c m_comb that preconditions every Newton solve.
 
-    The *_terms methods compose the phase operator: each puts the bulk term
-    on every row and the surface term on the boundary rows."""
+    grid.boundary and ms_bnd are the bulk/boundary split, read here and by the
+    functionals.  The *_terms methods compose the phase operator: each puts
+    the bulk term on every row and the surface term on the boundary rows."""
 
     grid: Grid
     masses: MassVectors
@@ -77,7 +78,7 @@ class Model:
 
     def __post_init__(self):
         _keep_freed_heap()
-        self.ms_bnd = self.masses.m_surf[self.masses.boundary]
+        self.ms_bnd = self.masses.m_surf[self.grid.boundary]
         self.inv_m_comb = 1.0 / self.masses.m_comb
         self.shifted_inverse = assemble_shifted_inverse(self.grid, self.masses)
 
@@ -273,15 +274,16 @@ class HeatSource:
         return self.profile * math.cos(self.omega * t)
 
 
-def make_source(grid: Grid, masses: MassVectors, kind: str,
-                amplitude: float = 0.0, kx: int = 1, omega: float = 0.0) -> HeatSource | None:
+def make_source(model: Model, kind: str, amplitude: float = 0.0, kx: int = 1,
+                omega: float = 0.0) -> HeatSource | None:
     """Build a heat source; the dm-mean of the spatial profile is projected out."""
     if kind == "zero":
         return None
     if kind != "sinusoid":
         raise ConfigError(f"unknown source kind '{kind}'")
-    profile = amplitude * np.cos(2.0 * math.pi * kx * grid.x / grid.lx)
-    mean = dm_mean(profile, masses)
+    g = model.grid
+    profile = amplitude * np.cos(2.0 * math.pi * kx * g.x / g.lx)
+    mean = dm_mean(profile, model.masses)
     return HeatSource(profile=profile - mean, omega=omega, projected_mean=abs(mean))
 
 
@@ -305,8 +307,7 @@ class Stepper:
 
     def _row(self, step: int, s: State, iters_chi: int, iters_theta: int) -> DiagnosticsRow:
         md = self.model
-        mu, e, ent = row_functionals(s, md.p_bulk, md.p_surf, md.l_bulk, md.l_surf,
-                                     md.masses, md.stiffness)
+        mu, e, ent = row_functionals(s, md)
         row = DiagnosticsRow(
             step=step, t=s.t, mu=mu, energy=e, entropy=ent,
             dissipation_cum=self.dissipation_cum,
@@ -351,8 +352,7 @@ class Stepper:
             self.tau_cur = min(2.0 * self.tau_cur, self.cfg.tau)
             self.successes = 0
         new = State(s.t + tau_try, u_new, chi_new)
-        self.dissipation_cum += dissipation_increment(
-            u_new, s.chi, chi_new, tau_try, self.model.masses, self.model.stiffness)
+        self.dissipation_cum += dissipation_increment(u_new, s.chi, chi_new, tau_try, self.model)
         if source_vec is not None:
             self.source_cum += tau_try * float(source_vec @ u_new)
         return new, self._row(step_index, new, iters_chi, iters_theta)
@@ -366,7 +366,7 @@ def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
     Snapshots fire at step 0, every snapshot_every accepted steps, and at the
     final step (when snapshot_every > 0).  Deterministic for fixed inputs.
     """
-    state0.validate(model.p_bulk, model.p_surf, model.grid.boundary)
+    state0.validate(model)
     stepper = Stepper(model, cfg, source)
     s = state0.copy()
     rows = [stepper.initial_row(s)]

@@ -36,16 +36,26 @@ def test_state_theta_roundtrip():
 def test_state_validate_rejects_bad_fields():
     m = make_model()
     s = constant_state(m, 1.0, 0.0)
-    ok = lambda st: st.validate(m.p_bulk, m.p_surf, m.grid.boundary)
-    ok(s)
+    s.validate(m)
     with pytest.raises(DomainError):
-        ok(State(0.0, np.abs(s.u), s.chi))
+        State(0.0, np.abs(s.u), s.chi).validate(m)
     with pytest.raises(DomainError):
-        ok(State(0.0, s.u, np.full_like(s.chi, 1.5)))
+        State(0.0, s.u, np.full_like(s.chi, 1.5)).validate(m)
     bad = s.u.copy()
     bad[3] = np.nan
     with pytest.raises(DomainError):
-        ok(State(0.0, bad, s.chi))
+        State(0.0, bad, s.chi).validate(m)
+    # quartic bulk, logarithmic surface: |chi| > 1 is admissible on interior rows only
+    mixed = make_model(p_bulk=Potential.quartic(1.0), p_surf=Potential.logarithmic(1.0))
+    interior = np.setdiff1d(np.arange(mixed.grid.n_nodes), mixed.grid.boundary)
+    for node, admissible in ((interior[0], True), (mixed.grid.boundary[-1], False)):
+        chi = s.chi.copy()
+        chi[node] = 1.5
+        if admissible:
+            State(0.0, s.u, chi).validate(mixed)
+        else:
+            with pytest.raises(DomainError, match="boundary phase field leaves the surface"):
+                State(0.0, s.u, chi).validate(mixed)
 
 
 def test_dm_mean_and_std_constants():
@@ -59,12 +69,12 @@ def test_mass_constant_examples():
     lz = LatentHeat(0.0, 0.0, 0.0)
     m = make_model(nx=8, ny=4, l_bulk=lz)
     s = constant_state(m, 1.0, 0.0)
-    assert mass_mu(s, m.l_bulk, m.l_surf, m.masses) == pytest.approx(3.0, rel=1e-14)
+    assert mass_mu(s, m) == pytest.approx(3.0, rel=1e-14)
     m2 = make_model(nx=8, ny=4, l_bulk=LatentHeat(0.0, 0.0, 1.0),
                     l_surf=LatentHeat(0.0, 0.0, 2.0))
     s2 = constant_state(m2, 1.0, 0.0)
     # 3 + 1*(lx*ly) + 2*(2*lx)
-    assert mass_mu(s2, m2.l_bulk, m2.l_surf, m2.masses) == pytest.approx(8.0, rel=1e-14)
+    assert mass_mu(s2, m2) == pytest.approx(8.0, rel=1e-14)
 
 
 def test_mass_matches_summation_oracle(rng):
@@ -72,25 +82,23 @@ def test_mass_matches_summation_oracle(rng):
                    l_surf=LatentHeat(-0.4, 0.1, 1.0))
     s = random_state(m, rng)
     ref = oracles.mass_oracle(m.grid, s.theta, s.chi, m.l_bulk, m.l_surf)
-    assert mass_mu(s, m.l_bulk, m.l_surf, m.masses) == pytest.approx(ref, rel=1e-12)
+    assert mass_mu(s, m) == pytest.approx(ref, rel=1e-12)
 
 
 def test_mass_without_latent_is_theta_mean(rng):
     m = make_model(nx=8, ny=6)
     s = random_state(m, rng)
     ref = float(np.sum(m.masses.m_comb * s.theta))
-    assert mass_mu(s, m.l_bulk, m.l_surf, m.masses) == pytest.approx(ref, rel=1e-14)
+    assert mass_mu(s, m) == pytest.approx(ref, rel=1e-14)
 
 
 def test_energy_constant_examples():
     m = make_model(nx=8, ny=4)
     s = constant_state(m, 1.0, 0.0)
-    args = (m.p_bulk, m.p_surf, m.l_bulk, m.l_surf, m.masses, m.stiffness)
-    assert energy(s, *args) == pytest.approx(3.0, rel=1e-14)
+    assert energy(s, m) == pytest.approx(3.0, rel=1e-14)
     m2 = make_model(nx=8, ny=4, l_bulk=LatentHeat(0.0, 0.0, 1.0),
                     l_surf=LatentHeat(0.0, 0.0, 0.0))
-    assert energy(s, m2.p_bulk, m2.p_surf, m2.l_bulk, m2.l_surf,
-                  m2.masses, m2.stiffness) == pytest.approx(4.0, rel=1e-14)
+    assert energy(s, m2) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_energy_matches_summation_oracle(rng):
@@ -102,7 +110,7 @@ def test_energy_matches_summation_oracle(rng):
               0.4 * np.sin(2.0 * np.pi * g.x) * np.cos(np.pi * g.y))
     ref = oracles.energy_oracle(g, s.theta, s.chi, m.p_bulk, m.p_surf,
                                 m.l_bulk, m.l_surf)
-    val = energy(s, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf, m.masses, m.stiffness)
+    val = energy(s, m)
     assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -111,14 +119,13 @@ def test_energy_rejects_invalid_state():
     s = constant_state(m, 1.0, 0.0)
     bad = State(0.0, -s.u, s.chi)
     with pytest.raises(DomainError):
-        energy(bad, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf, m.masses, m.stiffness)
+        energy(bad, m)
 
 
 def test_entropy_constant_examples():
     m = make_model(nx=8, ny=4)
-    args = (m.p_bulk, m.p_surf, m.masses, m.stiffness)
-    assert abs(entropy(constant_state(m, 1.0, 0.0), *args)) <= 1e-14
-    assert entropy(constant_state(m, math.e, 0.0), *args) == pytest.approx(3.0, rel=1e-13)
+    assert abs(entropy(constant_state(m, 1.0, 0.0), m)) <= 1e-14
+    assert entropy(constant_state(m, math.e, 0.0), m) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_entropy_matches_summation_oracle(rng):
@@ -126,7 +133,7 @@ def test_entropy_matches_summation_oracle(rng):
                    p_surf=Potential.quartic(1.0))
     s = random_state(m, rng, chi_span=(-1.5, 1.5))
     ref = oracles.entropy_oracle(m.grid, s.theta, s.chi, m.p_bulk, m.p_surf)
-    val = entropy(s, m.p_bulk, m.p_surf, m.masses, m.stiffness)
+    val = entropy(s, m)
     assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -136,9 +143,9 @@ def test_energy_is_mass_minus_entropy(kind, rng):
     m = make_model(nx=12, ny=6, p_bulk=p, l_bulk=LatentHeat(0.5, -0.2, 0.4))
     for _ in range(5):
         s = random_state(m, rng)
-        e = energy(s, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf, m.masses, m.stiffness)
-        mu = mass_mu(s, m.l_bulk, m.l_surf, m.masses)
-        ent = entropy(s, m.p_bulk, m.p_surf, m.masses, m.stiffness)
+        e = energy(s, m)
+        mu = mass_mu(s, m)
+        ent = entropy(s, m)
         assert e == pytest.approx(mu - ent, rel=1e-12)
 
 
@@ -153,13 +160,10 @@ def test_row_functionals_match_separate_functionals_and_oracles(p_bulk, p_surf, 
     g = m.grid
     for _ in range(3):
         s = random_state(m, rng, chi_span=(-span, span))
-        mu, e, ent = row_functionals(s, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf,
-                                     m.masses, m.stiffness)
-        assert mu == pytest.approx(mass_mu(s, m.l_bulk, m.l_surf, m.masses), rel=1e-13)
-        assert e == pytest.approx(energy(s, m.p_bulk, m.p_surf, m.l_bulk, m.l_surf,
-                                         m.masses, m.stiffness), rel=1e-13)
-        assert ent == pytest.approx(entropy(s, m.p_bulk, m.p_surf, m.masses, m.stiffness),
-                                    rel=1e-13)
+        mu, e, ent = row_functionals(s, m)
+        assert mu == pytest.approx(mass_mu(s, m), rel=1e-13)
+        assert e == pytest.approx(energy(s, m), rel=1e-13)
+        assert ent == pytest.approx(entropy(s, m), rel=1e-13)
         theta = s.theta
         assert mu == pytest.approx(
             oracles.mass_oracle(g, theta, s.chi, m.l_bulk, m.l_surf), rel=1e-13)
@@ -173,12 +177,9 @@ def test_functionals_invariant_under_x_translation(rng):
     m = make_model(nx=12, ny=6, l_bulk=LatentHeat(0.4, 0.1, 0.0))
     s = random_state(m, rng)
     shifted = State(0.0, roll_x(m.grid, s.u, 5), roll_x(m.grid, s.chi, 5))
-    args = (m.p_bulk, m.p_surf, m.l_bulk, m.l_surf, m.masses, m.stiffness)
-    assert energy(shifted, *args) == pytest.approx(energy(s, *args), rel=1e-12)
-    assert entropy(shifted, m.p_bulk, m.p_surf, m.masses, m.stiffness) == pytest.approx(
-        entropy(s, m.p_bulk, m.p_surf, m.masses, m.stiffness), rel=1e-12)
-    assert mass_mu(shifted, m.l_bulk, m.l_surf, m.masses) == pytest.approx(
-        mass_mu(s, m.l_bulk, m.l_surf, m.masses), rel=1e-12)
+    assert energy(shifted, m) == pytest.approx(energy(s, m), rel=1e-12)
+    assert entropy(shifted, m) == pytest.approx(entropy(s, m), rel=1e-12)
+    assert mass_mu(shifted, m) == pytest.approx(mass_mu(s, m), rel=1e-12)
 
 
 def test_dissipation_trivial_cases():
@@ -186,9 +187,9 @@ def test_dissipation_trivial_cases():
     n = m.grid.n_nodes
     chi = np.full(n, 0.2)
     u = np.full(n, -1.0)
-    assert dissipation_increment(u, chi, chi, 0.1, m.masses, m.stiffness) == 0.0
+    assert dissipation_increment(u, chi, chi, 0.1, m) == 0.0
     tau = 0.25
-    val = dissipation_increment(np.zeros(n), chi, chi + tau, tau, m.masses, m.stiffness)
+    val = dissipation_increment(np.zeros(n), chi, chi + tau, tau, m)
     assert val == pytest.approx(tau * 3.0, rel=1e-13)
 
 
@@ -200,7 +201,7 @@ def test_dissipation_matches_summation_oracle(rng):
     chi_new = chi_old + 0.01 * rng.standard_normal(n)
     tau = 0.02
     ref = oracles.dissipation_oracle(m.grid, u, chi_old, chi_new, tau)
-    val = dissipation_increment(u, chi_old, chi_new, tau, m.masses, m.stiffness)
+    val = dissipation_increment(u, chi_old, chi_new, tau, m)
     assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -234,12 +235,13 @@ def test_energy_identity_residual_is_first_order_in_tau():
 
 
 def test_boundary_index_split_matches_surface_mask_bitwise(monkeypatch):
-    """The functionals split off the boundary rows through masses.boundary; on
-    configs/example.cfg every diagnostics row and mass gap equals, bit for bit,
-    the split through the mask m_surf > 0 that the index replaced."""
+    """The functionals split off the boundary rows through the model's
+    grid.boundary and ms_bnd; on configs/example.cfg every diagnostics row and
+    mass gap equals, bit for bit, the split through the mask m_surf > 0 that
+    the index replaced."""
     c = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.cfg"))
     m = build_model(c)
-    assert np.array_equal(m.masses.boundary, np.flatnonzero(m.masses.m_surf > 0.0))
+    assert np.array_equal(m.grid.boundary, np.flatnonzero(m.masses.m_surf > 0.0))
 
     def diagnostics():
         rows, final = run(m, build_stepper_config(c), build_initial_state(c, m),
@@ -249,7 +251,8 @@ def test_boundary_index_split_matches_surface_mask_bitwise(monkeypatch):
 
     by_index = diagnostics()
 
-    def parts_by_mask(s, masses):
+    def parts_by_mask(s, model):
+        masses = model.masses
         surf = masses.m_surf > 0.0
         return ((masses.m_bulk, s.theta, s.chi),
                 (masses.m_surf[surf], s.theta[surf], s.chi[surf]))

@@ -123,7 +123,7 @@ def coupled_model(nx=16, ny=8):
 def test_solve_stationary_coupled_is_advance_fixed_point():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
-    mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
+    mu_t = mass_mu(s0, m)
     res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
     assert res.theta_inf > 0.0 and res.separation > 0.0
 
@@ -137,7 +137,7 @@ def test_solve_stationary_coupled_is_advance_fixed_point():
 def test_stationary_result_residuals_are_reproducible():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
-    mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
+    mu_t = mass_mu(s0, m)
     res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
     re_resid = measure_norm(stationary_phase_residual(res.chi_inf, res.u_inf, m),
                             m.masses.m_comb)
@@ -150,7 +150,7 @@ def test_solve_stationary_translation_invariance():
     m = coupled_model()
     guess = preset_field(m.grid, "sinusoid", value=0.2, amplitude=0.15, kx=1)
     s0 = State(0.0, np.full(m.grid.n_nodes, -1.0), guess)
-    mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
+    mu_t = mass_mu(s0, m)
     res_a = solve_stationary(mu_t, (0.25, 4.0), guess, m)
     res_b = solve_stationary(mu_t, (0.25, 4.0), roll_x(m.grid, guess, 3), m)
     assert res_b.u_inf == pytest.approx(res_a.u_inf, rel=1e-9)
@@ -179,8 +179,9 @@ def test_solve_stationary_rejects_inadmissible_mass():
 
 def test_solve_stationary_bracket_failure():
     m = make_model(p_bulk=Potential.quartic(0.0), l_bulk=LatentHeat(0.0, 0.0, -10.0))
-    # root sits at theta = 1/3; the bracket never reaches it
-    with pytest.raises(BracketError):
+    # root sits at theta = 1/3; the bracket never reaches it, and the error names
+    # the last pair evaluated: (1000 / 2^10, 2000 * 2^10)
+    with pytest.raises(BracketError, match=r"theta in \(0\.977, 2\.05e\+06\)"):
         solve_stationary(-29.0, (1000.0, 2000.0), np.zeros(m.grid.n_nodes), m)
 
 
@@ -231,7 +232,7 @@ def test_solve_stationary_coupled_needs_few_inner_solves(monkeypatch):
     """Two bracket ends plus a handful of regula falsi points (bisection made 42)."""
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
-    mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
+    mu_t = mass_mu(s0, m)
     solves = []
     real = st.solve_chi_given_u
     monkeypatch.setattr(st, "solve_chi_given_u",
@@ -244,7 +245,7 @@ def test_solve_stationary_coupled_needs_few_inner_solves(monkeypatch):
 def test_omega_limit_report_exact_and_negative():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
-    mu_t = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
+    mu_t = mass_mu(s0, m)
     res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
 
     exact = State(0.0, np.full(m.grid.n_nodes, res.u_inf), res.chi_inf.copy())

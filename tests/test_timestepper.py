@@ -87,8 +87,8 @@ def test_step_theta_conserves_mass(rng):
     chi_new = np.clip(s.chi + 0.05 * rng.standard_normal(n), -0.9, 0.9)
     cfg = StepperConfig(tau=0.02)
     u_new, _ = ts.step_theta(s, chi_new, None, 0.02, cfg, m)
-    mu_old = mass_mu(s, m.l_bulk, m.l_surf, m.masses)
-    mu_new = mass_mu(State(0.02, u_new, chi_new), m.l_bulk, m.l_surf, m.masses)
+    mu_old = mass_mu(s, m)
+    mu_new = mass_mu(State(0.02, u_new, chi_new), m)
     assert abs(mu_new - mu_old) <= 10.0 * cfg.newton_tol * (1.0 + abs(mu_old))
 
 
@@ -153,8 +153,8 @@ def test_run_mass_conservation_bound():
     s0 = State(0.0, np.full(g.n_nodes, -1.0), chi0)
     cfg = StepperConfig(tau=1e-3)
     rows, final = run(m, cfg, s0, 0.1)
-    mu0 = mass_mu(s0, m.l_bulk, m.l_surf, m.masses)
-    mu_t = mass_mu(final, m.l_bulk, m.l_surf, m.masses)
+    mu0 = mass_mu(s0, m)
+    mu_t = mass_mu(final, m)
     n_steps = len(rows) - 1
     assert abs(mu_t - mu0) <= 10.0 * cfg.newton_tol * n_steps * (1.0 + abs(mu0))
     diss = np.array([r.dissipation_cum for r in rows])
@@ -363,8 +363,8 @@ def test_integrate_homogeneous_rejects_bad_data():
 
 def test_make_source_zero_and_projection():
     m = make_model(nx=8, ny=4)
-    assert make_source(m.grid, m.masses, "zero") is None
-    src = make_source(m.grid, m.masses, "sinusoid", amplitude=0.5, kx=1, omega=2.0)
+    assert make_source(m, "zero") is None
+    src = make_source(m, "sinusoid", amplitude=0.5, kx=1, omega=2.0)
     mean = np.sum(m.masses.m_comb * src.profile) / np.sum(m.masses.m_comb)
     assert abs(mean) <= 1e-14
     assert src.projected_mean <= 1e-14
@@ -374,7 +374,7 @@ def test_make_source_zero_and_projection():
 
 def test_make_source_constant_profile_projects_to_zero():
     m = make_model(nx=8, ny=4)
-    src = make_source(m.grid, m.masses, "sinusoid", amplitude=0.5, kx=0)
+    src = make_source(m, "sinusoid", amplitude=0.5, kx=0)
     assert np.allclose(src.profile, 0.0, atol=1e-15)
     assert src.projected_mean == pytest.approx(0.5, rel=1e-12)
 
