@@ -203,8 +203,7 @@ def check_compatibility(f_bulk: Potential, f_surf: Potential, n_samples: int = 4
 
 @dataclass(frozen=True)
 class PairCoercivity:
-    """Slope c1 of the coercivity fit lambda - s0 >= c1 r^2 - c2 for one
-    (potential, latent) pair."""
+    """Slope c1 of the fit lambda - s0 >= c1 r^2 - c2 for one (potential, latent) pair."""
 
     ok: bool
     bounded_domain: bool
