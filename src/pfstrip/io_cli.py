@@ -15,7 +15,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -26,32 +26,39 @@ from .grid_ops import Grid, assemble_masses, assemble_stiffness, build_grid
 from .potentials import (DOMAINS, CoercivityReport, CompatReport, LatentHeat, Potential,
                          check_coercivity, check_compatibility)
 from .stationary import HypothesisReport, StationaryResult, hypothesis_report, solve_stationary
-from .timestepper import (HeatSource, Model, StepperConfig, integrate_homogeneous,
-                          make_source, preset_field, run)
+from .timestepper import (EPS, MIN_TAU_FRACTION, PRESET_KINDS, SOURCE_KINDS, HeatSource,
+                          Model, StepperConfig, integrate_homogeneous, make_source,
+                          preset_field, run)
 
-_PRESET_KINDS = ("constant", "sinusoid", "tanh_stripe", "random")
 LOCK_NAME = ".lock"
 
 
 _REQUIRED = object()
 _DT_FRACTION = object()
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+
+
+def _one_of(kinds) -> tuple:
+    return (lambda v: v in kinds), "must be one of " + "/".join(kinds)
+
 
 # name, type, default, bound check, bound message; order fixes serialization.
+# A section's keys are the parameter names of the object it builds, and the
+# solver defaults are StepperConfig's.
 _SCHEMA = (
-    ("domain.lx", float, _REQUIRED, lambda v: v > 0.0, "must be positive"),
-    ("domain.ly", float, _REQUIRED, lambda v: v > 0.0, "must be positive"),
+    ("domain.lx", float, _REQUIRED, *_POSITIVE),
+    ("domain.ly", float, _REQUIRED, *_POSITIVE),
     ("domain.nx", int, _REQUIRED, lambda v: v >= 4, "must be at least 4"),
     ("domain.ny", int, _REQUIRED, lambda v: v >= 2, "must be at least 2"),
-    ("time.dt", float, _REQUIRED, lambda v: v > 0.0, "must be positive"),
-    ("time.t_end", float, _REQUIRED, lambda v: v >= 0.0, "must be nonnegative"),
-    ("time.snapshot_every", int, 0, lambda v: v >= 0, "must be nonnegative"),
-    ("time.min_dt", float, _DT_FRACTION, lambda v: v > 0.0, "must be positive"),
-    ("potential_bulk.kind", str, _REQUIRED,
-     lambda v: v in DOMAINS, "must be one of " + "/".join(DOMAINS)),
-    ("potential_bulk.delta", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
-    ("potential_surf.kind", str, _REQUIRED,
-     lambda v: v in DOMAINS, "must be one of " + "/".join(DOMAINS)),
-    ("potential_surf.delta", float, 0.0, lambda v: v >= 0.0, "must be nonnegative"),
+    ("time.dt", float, _REQUIRED, *_POSITIVE),
+    ("time.t_end", float, _REQUIRED, *_NONNEGATIVE),
+    ("time.snapshot_every", int, 0, *_NONNEGATIVE),
+    ("time.min_dt", float, _DT_FRACTION, *_POSITIVE),
+    ("potential_bulk.kind", str, _REQUIRED, *_one_of(DOMAINS)),
+    ("potential_bulk.delta", float, 0.0, *_NONNEGATIVE),
+    ("potential_surf.kind", str, _REQUIRED, *_one_of(DOMAINS)),
+    ("potential_surf.delta", float, 0.0, *_NONNEGATIVE),
     ("latent_bulk.a", float, _REQUIRED, None, ""),
     ("latent_bulk.b", float, _REQUIRED, None, ""),
     ("latent_bulk.c", float, _REQUIRED, None, ""),
@@ -59,27 +66,27 @@ _SCHEMA = (
     ("latent_surf.b", float, _REQUIRED, None, ""),
     ("latent_surf.c", float, _REQUIRED, None, ""),
     ("source.kind", str, "zero",
-     lambda v: v in ("zero", "sinusoid"), "must be zero or sinusoid"),
+     lambda v: v in SOURCE_KINDS, "must be " + " or ".join(SOURCE_KINDS)),
     ("source.amplitude", float, 0.0, None, ""),
     ("source.kx", int, 1, None, ""),
     ("source.omega", float, 0.0, None, ""),
-    ("init.theta_kind", str, "constant",
-     lambda v: v in _PRESET_KINDS, "must be one of " + "/".join(_PRESET_KINDS)),
+    ("init.theta_kind", str, "constant", *_one_of(PRESET_KINDS)),
     ("init.theta_value", float, 1.0, None, ""),
     ("init.theta_amplitude", float, 0.0, None, ""),
     ("init.theta_kx", int, 1, None, ""),
-    ("init.theta_width", float, 0.1, lambda v: v > 0.0, "must be positive"),
-    ("init.chi_kind", str, "constant",
-     lambda v: v in _PRESET_KINDS, "must be one of " + "/".join(_PRESET_KINDS)),
+    ("init.theta_width", float, 0.1, *_POSITIVE),
+    ("init.chi_kind", str, "constant", *_one_of(PRESET_KINDS)),
     ("init.chi_value", float, 0.0, None, ""),
     ("init.chi_amplitude", float, 0.0, None, ""),
     ("init.chi_kx", int, 1, None, ""),
-    ("init.chi_width", float, 0.1, lambda v: v > 0.0, "must be positive"),
-    ("init.seed", int, 0, lambda v: v >= 0, "must be nonnegative"),
-    ("solver.newton_tol", float, 1.0e-10, lambda v: v > 0.0, "must be positive"),
-    ("solver.newton_max_iter", int, 50, lambda v: v >= 1, "must be at least 1"),
-    ("solver.cg_tol", float, 1.0e-10, lambda v: v > 0.0, "must be positive"),
-    ("solver.guard_eps", float, 1.0e-12, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ("init.chi_width", float, 0.1, *_POSITIVE),
+    ("init.seed", int, 0, *_NONNEGATIVE),
+    ("solver.newton_tol", float, StepperConfig.newton_tol, *_POSITIVE),
+    ("solver.newton_max_iter", int, StepperConfig.newton_max_iter,
+     lambda v: v >= 1, "must be at least 1"),
+    ("solver.cg_tol", float, StepperConfig.cg_tol, *_POSITIVE),
+    ("solver.guard_eps", float, StepperConfig.guard_eps,
+     lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     ("output.dir", str, "out", None, ""),
     ("output.write_pgm", bool, False, None, ""),
 )
@@ -147,7 +154,7 @@ def parse_config(text: str) -> Config:
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key '{name}'")
         elif default is _DT_FRACTION:
-            values[name] = values["time.dt"] / 1024.0
+            values[name] = values["time.dt"] * MIN_TAU_FRACTION
         else:
             values[name] = default
 
@@ -180,27 +187,17 @@ def serialize_config(c: Config) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _make_potential(pc) -> Potential:
-    return Potential(pc.kind, pc.delta)
-
-
 def build_model(c: Config) -> Model:
-    g = build_grid(c.domain.lx, c.domain.ly, c.domain.nx, c.domain.ny)
-    return Model(
-        grid=g, masses=assemble_masses(g), stiffness=assemble_stiffness(g),
-        p_bulk=_make_potential(c.potential_bulk),
-        p_surf=_make_potential(c.potential_surf),
-        l_bulk=LatentHeat(c.latent_bulk.a, c.latent_bulk.b, c.latent_bulk.c),
-        l_surf=LatentHeat(c.latent_surf.a, c.latent_surf.b, c.latent_surf.c),
-    )
+    g = build_grid(**vars(c.domain))
+    return Model(grid=g, masses=assemble_masses(g), stiffness=assemble_stiffness(g),
+                 p_bulk=Potential(**vars(c.potential_bulk)),
+                 p_surf=Potential(**vars(c.potential_surf)),
+                 l_bulk=LatentHeat(**vars(c.latent_bulk)),
+                 l_surf=LatentHeat(**vars(c.latent_surf)))
 
 
 def build_stepper_config(c: Config) -> StepperConfig:
-    return StepperConfig(
-        tau=c.time.dt, newton_tol=c.solver.newton_tol,
-        newton_max_iter=c.solver.newton_max_iter, guard_eps=c.solver.guard_eps,
-        min_tau=c.time.min_dt, cg_tol=c.solver.cg_tol,
-    )
+    return StepperConfig(tau=c.time.dt, min_tau=c.time.min_dt, **vars(c.solver))
 
 
 def build_initial_state(c: Config, model: Model) -> State:
@@ -219,8 +216,7 @@ def build_initial_state(c: Config, model: Model) -> State:
 
 
 def build_source(c: Config, model: Model) -> HeatSource | None:
-    sc = c.source
-    return make_source(model, sc.kind, sc.amplitude, sc.kx, sc.omega)
+    return make_source(model, **vars(c.source))
 
 
 @dataclass
@@ -309,33 +305,20 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     )
 
 
-CSV_HEADER = ("step,time,mu,energy,entropy,dissipation_cum,source_cum,"
-              "energy_id_residual,theta_min,theta_max,chi_min,chi_max,"
-              "u_spatial_std,newton_iters_chi,newton_iters_theta")
+CSV_HEADER = ",".join("time" if f.name == "t" else f.name for f in fields(DiagnosticsRow))
+_ROW_FORMAT = ",".join(f"%({f.name})" + ("s" if f.type in (int, "int") else ".16e")
+                       for f in fields(DiagnosticsRow))
 
 
 def format_diagnostics_row(row: DiagnosticsRow) -> str:
-    floats = (row.t, row.mu, row.energy, row.entropy, row.dissipation_cum,
-              row.source_cum, row.energy_id_residual, row.theta_min, row.theta_max,
-              row.chi_min, row.chi_max, row.u_spatial_std)
-    cells = [str(row.step)]
-    cells += [f"{v:.16e}" for v in floats]
-    cells += [str(row.newton_iters_chi), str(row.newton_iters_theta)]
-    return ",".join(cells)
+    return _ROW_FORMAT % vars(row)
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write '{path}': {exc}") from exc
-
-
-def _write_bytes(path: str, blob: bytes) -> None:
+def _write(path: str, data: str | bytes) -> None:
+    """Write ASCII text or bytes to path as they are; OSError becomes IoError."""
     try:
         with open(path, "wb") as fh:
-            fh.write(blob)
+            fh.write(data.encode("ascii") if isinstance(data, str) else data)
     except OSError as exc:
         raise IoError(f"cannot write '{path}': {exc}") from exc
 
@@ -343,28 +326,29 @@ def _write_bytes(path: str, blob: bytes) -> None:
 def write_diagnostics(rows, path: str) -> None:
     lines = [CSV_HEADER]
     lines += [format_diagnostics_row(r) for r in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_snapshot(field: np.ndarray, grid: Grid, path: str) -> None:
     """One CSV matrix, ny+1 rows of nx values, top boundary row (j = ny) first."""
     z = grid.reshape(np.asarray(field, dtype=float))
     row_fmt = ",".join(["%.16e"] * grid.nx) + "\n"
-    _write_text(path, "".join([row_fmt % tuple(row) for row in z[::-1].tolist()]))
+    _write(path, "".join([row_fmt % tuple(row) for row in z[::-1].tolist()]))
 
 
 def write_pgm(field: np.ndarray, grid: Grid, path: str) -> None:
     """Binary P5, 16-bit big-endian, linear min-max scaling; the (min, max)
-    pair lands in a `.range.txt` sidecar.  A constant field maps to 0."""
+    pair lands in a `.range.txt` sidecar.  A field that is constant up to
+    round-off, hi - lo <= 8 eps max(1, |lo|, |hi|), maps to 0."""
     z = grid.reshape(np.asarray(field, dtype=float))[::-1]
     lo, hi = float(z.min()), float(z.max())
-    if hi > lo:
+    if hi - lo > 8.0 * EPS * max(1.0, abs(lo), abs(hi)):
         samples = np.round((z - lo) / (hi - lo) * 65535.0).astype(">u2")
     else:
         samples = np.zeros(z.shape, dtype=">u2")
     header = f"P5\n{grid.nx} {grid.ny + 1}\n65535\n".encode("ascii")
-    _write_bytes(path, header + samples.tobytes())
-    _write_text(os.path.splitext(path)[0] + ".range.txt", f"{lo:.16e} {hi:.16e}\n")
+    _write(path, header + samples.tobytes())
+    _write(os.path.splitext(path)[0] + ".range.txt", f"{lo:.16e} {hi:.16e}\n")
 
 
 @contextlib.contextmanager
@@ -461,7 +445,7 @@ def _cmd_stationary(c: Config) -> int:
         write_snapshot(result.chi_inf, model.grid, os.path.join(out_dir, "chi_inf.csv"))
         if c.output.write_pgm:
             write_pgm(result.chi_inf, model.grid, os.path.join(out_dir, "chi_inf.pgm"))
-        _write_text(os.path.join(out_dir, "stationary_summary.txt"), summary)
+        _write(os.path.join(out_dir, "stationary_summary.txt"), summary)
     print(summary, end="")
     return 0
 
@@ -469,24 +453,23 @@ def _cmd_stationary(c: Config) -> int:
 def _cmd_ode(c: Config) -> int:
     if c.init.theta_kind != "constant" or c.init.chi_kind != "constant":
         raise ConfigError("the ode command requires constant init presets")
-    model_pot = _make_potential(c.potential_bulk)
-    lat = LatentHeat(c.latent_bulk.a, c.latent_bulk.b, c.latent_bulk.c)
     t, theta, chi = integrate_homogeneous(
-        c.init.theta_value, c.init.chi_value, model_pot, lat,
-        tau_ref=c.time.dt, t_end=c.time.t_end)
+        c.init.theta_value, c.init.chi_value, Potential(**vars(c.potential_bulk)),
+        LatentHeat(**vars(c.latent_bulk)), tau_ref=c.time.dt, t_end=c.time.t_end)
     lines = ["t,theta,chi"]
     lines += [f"{ti:.16e},{th:.16e},{ch:.16e}" for ti, th, ch in zip(t, theta, chi)]
     with _output_lock(c.output.dir) as out_dir:
-        _write_text(os.path.join(out_dir, "ode.csv"), "\n".join(lines) + "\n")
+        _write(os.path.join(out_dir, "ode.csv"), "\n".join(lines) + "\n")
     print(f"ode: {len(t)} samples to t = {t[-1]:.6g}")
     return 0
 
 
+# name: (handler, help text); the order is the order of the help listing.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "stationary": _cmd_stationary,
-    "check": _cmd_check,
-    "ode": _cmd_ode,
+    "simulate": (_cmd_simulate, "time-step the coupled system and write diagnostics"),
+    "stationary": (_cmd_stationary, "solve the steady-state system at the initial mass"),
+    "check": (_cmd_check, "print the config validation report"),
+    "ode": (_cmd_ode, "integrate the spatially homogeneous reduction"),
 }
 
 
@@ -505,12 +488,7 @@ def cli_main(argv=None) -> int:
         description="Phase-field simulator on a periodic strip with coupled "
                     "dynamic boundary conditions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("simulate", "time-step the coupled system and write diagnostics"),
-        ("stationary", "solve the steady-state system at the initial mass"),
-        ("check", "print the config validation report"),
-        ("ode", "integrate the spatially homogeneous reduction"),
-    ):
+    for name, (_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--output", default=None, help="override output.dir")
@@ -520,7 +498,7 @@ def cli_main(argv=None) -> int:
         c = load_config(args.config)
         if args.output is not None:
             c = replace(c, output=replace(c.output, dir=args.output))
-        return _COMMANDS[args.command](c)
+        return _COMMANDS[args.command][0](c)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,6 +36,7 @@ NEWTON_ABS_FLOOR = 1.0e-12
 NEWTON_NOISE_FACTOR = 8.0
 EPS = float(np.finfo(float).eps)
 MIN_BACKTRACK = 2.0 ** -60
+MIN_TAU_FRACTION = 1.0 / 1024.0   # default adaptive floor, min_tau = MIN_TAU_FRACTION tau
 
 
 def _keep_freed_heap() -> None:
@@ -158,7 +159,7 @@ class StepperConfig:
         if self.tau <= 0.0:
             raise ConfigError("tau must be positive")
         if self.min_tau is None:
-            self.min_tau = self.tau / 1024.0
+            self.min_tau = self.tau * MIN_TAU_FRACTION
         if not 0.0 < self.min_tau <= self.tau:
             raise ConfigError("min_tau must satisfy 0 < min_tau <= tau")
         if not 0.0 < self.guard_eps < 1.0:
@@ -272,6 +273,9 @@ class HeatSource:
 
     def value(self, t: float) -> np.ndarray:
         return self.profile * math.cos(self.omega * t)
+
+
+SOURCE_KINDS = ("zero", "sinusoid")
 
 
 def make_source(model: Model, kind: str, amplitude: float = 0.0, kx: int = 1,
@@ -440,6 +444,9 @@ def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: Laten
     chi_arr = np.array(chis)
     theta_arr = e0 + a * chi_arr * chi_arr - b * chi_arr - c0
     return np.array(ts), theta_arr, chi_arr
+
+
+PRESET_KINDS = ("constant", "sinusoid", "tanh_stripe", "random")
 
 
 def preset_field(grid: Grid, kind: str, *, value: float = 0.0, amplitude: float = 0.0,

@@ -12,9 +12,11 @@ import pfstrip.io_cli as io_cli
 from pfstrip import build_grid
 from pfstrip.errors import ConfigError, IoError
 from pfstrip.functionals import DiagnosticsRow
-from pfstrip.io_cli import (CSV_HEADER, cli_main, format_diagnostics_row,
-                            parse_config, serialize_config, validate_config,
-                            write_pgm, write_snapshot)
+from pfstrip.io_cli import (CSV_HEADER, build_model, build_source, build_stepper_config,
+                            cli_main, format_diagnostics_row, parse_config,
+                            serialize_config, validate_config, write_pgm, write_snapshot)
+from pfstrip.potentials import LatentHeat, Potential
+from pfstrip.timestepper import StepperConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -106,6 +108,40 @@ def test_parse_missing_required_key():
 def test_parse_min_dt_above_dt():
     with pytest.raises(ConfigError, match="min_dt must not exceed"):
         parse_config(with_lines("time.min_dt = 0.02"))
+
+
+def test_config_sections_reach_objects():
+    """Every non-default solver, time, source, potential and latent value
+    reaches the StepperConfig, the HeatSource and the Model built from it."""
+    c = parse_config(with_lines(
+        "time.min_dt = 0.004",
+        "solver.newton_tol = 3e-9", "solver.newton_max_iter = 17",
+        "solver.cg_tol = 4e-11", "solver.guard_eps = 2e-9",
+        "source.kind = sinusoid", "source.amplitude = 0.3", "source.kx = 2",
+        "source.omega = 5.0",
+        "potential_bulk.kind = quartic", "potential_bulk.delta = 0.7",
+        "potential_surf.delta = 0.4",
+        "latent_bulk.a = 0.11", "latent_bulk.b = 0.22", "latent_bulk.c = 0.33",
+        "latent_surf.a = 0.44", "latent_surf.b = 0.55", "latent_surf.c = 0.66"))
+    expected = StepperConfig(tau=0.01, newton_tol=3e-9, newton_max_iter=17, guard_eps=2e-9,
+                             min_tau=0.004, cg_tol=4e-11)
+    defaults = StepperConfig(tau=0.01)
+    assert build_stepper_config(c) == expected
+    for name in ("newton_tol", "newton_max_iter", "guard_eps", "min_tau", "cg_tol"):
+        assert getattr(expected, name) != getattr(defaults, name), name
+
+    m = build_model(c)
+    assert (m.grid.lx, m.grid.ly, m.grid.nx, m.grid.ny) == (1.0, 1.0, 8, 4)
+    assert (m.p_bulk, m.p_surf) == (Potential("quartic", 0.7), Potential("logarithmic", 0.4))
+    assert m.l_bulk == LatentHeat(0.11, 0.22, 0.33)
+    assert m.l_surf == LatentHeat(0.44, 0.55, 0.66)
+
+    src = build_source(c, m)
+    g = m.grid
+    # kx = 2 has zero dm-mean on the periodic grid, so nothing is projected out.
+    np.testing.assert_allclose(src.profile, 0.3 * np.cos(4.0 * np.pi * g.x / g.lx),
+                               rtol=0.0, atol=1e-15)
+    assert src.omega == 5.0
 
 
 def test_serialize_round_trip():
@@ -221,6 +257,19 @@ def test_pgm_grammar(tmp_path):
     assert sidecar == "-1.0000000000000000e+00 1.7500000000000000e+00\n"
 
 
+def test_pgm_roundoff_field_is_flat(tmp_path):
+    """A field constant up to round-off maps to 0; an O(1) field keeps full contrast."""
+    g = build_grid(1.0, 1.0, 4, 2)
+    field = np.arange(12, dtype=float) * 0.25 - 1.0
+    for scale, top in ((1.0e-20, 0), (1.0, 65535)):
+        path = tmp_path / f"f{top}.pgm"
+        write_pgm(scale * field, g, str(path))
+        samples = np.frombuffer(path.read_bytes()[len(b"P5\n4 3\n65535\n"):], dtype=">u2")
+        assert (samples.min(), samples.max()) == (0, top)
+        lo, hi = map(float, (tmp_path / f"f{top}.range.txt").read_text().split())
+        assert (lo, hi) == (-scale, 1.75 * scale)
+
+
 def test_pgm_constant_field(tmp_path):
     g = build_grid(1.0, 1.0, 4, 2)
     path = tmp_path / "flat.pgm"
@@ -233,6 +282,20 @@ def test_pgm_constant_field(tmp_path):
 
 
 # -------------------------------------------------------------------- CLI
+
+
+def test_cli_help_lists_commands(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [[line.split() for line in lines].index([name, *blurb.split()]) for name, blurb in (
+        ("simulate", "time-step the coupled system and write diagnostics"),
+        ("stationary", "solve the steady-state system at the initial mass"),
+        ("check", "print the config validation report"),
+        ("ode", "integrate the spatially homogeneous reduction"))]
+    assert rows == sorted(rows)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):

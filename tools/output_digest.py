@@ -1,0 +1,82 @@
+"""Run 22 fixed command-line cases in-process and print a JSON digest of them.
+
+    python3 tools/output_digest.py SRC_DIR > digest.json
+
+Cases: configs/example.cfg through all four commands, the benchmark workload
+configs at seeds 1 and 7, the known-defect probe, six rejected configs and
+the help texts.  Per case: exit code, stdout, stderr and the sha256 of every
+output file.  pfstrip comes from SRC_DIR and the inputs from this repository,
+so the diff of two trees' digests shows any output byte a change moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402
+
+
+def example(old: str = "", new: str = "") -> str:
+    """configs/example.cfg with the line old replaced by new (appended if old is empty)."""
+    with open(os.path.join(ROOT, "configs", "example.cfg"), encoding="ascii") as fh:
+        text = fh.read()
+    assert old in text, old
+    return text.replace(old, new) if old else text + new + "\n"
+
+
+def cases() -> dict:
+    out = {cmd: ([cmd], example()) for cmd in ("check", "simulate", "stationary")}
+    out["ode"] = (["ode"], example("init.chi_kind = tanh_stripe",
+                                   "init.chi_kind = constant\ninit.chi_value = 0.3"))
+    out["ode_nonconstant"] = (["ode"], example())
+    for seed in (1, 7):
+        for name, cmd, size in (("cli_snapshots", "simulate", "full"),
+                                ("stationary_96", "stationary", "full"),
+                                ("homog_8x4", "simulate", "tiny"),
+                                ("stripe_96", "simulate", "tiny")):
+            out[f"{name}_{seed}"] = ([cmd], workloads.config_text(name, seed, size, "out"))
+    out["probe"] = (["stationary"], workloads.probe_config_text("out"))
+    for i, edit in enumerate((("domain.nx = 32", "domain.nx = 3"),
+                              ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
+                              ("", "time.min_dt = 0.01"),
+                              ("init.chi_kind = tanh_stripe", "init.chi_kind = wave"),
+                              ("", "source.kind = square"), ("", "solver.newton_tol = -1"))):
+        out[f"bad_{i}"] = (["check"], example(*edit))
+    out.update(help=(["--help"], None), simulate_help=(["simulate", "--help"], None))
+    return out
+
+
+def run_case(cli_main, argv: list, text, work: str) -> dict:
+    out_dir, cfg = os.path.join(work, "out"), os.path.join(work, "run.cfg")
+    if text is not None:
+        with open(cfg, "w", encoding="ascii") as fh:
+            fh.write(text)
+        argv = argv + ["--config", cfg, "--output", out_dir]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    names = sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []
+    files = {n: hashlib.sha256((Path(out_dir) / n).read_bytes()).hexdigest() for n in names}
+    return {"exit": code, "stdout": out.getvalue().replace(work, "<work>"),
+            "stderr": err.getvalue().replace(work, "<work>"), "files": files}
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"   # argparse wraps its help to the terminal width
+    sys.path.insert(0, os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else "src"))
+    from pfstrip.io_cli import cli_main
+    result = {}
+    for name, (argv, text) in cases().items():
+        with tempfile.TemporaryDirectory() as work:
+            result[name] = run_case(cli_main, argv, text, work)
+    print(json.dumps(result, indent=1, sort_keys=True))
