@@ -161,15 +161,20 @@ class ShiftedInverse:
     K + c M = D (x) (A_x + c I) + K_y (x) I.  qx is the real Fourier basis
     diagonalizing A_x (eigenvalues a_k); vy solves K_y V = D V diag(s) with
     V^T D V = I.  Then (K + c M)^-1 R = V [(V^T R qx) / (s_l + a_k + c)] qx^T.
+    solver(c) forms s_l + a_k + c once and returns the callable r -> (K + c M)^-1 r.
     """
 
     vy: np.ndarray
     qx: np.ndarray
     eig: np.ndarray   # s_l + a_k, shape (ny+1, nx)
 
-    def solve(self, c: float, r: np.ndarray) -> np.ndarray:
-        y = self.vy.T @ r.reshape(self.eig.shape) @ self.qx
-        return (self.vy @ (y / (self.eig + c)) @ self.qx.T).ravel()
+    def solver(self, c: float):
+        den = self.eig + c
+        def solve(r: np.ndarray) -> np.ndarray:
+            y = self.vy.T @ r.reshape(den.shape) @ self.qx
+            y /= den
+            return (self.vy @ y @ self.qx.T).ravel()
+        return solve
 
 
 def assemble_shifted_inverse(g: Grid, m: MassVectors) -> ShiftedInverse:
@@ -194,7 +199,9 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
     apply(z) the full operator product (P + diag(split)) z.  P p follows the
     recurrence P p <- r + beta P p, so each iteration forms the operator
     product as P p + split p, and apply runs only for the true-residual
-    checks (after Eisenstat's trick).  Stops when the true residual satisfies
+    checks (after Eisenstat's trick).  Each iteration checks the residual,
+    preconditions it and updates, so precond runs once per iteration and never
+    after the last update.  Stops when the true residual satisfies
     ||apply(x) - rhs||_2 <= tol ||rhs||_2; restarts from the true residual when
     only the recurrence does, and raises SolverError after MAX_RESTARTS
     restarts.  Sequential and deterministic for fixed inputs.
@@ -208,10 +215,7 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
         return np.zeros_like(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = precond(r)
-    p = z.copy()
-    pp = r.copy()   # P p
-    rz = float(r @ z)
+    p = None   # (re)start: p and P p are set from the next preconditioned residual
     restarts = 0
     for it in range(max_iter):
         if math.sqrt(r @ r) <= tol * bnorm:
@@ -223,11 +227,18 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
             if restarts > MAX_RESTARTS:
                 raise SolverError(f"conjugate gradients stagnated: {MAX_RESTARTS} restarts "
                                   f"in {it} iterations")
-            r = r_true
-            z = precond(r)
-            p = z.copy()
-            pp = r.copy()
-            rz = float(r @ z)
+            r, p = r_true, None
+        z = precond(r)
+        rz_new = float(r @ z)
+        if p is None:
+            p, pp = z.copy(), r.copy()   # p and P p
+        else:
+            beta = rz_new / rz
+            p *= beta
+            p += z
+            pp *= beta
+            pp += r
+        rz = rz_new
         q = pp + split * p
         pq = float(p @ q)
         if pq <= 0.0:
@@ -235,12 +246,6 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        z = precond(r)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        p = z + beta * p
-        pp = r + beta * pp
-        rz = rz_new
     r = rhs - apply(x)
     if math.sqrt(r @ r) <= tol * bnorm:
         return x

@@ -453,6 +453,9 @@ def _cmd_stationary(c: Config) -> int:
 def _cmd_ode(c: Config) -> int:
     if c.init.theta_kind != "constant" or c.init.chi_kind != "constant":
         raise ConfigError("the ode command requires constant init presets")
+    for surf, bulk in (("potential_surf", "potential_bulk"), ("latent_surf", "latent_bulk")):
+        if vars(getattr(c, surf)) != vars(getattr(c, bulk)):
+            raise ConfigError(f"the ode command requires {surf} equal to {bulk}")
     t, theta, chi = integrate_homogeneous(
         c.init.theta_value, c.init.chi_value, Potential(**vars(c.potential_bulk)),
         LatentHeat(**vars(c.latent_bulk)), tau_ref=c.time.dt, t_end=c.time.t_end)

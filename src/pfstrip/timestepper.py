@@ -117,7 +117,7 @@ class Model:
         P + diag(d - c m_comb), so CG carries P p and applies K only to check."""
         k, inv, mc = self.stiffness, self.shifted_inverse, self.masses.m_comb
         c = float(d @ self.inv_m_comb) / d.size
-        return solve_spd(lambda z: k.apply(z) + d * z, lambda v: inv.solve(c, v), -r,
+        return solve_spd(lambda z: k.apply(z) + d * z, inv.solver(c), -r,
                          d - c * mc, tol=tol)
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -164,6 +164,10 @@ class StepperConfig:
             raise ConfigError("min_tau must satisfy 0 < min_tau <= tau")
         if not 0.0 < self.guard_eps < 1.0:
             raise ConfigError("guard_eps must lie in (0, 1)")
+        if not (self.newton_tol > 0.0 and self.cg_tol > 0.0):
+            raise ConfigError("newton_tol and cg_tol must be positive")
+        if self.newton_max_iter < 1:
+            raise ConfigError("newton_max_iter must be at least 1")
 
 
 def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:

@@ -166,7 +166,7 @@ def mass_shift(nx, ny, c):
     k = assemble_stiffness(g)
     m = assemble_masses(g)
     inv = assemble_shifted_inverse(g, m)
-    return (lambda z: c * m.m_comb * z + k.apply(z), lambda v: inv.solve(c, v),
+    return (lambda z: c * m.m_comb * z + k.apply(z), inv.solver(c),
             m.m_comb, np.zeros(g.n_nodes))
 
 
@@ -200,7 +200,7 @@ def test_solve_spd_mean_zero_preservation(rng):
 
 
 def test_solve_spd_iteration_cap(rng):
-    apply_fn, precond, e, _ = split_system(8, 4)
+    apply_fn, precond, e = split_system(8, 4)
     rhs = rng.standard_normal(e.size)
     with pytest.raises(SolverError):
         solve_spd(apply_fn, precond, rhs, e, tol=1e-14, max_iter=2)
@@ -230,7 +230,7 @@ def test_shifted_inverse_matches_dense_solve(rng, lx, ly, nx, ny, c):
     rhs = rng.standard_normal(g.n_nodes)
     dense = oracles.dense_matrix(lambda z: k.apply(z) + c * m.m_comb * z, g.n_nodes)
     xd = np.linalg.solve(dense, rhs)
-    x = assemble_shifted_inverse(g, m).solve(c, rhs)
+    x = assemble_shifted_inverse(g, m).solver(c)(rhs)
     assert np.linalg.norm(x - xd) <= 1e-10 * np.linalg.norm(xd)
 
 
@@ -250,10 +250,19 @@ def test_shifted_inverse_pcg_agrees_with_dense_solve(rng):
     c = float(np.mean(d / m.m_comb))
     inv = assemble_shifted_inverse(g, m)
     tol = 1e-10
-    x = solve_spd(apply_fn, lambda v: inv.solve(c, v), rhs, d - c * m.m_comb, tol=tol)
+    x = solve_spd(apply_fn, inv.solver(c), rhs, d - c * m.m_comb, tol=tol)
     xd = np.linalg.solve(oracles.dense_matrix(apply_fn, g.n_nodes), rhs)
     assert np.linalg.norm(apply_fn(x) - rhs) <= tol * np.linalg.norm(rhs)
     assert np.linalg.norm(x - xd) <= 10 * tol * np.linalg.norm(xd)
+
+
+def counted(fn):
+    """fn with a call counter in .calls."""
+    def wrapped(v):
+        wrapped.calls += 1
+        return fn(v)
+    wrapped.calls = 0
+    return wrapped
 
 
 def split_system(nx, ny):
@@ -264,24 +273,53 @@ def split_system(nx, ny):
     d = phase_shift(g, m)
     c = float(np.mean(d / m.m_comb))
     inv = assemble_shifted_inverse(g, m)
-    calls = [0]
-
-    def apply_fn(z):
-        calls[0] += 1
-        return k.apply(z) + d * z
-
-    return apply_fn, lambda v: inv.solve(c, v), d - c * m.m_comb, calls
+    return counted(lambda z: k.apply(z) + d * z), inv.solver(c), d - c * m.m_comb
 
 
 def test_split_pcg_agrees_with_dense_solve_and_skips_applies(rng):
-    apply_fn, precond, e, calls = split_system(16, 16)
+    apply_fn, precond, e = split_system(16, 16)
     rhs = rng.standard_normal(e.size)
     tol = 1e-10
     x = solve_spd(apply_fn, precond, rhs, e, tol=tol)
-    assert calls[0] <= 2, calls[0]
+    assert apply_fn.calls <= 2, apply_fn.calls
     xd = np.linalg.solve(oracles.dense_matrix(apply_fn, e.size), rhs)
     assert np.linalg.norm(apply_fn(x) - rhs) <= tol * np.linalg.norm(rhs)
     assert np.linalg.norm(x - xd) <= 10 * tol * np.linalg.norm(xd)
+
+
+def test_solve_spd_makes_one_precond_apply_per_update(rng):
+    # with split 0 the exact inverse solves in one update: one apply of each
+    apply_fn, precond, mc, zero = mass_shift(16, 16, 1.0)
+    apply_fn, precond = counted(apply_fn), counted(precond)
+    solve_spd(apply_fn, precond, rng.standard_normal(mc.size), zero)
+    assert (precond.calls, apply_fn.calls) == (1, 1)
+    # the split system: as many applies as updates, the least max_iter that converges
+    apply_fn, precond, e = split_system(16, 16)
+    precond = counted(precond)
+    rhs = rng.standard_normal(e.size)
+    x = solve_spd(apply_fn, precond, rhs, e)
+    n = precond.calls
+    assert n > 1
+    assert np.array_equal(solve_spd(apply_fn, precond, rhs, e, max_iter=n), x)
+    with pytest.raises(SolverError, match=f"in {n - 1} iterations"):
+        solve_spd(apply_fn, precond, rhs, e, max_iter=n - 1)
+
+
+def test_solve_spd_loose_tolerance_returns_zeros_without_precond(rng):
+    apply_fn, precond, mc, zero = mass_shift(8, 4, 1.0)
+    precond = counted(precond)
+    x = solve_spd(apply_fn, precond, rng.standard_normal(mc.size), zero, tol=1.0)
+    assert not x.any() and precond.calls == 0
+
+
+def test_solve_spd_precond_may_return_its_argument(rng):
+    # P = I with P^-1 returning r itself: the in-place recurrences must not alias it
+    rhs = rng.standard_normal(40)
+    assert np.allclose(solve_spd(lambda z: z, lambda v: v, rhs, np.zeros(40)), rhs,
+                       rtol=1e-10, atol=1e-12)
+    e = np.repeat([0.0, 0.5, 1.0, 2.0, 4.0], 8)
+    x = solve_spd(lambda z: (1.0 + e) * z, lambda v: v, rhs, e, tol=1e-12)
+    assert np.allclose(x, rhs / (1.0 + e), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("nx,ny", [(8, 4), (16, 16)])
@@ -289,7 +327,7 @@ def test_split_pcg_agrees_with_dense_solve_and_skips_applies(rng):
 def test_split_pcg_with_a_wrong_split_verifies_or_raises(rng, nx, ny, factor):
     # factor 0 and 3 converge by restarts from the true residual; -20 and 50
     # make the recurrence operator indefinite or divergent
-    apply_fn, precond, e, _ = split_system(nx, ny)
+    apply_fn, precond, e = split_system(nx, ny)
     rhs = rng.standard_normal(e.size)
     try:
         x = solve_spd(apply_fn, precond, rhs, factor * e, tol=1e-10)
@@ -302,8 +340,8 @@ def test_split_pcg_with_a_wrong_split_verifies_or_raises(rng, nx, ny, factor):
 def test_split_pcg_caps_its_restarts(rng):
     # split -20 e on 16x16 stagnates: the recurrence converges, the true residual
     # does not, and every check restarts; the solve must stop at the cap
-    apply_fn, precond, e, calls = split_system(16, 16)
+    apply_fn, precond, e = split_system(16, 16)
     rhs = rng.standard_normal(e.size)
     with pytest.raises(SolverError, match="restarts"):
         solve_spd(apply_fn, precond, rhs, -20.0 * e, tol=1e-10)
-    assert calls[0] <= MAX_RESTARTS + 1, calls[0]
+    assert apply_fn.calls <= MAX_RESTARTS + 1, apply_fn.calls

@@ -442,6 +442,21 @@ def test_cli_ode_rejects_nonconstant_presets(tmp_path, capsys):
     assert "constant init presets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [("latent_surf.a = -0.5", "latent_surf.a = 0.7"),
+                                  ("potential_surf.delta = 3.0", "potential_surf.delta = 0.5")])
+def test_cli_ode_rejects_surface_sections_unlike_the_bulk(tmp_path, capsys, edit):
+    # the homogeneous ODE is the reduction of the system only for equal sections
+    with open(os.path.join(os.path.dirname(GOLDEN), "..", "configs", "example.cfg")) as fh:
+        text = fh.read().replace("init.chi_kind = tanh_stripe",
+                                 "init.chi_kind = constant\ninit.chi_value = 0.3")
+    assert edit[0] in text
+    cfg = write_cfg(tmp_path, text.replace(*edit))
+    assert cli_main(["ode", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    section = edit[1].split(".")[0]
+    assert f"requires {section} equal to" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "ode.csv").exists()
+
+
 def test_cli_runs_are_byte_identical(tmp_path):
     text = with_lines("time.t_end = 0.05",
                       "time.snapshot_every = 2",

@@ -29,6 +29,14 @@ def test_config_defaults_and_bounds():
         StepperConfig(tau=0.01, guard_eps=2.0)
 
 
+@pytest.mark.parametrize("bad", [dict(newton_tol=-1.0), dict(newton_tol=0.0), dict(cg_tol=0.0),
+                                 dict(cg_tol=-1e-10), dict(newton_max_iter=0)])
+def test_config_rejects_nonpositive_solver_controls(bad):
+    # the same bounds the config file's schema enforces, for direct construction
+    with pytest.raises(ConfigError):
+        StepperConfig(tau=0.01, **bad)
+
+
 def test_step_chi_zero_fixed_point():
     m = make_model(p_bulk=Potential.quartic(0.0))
     s = constant_state(m, 1.0, 0.0)
