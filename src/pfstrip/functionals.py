@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid_ops import MassVectors
-from .potentials import evaluate, latent_eval
+from .potentials import latent_eval
 
 if TYPE_CHECKING:   # timestepper imports this module
     from .timestepper import Model
@@ -103,32 +103,30 @@ def _parts(s: State, model: Model):
     return (model.masses.m_bulk, theta, chi), (model.ms_bnd, theta[bnd], chi[bnd])
 
 
-def _mass_sum(parts, latents) -> float:
-    """Integral of the mass density theta + lambda(chi) over the parts."""
-    return sum(float(w @ (theta + latent_eval(l, chi)[0]))
-               for (w, theta, chi), l in zip(parts, latents))
+def _mass_sum(parts, lams) -> float:
+    """Integral of theta + lambda(chi) over the parts, lams their lambda values."""
+    return sum(float(w @ (theta + lam)) for (w, theta, _), lam in zip(parts, lams))
 
 
-def _entropy_sum(parts, potentials) -> float:
-    """Integral of the entropy density ln theta + s0(chi) over the parts, with
-    s0(r) = delta r^2/2 - F(r); the gradient term is not included."""
-    return sum(float(w @ (np.log(theta) + (0.5 * p.delta * chi * chi - evaluate(p, chi)[0])))
-               for (w, theta, chi), p in zip(parts, potentials))
+def mass_mu(s: State, model: Model, at=None) -> float:
+    """Internal-energy mass: integral of theta + lambda(chi), bulk plus surface,
+    with lambda read from at = Model.phase_values(s.chi) or evaluated here."""
+    parts = _parts(s, model)
+    lams = ((at.bulk.lam, at.surf.lam) if at is not None else
+            [latent_eval(l, chi)[0] for (_, _, chi), l in zip(parts, (model.l_bulk, model.l_surf))])
+    return _mass_sum(parts, lams)
 
 
-def mass_mu(s: State, model: Model) -> float:
-    """Internal-energy mass: integral of theta + lambda(chi), bulk plus surface."""
-    return _mass_sum(_parts(s, model), (model.l_bulk, model.l_surf))
-
-
-def row_functionals(s: State, model: Model) -> tuple[float, float, float]:
-    """(mass, energy, entropy) from one pass over theta, ln theta, F(chi),
-    lambda(chi) and one gradient term chi^T K chi / 2, with energy = mass - entropy."""
+def row_functionals(s: State, model: Model, at=None) -> tuple[float, float, float]:
+    """(mass, energy, entropy) from theta, ln theta, F and lambda in at (computed
+    if not given) and one gradient term chi^T K chi / 2; energy = mass - entropy."""
     if not s.u.max() < 0.0:
         raise DomainError("energy and entropy require u < 0")
-    parts = _parts(s, model)
-    mu = _mass_sum(parts, (model.l_bulk, model.l_surf))
-    s_nodal = _entropy_sum(parts, (model.p_bulk, model.p_surf))
+    at = model.phase_values(s.chi) if at is None else at
+    parts, values = _parts(s, model), (at.bulk, at.surf)
+    mu = _mass_sum(parts, (at.bulk.lam, at.surf.lam))
+    s_nodal = sum(float(w @ (np.log(theta) + (0.5 * p.delta * chi * chi - v.big_f)))
+                  for (w, theta, chi), v, p in zip(parts, values, (model.p_bulk, model.p_surf)))
     half_grad = 0.5 * model.stiffness.quad(s.chi)
     return mu, mu - s_nodal + half_grad, s_nodal - half_grad
 

@@ -231,6 +231,7 @@ class ValidationReport:
     mu0: float | None
     hypotheses: HypothesisReport
     source_projected_mean: float
+    initial_state: State | None   # built from the init presets; None if that failed
 
     def render(self) -> str:
         lines = []
@@ -285,7 +286,7 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     projected = source.projected_mean if source is not None else 0.0
 
     state_err = None
-    mu0 = None
+    mu0 = s0 = None
     try:
         s0 = build_initial_state(c, model)
         s0.validate(model)
@@ -301,7 +302,7 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     return ValidationReport(
         ok=ok, compatibility=compat, compatibility_error=compat_err,
         coercivity=coerc, initial_state_error=state_err, mu0=mu0,
-        hypotheses=hyp, source_projected_mean=projected,
+        hypotheses=hyp, source_projected_mean=projected, initial_state=s0,
     )
 
 
@@ -417,11 +418,10 @@ def _cmd_simulate(c: Config) -> int:
     if not report.ok:
         print(report.render(), file=sys.stderr)
         return 3
-    s0 = build_initial_state(c, model)
     source = build_source(c, model)
     cfg = build_stepper_config(c)
     with _output_lock(c.output.dir) as out_dir:
-        rows, _ = run(model, cfg, s0, c.time.t_end, source=source,
+        rows, _ = run(model, cfg, report.initial_state, c.time.t_end, source=source,
                       snapshot_every=c.time.snapshot_every,
                       on_snapshot=_snapshot_writer(c, model))
         write_diagnostics(rows, os.path.join(out_dir, "diagnostics.csv"))
@@ -436,7 +436,7 @@ def _cmd_stationary(c: Config) -> int:
     if not report.ok:
         print(report.render(), file=sys.stderr)
         return 3
-    s0 = build_initial_state(c, model)
+    s0 = report.initial_state
     theta0 = dm_mean(s0.theta, model.masses)
     result = solve_stationary(report.mu0, (theta0 / 4.0, theta0 * 4.0),
                               s0.chi, model, tol=c.solver.newton_tol)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AdmissibilityError, BracketError, SolverError
 from .functionals import State, dm_mean, dm_std, mass_mu
 from .potentials import latent_range, separating_slope_margin
-from .timestepper import Model, _newton, measure_norm
+from .timestepper import Model, PhaseValues, _newton, measure_norm
 
 STATIONARY_GUARD_EPS = 1.0e-12
 BRACKET_EXPANSIONS = 10
@@ -77,29 +77,16 @@ def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
     )
 
 
-def _linearization(u_inf: float, model: Model):
-    """linearize(chi) -> (r, d): the stationary phase residual at (chi, u_inf),
-    Model.implicit_terms minus Model.lagged_terms, and its Jacobian diagonal
-    m (f' - delta - lambda'' u_inf), clamped from below at 1e-10 m_comb."""
-    floor = 1.0e-10 * model.masses.m_comb
-
-    def linearize(chi):
-        r, d = model.implicit_terms(chi)
-        r_lag, d_lag = model.lagged_terms(chi, u_inf)
-        return r - r_lag, np.maximum(d - d_lag, floor)
-
-    return linearize
-
-
 def stationary_phase_residual(chi: np.ndarray, u_inf: float, model: Model) -> np.ndarray:
     """Residual vector of the stationary phase system at (chi, u_inf)."""
-    return model.implicit_terms(chi)[0] - model.lagged_terms(chi, u_inf)[0]
+    at = model.phase_values(chi)
+    return at.implicit[0] - model.lagged_terms(at, u_inf)[0]
 
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,
-                      max_iter: int = 200) -> tuple[np.ndarray, float]:
+                      max_iter: int = 200) -> tuple[np.ndarray, float, PhaseValues]:
     """Damped Newton (timestepper._newton) for the stationary phase system at
-    fixed u_inf; returns (chi, residual).
+    fixed u_inf; returns (chi, residual, Model.phase_values(chi)).
 
     The true Jacobian diagonal m (f' - delta - lambda'' u_inf) can lose
     positivity; it is clamped from below at a small multiple of the combined
@@ -108,16 +95,23 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     the L^2(dm) density norm and driven below the absolute tol, or to their
     round-off level, which next to a singular wall can lie above tol.
     """
+    floor = 1.0e-10 * model.masses.m_comb
+
+    def linearize(chi):
+        v = model.phase_values(chi)
+        (r, d), (r_lag, d_lag) = v.implicit, model.lagged_terms(v, u_inf)
+        return r - r_lag, np.maximum(d - d_lag, floor), v
+
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    chi, _, residual = _newton(guess, _linearization(u_inf, model), model, lo, hi,
-                               1.0e-12, max_iter, 0.0, tol)
-    return chi, residual
+    chi, _, residual, v = _newton(guess, linearize, model, lo, hi, 1.0e-12, max_iter, 0.0, tol)
+    return chi, residual, v
 
 
-def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model) -> float:
-    """Mass of the candidate steady state minus the target mass."""
+def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model, at=None) -> float:
+    """Mass of the candidate steady state minus the target mass; at is
+    Model.phase_values(chi_inf), computed if not given."""
     steady = State(0.0, np.full(chi_inf.shape, u_inf), chi_inf)
-    return mass_mu(steady, model) - mu_target
+    return mass_mu(steady, model, at) - mu_target
 
 
 def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
@@ -142,10 +136,10 @@ def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
 
     def point_at(u) -> StationaryResult:
         nonlocal warm
-        warm, residual = solve_chi_given_u(u, warm, model, tol)
+        warm, residual, at = solve_chi_given_u(u, warm, model, tol)
         return StationaryResult(
             u_inf=float(u), theta_inf=float(-1.0 / u), chi_inf=warm,
-            phase_residual=residual, mass_gap=mass_gap(u, warm, mu_target, model),
+            phase_residual=residual, mass_gap=mass_gap(u, warm, mu_target, model, at),
             mu_target=mu_target, separation=float(1.0 - np.max(np.abs(warm))),
             hypothesis_report=hyp)
 

@@ -15,12 +15,17 @@ Newton iterates are globalized by residual backtracking (factor 1/2) inside
 a domain guard: u <= -guard_eps always, and for singular potentials the
 phase stays a guard_eps distance from the domain endpoints.  The guard box
 is convex, so once a damped step is feasible every shorter step is, too.
+
+Model.phase_values evaluates f, f', F, lambda, lambda' and K chi once per phase iterate;
+the Stepper carries them and K u of the accepted iterates into the next step and its row,
+so a step of one Newton iteration per solve makes 2 evaluate, 2 latent_eval, 4 K applies.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +61,20 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
+Laws = namedtuple("Laws", "big_f lam lamp lampp")   # F, lambda, lambda', lambda''
+# Model.phase_values: bulk Laws at chi, surface Laws at its boundary rows chi_b, and the
+# implicit terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve
+PhaseValues = namedtuple("PhaseValues", "chi chi_b bulk surf implicit")
+
+
 @dataclass(eq=False)
 class Model:
     """Grid, measures, stiffness, the four constitutive ingredients, and the
     exact inverse of K + c m_comb that preconditions every Newton solve.
 
     grid.boundary and ms_bnd are the bulk/boundary split, read here and by the
-    functionals.  The *_terms methods compose the phase operator: each puts
-    the bulk term on every row and the surface term on the boundary rows."""
+    functionals.  phase_values and the *_terms methods compose the phase operator:
+    each puts the bulk term on every row and the surface term on the boundary rows."""
 
     grid: Grid
     masses: MassVectors
@@ -89,27 +100,26 @@ class Model:
         out[self.grid.boundary] += self.ms_bnd * surf
         return out
 
-    def implicit_terms(self, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K chi + m f(chi), m f'(chi)): the convex part, implicit in every solve."""
-        _, f_b, fp_b = evaluate(self.p_bulk, chi)
-        _, f_s, fp_s = evaluate(self.p_surf, chi[self.grid.boundary])
-        return self.stiffness.apply(chi) + self._compose(f_b, f_s), self._compose(fp_b, fp_s)
+    def phase_values(self, chi: np.ndarray) -> PhaseValues:
+        """PhaseValues at chi: two evaluate and two latent_eval calls and one K chi."""
+        chi_b = chi[self.grid.boundary]
+        (F_b, f_b, fp_b), (F_s, f_s, fp_s) = evaluate(self.p_bulk, chi), evaluate(self.p_surf, chi_b)
+        return PhaseValues(chi, chi_b, Laws(F_b, *latent_eval(self.l_bulk, chi)),
+                           Laws(F_s, *latent_eval(self.l_surf, chi_b)),
+                           (self.stiffness.apply(chi) + self._compose(f_b, f_s),
+                            self._compose(fp_b, fp_s)))
 
-    def lagged_terms(self, chi: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    def lagged_terms(self, v: PhaseValues, u) -> tuple[np.ndarray, np.ndarray]:
         """(m (delta chi + lambda'(chi) u), m (delta + lambda'' u)): the concave
         part and the temperature coupling; u is nodal or a scalar u_inf."""
-        bnd = self.grid.boundary
-        chi_b, u_b = chi[bnd], (u[bnd] if np.ndim(u) else u)
-        _, lamp_b, lampp_b = latent_eval(self.l_bulk, chi)
-        _, lamp_s, lampp_s = latent_eval(self.l_surf, chi_b)
-        db, ds = self.p_bulk.delta, self.p_surf.delta
-        return (self._compose(db * chi + lamp_b * u, ds * chi_b + lamp_s * u_b),
-                self._compose(db + lampp_b * u, ds + lampp_s * u_b))
+        b, sf, db, ds = v.bulk, v.surf, self.p_bulk.delta, self.p_surf.delta
+        u_b = u[self.grid.boundary] if np.ndim(u) else u
+        return (self._compose(db * v.chi + b.lamp * u, ds * v.chi_b + sf.lamp * u_b),
+                self._compose(db + b.lampp * u, ds + sf.lampp * u_b))
 
-    def latent_terms(self, chi: np.ndarray) -> np.ndarray:
+    def latent_terms(self, v: PhaseValues) -> np.ndarray:
         """m lambda(chi), the latent part of the internal energy."""
-        return self._compose(latent_eval(self.l_bulk, chi)[0],
-                             latent_eval(self.l_surf, chi[self.grid.boundary])[0])
+        return self._compose(v.bulk.lam, v.surf.lam)
 
     def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
@@ -176,14 +186,16 @@ def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
 
 
 def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
-            rel_tol: float, abs_tol: float) -> tuple[np.ndarray, int, float]:
+            rel_tol: float, abs_tol: float) -> tuple:
     """Damped Newton with Model.newton_step inner solves and a convex domain guard.
 
     linearize(x) returns the residual and the Jacobian diagonal at x from one
-    evaluation of the nonlinear terms.  Every trial point is linearized once;
-    the diagonal of the accepted trial is the one the next step solves with.
-    A step is halved until it lies in the box [lo, hi], then until the
-    residual decreases.  Returns (x, iterations, residual norm).
+    evaluation of the nonlinear terms, then any values of it the caller wants
+    back.  Every trial point is linearized once; the accepted trial's diagonal
+    is the one the next step solves with.  A step is halved until it lies in
+    the box [lo, hi], then until the residual decreases.  Returns (x,
+    iterations, residual norm, *values) of the last point linearized; a
+    point's values are dropped before the solve that steps away from it.
 
     The iteration stops when the L^2(dm) residual norm is at most
     max(rel_tol * initial norm, abs_tol), or at most its round-off level at
@@ -193,7 +205,7 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
     """
     m_comb = model.masses.m_comb
     x = np.clip(x0, lo, hi)
-    r, d = linearize(x)
+    r, d, *values = linearize(x)
     norm = measure_norm(r, m_comb)
     target = max(rel_tol * norm, abs_tol)
     iters = 0
@@ -201,6 +213,7 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
         if iters >= max_iter:
             raise SolverError(f"Newton did not reach tolerance in {max_iter} iterations "
                               f"(residual {norm:.3e}, target {target:.3e})")
+        values = step = None
         step = model.newton_step(d, r, cg_tol)
         alpha = 1.0
         xt = x + step
@@ -209,61 +222,72 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
             if alpha < MIN_BACKTRACK:
                 raise SolverError("Newton step cannot enter the domain guard box")
             xt = x + alpha * step
-        rt, dt = linearize(xt)
+        rt, dt, *values = linearize(xt)
         nt = measure_norm(rt, m_comb)
         while nt > (1.0 - 1.0e-4 * alpha) * norm:
             alpha *= 0.5
             if alpha < MIN_BACKTRACK:
                 raise SolverError(f"Newton backtracking stalled at residual {norm:.3e}")
             xt = x + alpha * step
-            rt, dt = linearize(xt)
+            rt, dt, *values = linearize(xt)
             nt = measure_norm(rt, m_comb)
         x, r, d, norm = xt, rt, dt, nt
         iters += 1
-    return x, iters, norm
+    return (x, iters, norm, *values)
 
 
-def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model) -> tuple[np.ndarray, int]:
+def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model,
+             at: PhaseValues) -> tuple[np.ndarray, int, PhaseValues, np.ndarray]:
     """Convex-split backward-Euler phase step with the temperature lagged at t_n.
 
-    Solves m_comb (chi - chi_n)/tau + Model.implicit_terms(chi) equal to
-    Model.lagged_terms(chi_n, u_n), that is, per node,
+    Solves m_comb (chi - chi_n)/tau plus the implicit terms at chi equal to
+    Model.lagged_terms at (chi_n, u_n), that is, per node,
       m_comb (chi - chi_n)/tau + K chi + m_bulk f(chi) + m_surf f_s(chi)
         = m_bulk (delta_b chi_n + lambda_b'(chi_n) u_n)
         + m_surf (delta_s chi_n + lambda_s'(chi_n) u_n).
+    at is Model.phase_values(chi_n).  Returns chi, the iterations, its
+    PhaseValues and G = m (lambda(chi) - lambda(chi_n)) / tau.
     """
     chi_n, mc = s.chi, model.masses.m_comb
-    rhs = model.lagged_terms(chi_n, s.u)[0]
+    rhs, lat = model.lagged_terms(at, s.u)[0], model.latent_terms(at)
     mc_tau = mc / tau
 
     def linearize(chi):
-        r, d = model.implicit_terms(chi)
-        return r + mc * (chi - chi_n) / tau - rhs, d + mc_tau
+        nonlocal at   # used at the first point when that is chi_n, then dropped
+        v = at if at is not None and (chi == chi_n).all() else model.phase_values(chi)
+        at = None
+        r, d = v.implicit
+        return r + mc * (chi - chi_n) / tau - rhs, d + mc_tau, v
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
-    return _newton(chi_n, linearize, model, lo, hi, cfg.cg_tol, cfg.newton_max_iter,
-                   cfg.newton_tol, NEWTON_ABS_FLOOR)[:2]
+    chi, iters, _, v = _newton(chi_n, linearize, model, lo, hi, cfg.cg_tol, cfg.newton_max_iter,
+                               cfg.newton_tol, NEWTON_ABS_FLOOR)
+    return chi, iters, v, (model.latent_terms(v) - lat) / tau
 
 
-def step_theta(s: State, chi_new: np.ndarray, source_vec: np.ndarray | None,
-               tau: float, cfg: StepperConfig, model: Model) -> tuple[np.ndarray, int]:
+def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: float,
+               cfg: StepperConfig, model: Model, ku: np.ndarray
+               ) -> tuple[np.ndarray, int, np.ndarray]:
     """Backward-Euler heat step in the entropy variable u.
 
-    Solves m_comb (-1/u - theta_n)/tau + K u + G - H = 0 where G is the exact
-    latent difference quotient and H the measure-weighted source.  The
-    Jacobian m_comb/(tau u^2) + K is SPD for any u < 0.
+    Solves m_comb (-1/u - theta_n)/tau + K u + G - H = 0 where G = g is the
+    exact latent difference quotient that step_chi returns and H the
+    measure-weighted source; ku is K u_n.  The Jacobian m_comb/(tau u^2) + K
+    is SPD for any u < 0.  Returns (u, iterations, K u).
     """
     k, mc, u_n = model.stiffness, model.masses.m_comb, s.u
     theta_n = -1.0 / u_n
-    shift = (model.latent_terms(chi_new) - model.latent_terms(s.chi)) / tau
-    if source_vec is not None:
-        shift = shift - source_vec
+    shift = g if source_vec is None else g - source_vec
 
     def linearize(u):
-        return mc * (-1.0 / u - theta_n) / tau + k.apply(u) + shift, mc / (tau * u * u)
+        nonlocal ku   # used at the first point when that is u_n, then dropped
+        k_u = ku if ku is not None and (u == u_n).all() else k.apply(u)
+        ku = None
+        return mc * (-1.0 / u - theta_n) / tau + k_u + shift, mc / (tau * u * u), k_u
 
-    return _newton(u_n, linearize, model, -math.inf, -cfg.guard_eps, cfg.cg_tol,
-                   cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)[:2]
+    u, iters, _, k_u = _newton(u_n, linearize, model, -math.inf, -cfg.guard_eps, cfg.cg_tol,
+                               cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
+    return u, iters, k_u
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,15 +331,19 @@ class Stepper:
         self.dissipation_cum = 0.0
         self.source_cum = 0.0
         self.row0 = None
+        self._at = [None, None, None]   # last state returned or given, its PhaseValues, K u
 
-    def _source_vec(self, t: float) -> np.ndarray | None:
-        if self.source is None:
-            return None
-        return self.model.masses.m_comb * self.source.value(t)
+    def _take(self, s: State, i: int):
+        """The PhaseValues (i = 1) or K u (i = 2) of s, carried or evaluated; handed on
+        and no longer kept here, so the step frees it after its last use."""
+        if self._at[0] is not s or self._at[i] is None:
+            self._at = [s, self.model.phase_values(s.chi), self.model.stiffness.apply(s.u)]
+        value, self._at[i] = self._at[i], None
+        return value
 
-    def _row(self, step: int, s: State, iters_chi: int, iters_theta: int) -> DiagnosticsRow:
-        md = self.model
-        mu, e, ent = row_functionals(s, md)
+    def _row(self, step: int, s: State, iters_chi: int, iters_theta: int,
+             at: PhaseValues) -> DiagnosticsRow:
+        mu, e, ent = row_functionals(s, self.model, at)
         row = DiagnosticsRow(
             step=step, t=s.t, mu=mu, energy=e, entropy=ent,
             dissipation_cum=self.dissipation_cum,
@@ -324,7 +352,7 @@ class Stepper:
             # theta = -1/u is increasing in u, and so is its rounding
             theta_min=-1.0 / float(s.u.min()), theta_max=-1.0 / float(s.u.max()),
             chi_min=float(s.chi.min()), chi_max=float(s.chi.max()),
-            u_spatial_std=dm_std(s.u, md.masses),
+            u_spatial_std=dm_std(s.u, self.model.masses),
             newton_iters_chi=iters_chi, newton_iters_theta=iters_theta,
         )
         if self.row0 is None:
@@ -333,7 +361,8 @@ class Stepper:
         return row
 
     def initial_row(self, s: State) -> DiagnosticsRow:
-        return self._row(0, s, 0, 0)
+        self._at = [s, self.model.phase_values(s.chi), self.model.stiffness.apply(s.u)]
+        return self._row(0, s, 0, 0, self._at[1])
 
     def advance(self, s: State, step_index: int, tau_cap: float | None = None
                 ) -> tuple[State, DiagnosticsRow]:
@@ -341,10 +370,12 @@ class Stepper:
         tau_try = self.tau_cur if tau_cap is None else min(self.tau_cur, tau_cap)
         while True:
             try:
-                chi_new, iters_chi = step_chi(s, tau_try, self.cfg, self.model)
-                source_vec = self._source_vec(s.t + tau_try)
-                u_new, iters_theta = step_theta(s, chi_new, source_vec, tau_try,
-                                                self.cfg, self.model)
+                chi_new, iters_chi, at_new, g = step_chi(s, tau_try, self.cfg, self.model,
+                                                         self._take(s, 1))
+                source_vec = None if self.source is None else \
+                    self.model.masses.m_comb * self.source.value(s.t + tau_try)
+                u_new, iters_theta, ku_new = step_theta(s, g, source_vec, tau_try,
+                                                        self.cfg, self.model, self._take(s, 2))
                 break
             except SolverError as exc:
                 self.successes = 0
@@ -360,10 +391,12 @@ class Stepper:
             self.tau_cur = min(2.0 * self.tau_cur, self.cfg.tau)
             self.successes = 0
         new = State(s.t + tau_try, u_new, chi_new)
+        u_new.flags.writeable = chi_new.flags.writeable = False
+        self._at = [new, at_new, ku_new]
         self.dissipation_cum += dissipation_increment(u_new, s.chi, chi_new, tau_try, self.model)
         if source_vec is not None:
             self.source_cum += tau_try * float(source_vec @ u_new)
-        return new, self._row(step_index, new, iters_chi, iters_theta)
+        return new, self._row(step_index, new, iters_chi, iters_theta, at_new)
 
 
 def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
@@ -466,18 +499,18 @@ def preset_field(grid: Grid, kind: str, *, value: float = 0.0, amplitude: float 
         return value + amplitude * np.tanh((grid.y - 0.5 * grid.ly) / width)
     if kind == "random":
         rng = np.random.default_rng(seed)
-        fld = np.zeros(grid.n_nodes)
+        fld = np.zeros((grid.ny + 1, grid.nx))   # modes are x factor (columns) * y factor (rows)
         for mx in range(modes + 1):
             for my in range(modes + 1):
                 if mx == 0 and my == 0:
                     continue
                 wgt = 1.0 / (1.0 + mx * mx + my * my)
                 cx, sx = rng.standard_normal(2)
-                phase_x = 2.0 * math.pi * mx * grid.x / grid.lx
+                phase_x = 2.0 * math.pi * mx * grid.x[:grid.nx] / grid.lx
                 fld += wgt * (cx * np.cos(phase_x) + sx * np.sin(phase_x)) \
-                    * np.cos(math.pi * my * grid.y / grid.ly)
+                    * np.cos(math.pi * my * grid.y[::grid.nx, None] / grid.ly)
         peak = float(np.max(np.abs(fld)))
         if peak > 0.0:
             fld *= amplitude / peak
-        return value + fld
+        return value + fld.ravel()
     raise ConfigError(f"unknown preset kind '{kind}'")

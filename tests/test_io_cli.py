@@ -397,6 +397,20 @@ def test_cli_stationary_writes_outputs(tmp_path, capsys, monkeypatch):
     assert "mass_admissible = yes" in summary
 
 
+def test_cli_builds_the_initial_state_once_per_command(tmp_path, monkeypatch):
+    """simulate and stationary run from the state that validate_config built."""
+    calls = []
+    real = io_cli.build_initial_state
+    monkeypatch.setattr(io_cli, "build_initial_state",
+                        lambda c, m: calls.append(c) or real(c, m))
+    cfg = write_cfg(tmp_path, with_lines("init.chi_value = 0.2", "init.theta_kind = random",
+                                         "init.theta_value = 1.0", "init.theta_amplitude = 0.1"))
+    for cmd in ("simulate", "stationary"):
+        calls.clear()
+        assert cli_main([cmd, "--config", cfg, "--output", str(tmp_path / cmd)]) == 0
+        assert len(calls) == 1, cmd
+
+
 def test_cli_solver_failure_exits_2(tmp_path, capsys):
     # One Newton iteration cannot resolve a stripe, and min_dt = dt leaves
     # the stepper no room to retry.

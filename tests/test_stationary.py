@@ -22,11 +22,11 @@ from pfstrip.timestepper import measure_norm, preset_field
 def test_solve_chi_trivial_roots():
     m = make_model(p_bulk=Potential.quartic(0.0))
     zero = np.zeros(m.grid.n_nodes)
-    chi, resid = solve_chi_given_u(-1.0, zero, m)
+    chi, resid, _ = solve_chi_given_u(-1.0, zero, m)
     assert np.max(np.abs(chi)) <= 1e-14 and resid <= 1e-12
 
     m1 = make_model(p_bulk=Potential.quartic(1.0))
-    chi, resid = solve_chi_given_u(-1.0, np.full(m1.grid.n_nodes, 0.9), m1)
+    chi, resid, _ = solve_chi_given_u(-1.0, np.full(m1.grid.n_nodes, 0.9), m1)
     assert np.max(np.abs(chi - 1.0)) <= 1e-9 and resid <= 1e-12
 
 
@@ -38,7 +38,7 @@ def test_solve_chi_matches_scalar_bisection_oracle():
     for b in (0.05, 40.0, -40.0):
         lat = LatentHeat(0.2, b, 0.0)
         m = make_model(p_bulk=Potential.logarithmic(0.5), l_bulk=lat)
-        chi, _ = solve_chi_given_u(u_inf, np.zeros(m.grid.n_nodes), m)
+        chi, _, _ = solve_chi_given_u(u_inf, np.zeros(m.grid.n_nodes), m)
         f = scalar_f(m.p_bulk)
 
         def h(c):
@@ -56,9 +56,9 @@ def test_solve_chi_checks_its_last_iterate(monkeypatch):
     steps = []
     real = m.newton_step
     monkeypatch.setattr(m, "newton_step", lambda *a, **k: steps.append(1) or real(*a, **k))
-    chi, resid = solve_chi_given_u(-0.8, guess, m)
+    chi, resid, _ = solve_chi_given_u(-0.8, guess, m)
     assert len(steps) >= 2
-    chi_cap, resid_cap = solve_chi_given_u(-0.8, guess, m, max_iter=len(steps))
+    chi_cap, resid_cap, _ = solve_chi_given_u(-0.8, guess, m, max_iter=len(steps))
     assert np.array_equal(chi_cap, chi) and resid_cap == resid
 
 
