@@ -2,8 +2,8 @@
 with dynamic boundary conditions on the two boundary circles, conservative
 implicit time stepping, and a steady-state solver for long-time checks."""
 
-from .errors import (AdmissibilityError, BracketError, ConfigError, DomainError,
-                     FatalSolverError, IoError, SolverError)
+from .errors import (AdmissibilityError, ConfigError, DomainError, FatalSolverError, IoError,
+                     SolverError)
 from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean,
                           dm_std, energy, energy_identity_residual, entropy, mass_mu)
 from .grid_ops import (Grid, MassVectors, StiffnessOp, assemble_masses,
@@ -15,10 +15,8 @@ from .io_cli import (Config, ValidationReport, build_initial_state, build_model,
 from .potentials import (CoercivityReport, CompatReport, LatentHeat, Potential,
                          check_coercivity, check_compatibility, evaluate,
                          latent_eval, latent_range, separating_slope_margin)
-from .stationary import (HypothesisReport, OmegaLimitReport, StationaryResult,
-                         hypothesis_report, mass_gap, omega_limit_report,
-                         solve_chi_given_u, solve_stationary,
-                         stationary_phase_residual)
+from .stationary import (HypothesisReport, StationaryResult, hypothesis_report, mass_gap,
+                         solve_chi_given_u, solve_stationary, stationary_phase_residual)
 from .timestepper import (HeatSource, Model, Stepper, StepperConfig,
                           integrate_homogeneous, make_source, measure_norm,
                           preset_field, run, step_chi, step_theta)
@@ -26,7 +24,7 @@ from .timestepper import (HeatSource, Model, Stepper, StepperConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError", "BracketError", "ConfigError", "DomainError",
+    "AdmissibilityError", "ConfigError", "DomainError",
     "FatalSolverError", "IoError", "SolverError",
     "DiagnosticsRow", "State", "dissipation_increment", "dm_mean", "dm_std",
     "energy", "energy_identity_residual", "entropy", "mass_mu",
@@ -39,9 +37,8 @@ __all__ = [
     "CoercivityReport", "CompatReport", "LatentHeat", "Potential",
     "check_coercivity", "check_compatibility", "evaluate", "latent_eval",
     "latent_range", "separating_slope_margin",
-    "HypothesisReport", "OmegaLimitReport", "StationaryResult",
-    "hypothesis_report", "mass_gap", "omega_limit_report", "solve_chi_given_u",
-    "solve_stationary", "stationary_phase_residual",
+    "HypothesisReport", "StationaryResult", "hypothesis_report", "mass_gap",
+    "solve_chi_given_u", "solve_stationary", "stationary_phase_residual",
     "HeatSource", "Model", "Stepper", "StepperConfig", "integrate_homogeneous",
     "make_source", "measure_norm", "preset_field", "run", "step_chi", "step_theta",
 ]

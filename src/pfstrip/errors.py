@@ -26,9 +26,5 @@ class AdmissibilityError(ValueError):
     """The target mass is below the attainable range of the latent heats."""
 
 
-class BracketError(RuntimeError):
-    """The outer scalar root find found no sign change after bracket expansion."""
-
-
 class IoError(OSError):
     """Filesystem failure while writing outputs, or a held output-directory lock."""

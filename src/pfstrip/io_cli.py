@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
-from .errors import (AdmissibilityError, BracketError, ConfigError, DomainError,
-                     FatalSolverError, IoError, SolverError)
+from .errors import (AdmissibilityError, ConfigError, DomainError, FatalSolverError, IoError,
+                     SolverError)
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, assemble_masses, assemble_stiffness, build_grid
 from .potentials import (DOMAINS, CoercivityReport, CompatReport, LatentHeat, Potential,
@@ -437,9 +437,8 @@ def _cmd_stationary(c: Config) -> int:
         print(report.render(), file=sys.stderr)
         return 3
     s0 = report.initial_state
-    theta0 = dm_mean(s0.theta, model.masses)
-    result = solve_stationary(report.mu0, (theta0 / 4.0, theta0 * 4.0),
-                              s0.chi, model, tol=c.solver.newton_tol)
+    result = solve_stationary(report.mu0, dm_mean(s0.theta, model.masses), s0.chi, model,
+                              tol=c.solver.newton_tol)
     summary = _stationary_summary(result)
     with _output_lock(c.output.dir) as out_dir:
         write_snapshot(result.chi_inf, model.grid, os.path.join(out_dir, "chi_inf.csv"))
@@ -505,7 +504,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, FatalSolverError, BracketError, IoError) as exc:
+    except (SolverError, FatalSolverError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AdmissibilityError, DomainError) as exc:

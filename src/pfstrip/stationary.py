@@ -1,4 +1,4 @@
-"""Steady-state solver and omega-limit verification.
+"""Steady-state solver and the admissibility report of its mass target.
 
 A steady state has a constant positive temperature theta_inf = -1/u_inf and
 a phase field chi_inf solving the semilinear elliptic system
@@ -7,25 +7,27 @@ a phase field chi_inf solving the semilinear elliptic system
           + m_surf (f_s(chi) - delta chi - lambda_s'(chi) u_inf) = 0,
 
 subject to the mass constraint that theta_inf + lambda(chi_inf) integrates
-to the prescribed mass.  The scalar unknown u_inf is found by bracketing
-Anderson-Bjorck regula falsi on the mass gap (the gap need not be monotone
-when lambda' != 0), with the inner phase solve warm-started along the path.
+to the prescribed mass.  solve_stationary finds chi_inf and u_inf together,
+by pseudo-transient Newton on the phase residual bordered by the mass gap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, BracketError, SolverError
-from .functionals import State, dm_mean, dm_std, mass_mu
+from .errors import AdmissibilityError, SolverError
+from .functionals import State, mass_mu
+from .grid_ops import solve_spd
 from .potentials import latent_range, separating_slope_margin
-from .timestepper import Model, PhaseValues, _newton, measure_norm
+from .timestepper import (EPS, MIN_BACKTRACK, NEWTON_NOISE_FACTOR, Model, PhaseValues, _newton,
+                          measure_norm)
 
 STATIONARY_GUARD_EPS = 1.0e-12
-BRACKET_EXPANSIONS = 10
-REGULA_FALSI_STEPS = 200
+PSEUDO_TIME_STEP = 1.0   # Delta_0 of the pseudo-transient continuation
+MAX_ATTEMPTS = 200       # stationary Newton steps tried, rejected ones included
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,16 @@ def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
     )
 
 
+def _linearization(chi: np.ndarray, u_inf: float, model: Model):
+    """Stationary phase residual, its unclamped Jacobian diagonal and the PhaseValues at chi."""
+    v = model.phase_values(chi)
+    (r, d), (r_lag, d_lag) = v.implicit, model.lagged_terms(v, u_inf)
+    return r - r_lag, d - d_lag, v
+
+
 def stationary_phase_residual(chi: np.ndarray, u_inf: float, model: Model) -> np.ndarray:
     """Residual vector of the stationary phase system at (chi, u_inf)."""
-    at = model.phase_values(chi)
-    return at.implicit[0] - model.lagged_terms(at, u_inf)[0]
+    return _linearization(chi, u_inf, model)[0]
 
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,
@@ -88,22 +96,14 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     """Damped Newton (timestepper._newton) for the stationary phase system at
     fixed u_inf; returns (chi, residual, Model.phase_values(chi)).
 
-    The true Jacobian diagonal m (f' - delta - lambda'' u_inf) can lose
-    positivity; it is clamped from below at a small multiple of the combined
-    measure so every inner system stays SPD, trading quadratic convergence
-    for robustness only where the clamp is active.  Residuals are measured in
-    the L^2(dm) density norm and driven below the absolute tol, or to their
-    round-off level, which next to a singular wall can lie above tol.
+    Residuals are measured in the L^2(dm) density norm and driven below the
+    absolute tol, or to their round-off level, which next to a singular wall
+    can lie above tol.  Where the Jacobian diagonal m (f' - delta - lambda'' u_inf)
+    loses positivity the inner CG can fail; solve_stationary does not call this.
     """
-    floor = 1.0e-10 * model.masses.m_comb
-
-    def linearize(chi):
-        v = model.phase_values(chi)
-        (r, d), (r_lag, d_lag) = v.implicit, model.lagged_terms(v, u_inf)
-        return r - r_lag, np.maximum(d - d_lag, floor), v
-
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    chi, _, residual, v = _newton(guess, linearize, model, lo, hi, 1.0e-12, max_iter, 0.0, tol)
+    chi, _, residual, v = _newton(guess, lambda chi: _linearization(chi, u_inf, model), model,
+                                  lo, hi, 1.0e-12, max_iter, 0.0, tol)
     return chi, residual, v
 
 
@@ -114,105 +114,86 @@ def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model, 
     return mass_mu(steady, model, at) - mu_target
 
 
-def solve_stationary(mu_target: float, theta_bracket: tuple[float, float],
-                     guess: np.ndarray, model: Model, tol: float = 1.0e-12) -> StationaryResult:
-    """Find one steady state with the prescribed mass.
+def _jacobian_solve(model: Model, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(K + diag(jac))^-1 rhs by the split PCG of Model.newton_step, preconditioned
+    with the exact inverse of K + c M at c = mean(jac / m_comb) of either sign.
 
-    Outer regula falsi (_regula_falsi) on g(u) = mass_gap(u, chi(u)) over
-    u = -1/theta, after up to 10 symmetric bracket expansions (halving theta_lo,
-    doubling theta_hi) to find a sign change; the inner phase solve starts from
-    guess and is warm-started from the previous chi along the path.  Every
-    evaluation point is a candidate result; the first that meets tol wins.
+    newton_step refuses c <= 0.  Here c < 0 is what lets full Newton steps reach a
+    saddle whose Jacobian is indefinite only in modes the residual does not excite,
+    as at the odd, x-independent states of a stripe; where it does excite them, CG
+    finds a nonpositive curvature and raises.  c = 0 would divide by zero.
+    """
+    c = float(jac @ model.inv_m_comb) / jac.size
+    if c == 0.0:
+        raise SolverError("stationary Jacobian: mean(d / m_comb) = 0")
+    k, mc = model.stiffness, model.masses.m_comb
+    return solve_spd(lambda z: k.apply(z) + jac * z, model.shifted_inverse.solver(c), rhs,
+                     jac - c * mc, tol=1.0e-12)
+
+
+def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: Model,
+                     tol: float = 1.0e-12) -> StationaryResult:
+    """Find one steady state with the prescribed mass, starting from (guess, -1/theta0).
+
+    Pseudo-transient Newton on (chi, u_inf) together.  The phase residual R and
+    the mass gap g have the bordered Jacobian [[J, -b], [b^T, c]] with
+    J = K + diag(d - d_lag), b = m lambda'(chi) and c = |Omega + Gamma| / u^2.
+    Each iteration adds M/Delta to J and solves by Keller's bordering: two
+    _jacobian_solve calls, (J + M/Delta) x1 = -R and (J + M/Delta) x2 = b, then
+    du = (-g - b.x1) / (c + b.x2) and dchi = x1 + x2 du.  The step is halved
+    into the guard box and into u < 0.  Delta starts at PSEUDO_TIME_STEP and
+    follows switched evolution relaxation (Kelley and Keyes), Delta <- Delta
+    ||F_prev|| / ||F|| with ||F|| = hypot(||R||, |g|).  A step whose ||F|| grows
+    is rejected and Delta halved; a failed CG solve also caps Delta at half its
+    value.  Stops as timestepper._newton does, at ||R|| <= tol or at its
+    round-off level 8 eps ||d chi||, once |g| <= tol too.
     """
     hyp = hypothesis_report(model, mu_target)
     if not hyp.mass_admissible:
         raise AdmissibilityError(
             f"mass target {mu_target:.6g} is not above the admissibility bound "
             f"{hyp.mass_lower_bound:.6g}")
-    lo_t, hi_t = theta_bracket
-    if not (0.0 < lo_t < hi_t):
-        raise AdmissibilityError("theta bracket must satisfy 0 < lo < hi")
-    warm = np.asarray(guess, dtype=float).copy()
+    if not theta0 > 0.0:
+        raise AdmissibilityError("the starting temperature theta0 must be positive")
+    mc, total = model.masses.m_comb, model.masses.total
+    lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
 
-    def point_at(u) -> StationaryResult:
-        nonlocal warm
-        warm, residual, at = solve_chi_given_u(u, warm, model, tol)
-        return StationaryResult(
-            u_inf=float(u), theta_inf=float(-1.0 / u), chi_inf=warm,
-            phase_residual=residual, mass_gap=mass_gap(u, warm, mu_target, model, at),
-            mu_target=mu_target, separation=float(1.0 - np.max(np.abs(warm))),
-            hypothesis_report=hyp)
+    def point_at(chi, u):   # the PhaseValues are not kept: b is all the step needs of them
+        r, d, v = _linearization(chi, u, model)
+        norm, gap = measure_norm(r, mc), mass_gap(u, chi, mu_target, model, v)
+        b = model._compose(v.bulk.lamp, v.surf.lamp)
+        return chi, u, r, d, b, norm, gap, math.hypot(norm, gap)
 
-    for expansion in range(BRACKET_EXPANSIONS + 1):
-        if expansion:
-            lo_t, hi_t = 0.5 * lo_t, 2.0 * hi_t
-        lo, hi = point_at(-1.0 / lo_t), point_at(-1.0 / hi_t)
-        for end in (lo, hi):
-            if end.mass_gap == 0.0:
-                return end
-        if lo.mass_gap * hi.mass_gap < 0.0:
-            break
-    else:
-        raise BracketError(
-            f"no sign change of the mass gap for theta in ({lo_t:.3g}, {hi_t:.3g}) "
-            f"after {BRACKET_EXPANSIONS} expansions")
-
-    return _regula_falsi(point_at, lo, hi, tol)
-
-
-def _regula_falsi(point_at, a, b, tol: float):
-    """Anderson-Bjorck regula falsi on point_at(u).mass_gap over the sign-changing
-    pair (a, b) of points; the first point with |gap| <= tol wins."""
-    ga, gb = a.mass_gap, b.mass_gap
-    for _ in range(REGULA_FALSI_STEPS):
-        if abs(b.u_inf - a.u_inf) <= 4.0 * np.finfo(float).eps * abs(b.u_inf):
-            break
-        u = b.u_inf - gb * (b.u_inf - a.u_inf) / (gb - ga)
-        if not min(a.u_inf, b.u_inf) < u < max(a.u_inf, b.u_inf):
-            u = 0.5 * (a.u_inf + b.u_inf)
-        new = point_at(u)
-        if abs(new.mass_gap) <= tol:
-            return new
-        if new.mass_gap * gb < 0.0:
-            a, ga = b, gb
-        else:
-            k = 1.0 - new.mass_gap / gb
-            ga *= k if k > 0.0 else 0.5
-        b, gb = new, new.mass_gap
-    raise SolverError(f"mass gap {gb:.3e} above tolerance at u = {b.u_inf:.17g}")
-
-
-@dataclass(frozen=True)
-class OmegaLimitReport:
-    """Residual-based omega-limit membership check of a long-run final state."""
-
-    u_spatial_std: float
-    phase_residual: float
-    mu_gap: float
-    chi_distance: float
-    u_mean_distance: float
-    converged: bool
-
-
-def omega_limit_report(final: State, result: StationaryResult, model: Model,
-                       std_tol: float = 1.0e-6, residual_tol: float = 1.0e-6,
-                       mu_tol: float = 1.0e-8) -> OmegaLimitReport:
-    """Check how close a trajectory endpoint is to solving the stationary system.
-
-    Membership is decided by residuals (spatial spread of u, stationary phase
-    residual at the mean u, mass gap), not by distance to the particular
-    root in `result`; the distances are reported for information only.
-    """
-    u_mean = dm_mean(final.u, model.masses)
-    residual = measure_norm(
-        stationary_phase_residual(final.chi, u_mean, model), model.masses.m_comb)
-    u_std = dm_std(final.u, model.masses)
-    mu_gap_val = abs(mass_mu(final, model) - result.mu_target)
-    return OmegaLimitReport(
-        u_spatial_std=u_std,
-        phase_residual=residual,
-        mu_gap=mu_gap_val,
-        chi_distance=float(np.max(np.abs(final.chi - result.chi_inf))),
-        u_mean_distance=abs(u_mean - result.u_inf),
-        converged=(u_std <= std_tol and residual <= residual_tol and mu_gap_val <= mu_tol),
-    )
+    chi, u, r, d, b, norm, gap, f_norm = point_at(np.clip(guess, lo, hi), -1.0 / theta0)
+    delta, delta_max = PSEUDO_TIME_STEP, math.inf
+    for _ in range(MAX_ATTEMPTS):
+        if abs(gap) <= tol and (norm <= tol or norm <= NEWTON_NOISE_FACTOR * EPS
+                                * measure_norm(d * chi, mc)):
+            return StationaryResult(
+                u_inf=float(u), theta_inf=float(-1.0 / u), chi_inf=chi, phase_residual=norm,
+                mass_gap=gap, mu_target=mu_target,
+                separation=float(1.0 - np.max(np.abs(chi))), hypothesis_report=hyp)
+        shifted = d + mc / delta
+        try:
+            x1 = _jacobian_solve(model, shifted, -r)
+            x2 = _jacobian_solve(model, shifted, b)
+        except SolverError:
+            delta = delta_max = 0.5 * delta
+            continue
+        du = (-gap - b @ x1) / (total / (u * u) + b @ x2)
+        dchi = x1 + x2 * du
+        alpha, chi_t = 1.0, chi + dchi
+        while not ((chi_t >= lo).all() and (chi_t <= hi).all() and u + alpha * du < 0.0):
+            alpha *= 0.5
+            if alpha < MIN_BACKTRACK:
+                raise SolverError("stationary step cannot enter the domain guard box")
+            chi_t = chi + alpha * dchi
+        trial = point_at(chi_t, u + alpha * du)
+        if not trial[-1] <= f_norm:
+            delta *= 0.5
+            continue
+        if trial[-1] > 0.0:   # an exact root stops at the next check
+            delta = min(delta * f_norm / trial[-1], delta_max)
+        chi, u, r, d, b, norm, gap, f_norm = trial
+    raise SolverError(f"stationary Newton did not converge in {MAX_ATTEMPTS} attempts "
+                      f"(residual {norm:.3e}, mass gap {gap:.3e}, target {tol:.3e})")

@@ -124,9 +124,12 @@ class Model:
     def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
         inverse of P = K + c m_comb at c = mean(d / m_comb); the operator is
-        P + diag(d - c m_comb), so CG carries P p and applies K only to check."""
+        P + diag(d - c m_comb), so CG carries P p and applies K only to check.
+        Raises SolverError when c <= 0, where P is singular or indefinite."""
         k, inv, mc = self.stiffness, self.shifted_inverse, self.masses.m_comb
         c = float(d @ self.inv_m_comb) / d.size
+        if not c > 0.0:
+            raise SolverError(f"Newton system has no positive shift: mean(d / m_comb) = {c:.3e}")
         return solve_spd(lambda z: k.apply(z) + d * z, inv.solver(c), -r,
                          d - c * mc, tol=tol)
 

@@ -14,14 +14,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from helpers import constant_state, make_model
 from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
 from pfstrip.functionals import dm_mean, mass_mu
 from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.io_cli import cli_main
 from pfstrip.potentials import separating_slope_margin
-from pfstrip.stationary import solve_stationary, stationary_phase_residual
-from pfstrip.timestepper import integrate_homogeneous, measure_norm, preset_field
+from pfstrip.stationary import solve_stationary
+from pfstrip.timestepper import integrate_homogeneous, preset_field
 
 
 def report(num, name, ok, detail):
@@ -147,12 +148,9 @@ def test_criterion_6_omega_limit():
     cfg = StepperConfig(tau=0.02, newton_tol=1.0e-12, cg_tol=1.0e-12)
     rows, final = run(model, cfg, s0, 50.0)
 
-    u_std = rows[-1].u_spatial_std
-    u_bar = dm_mean(final.u, model.masses)
-    resid = measure_norm(stationary_phase_residual(final.chi, u_bar, model),
-                         model.masses.m_comb)
-    drift = abs(rows[-1].mu - rows[0].mu)
-    coupled_ok = u_std <= 1.0e-6 and resid <= 1.0e-6 and drift <= 1.0e-8
+    # residual-based: bounds u_std 1e-6, phase residual 1e-6, mass drift 1e-8
+    omega = oracles.omega_limit_report(final, solve_stationary(rows[0].mu, 1.0, chi0, model),
+                                       model, std_tol=1.0e-6, residual_tol=1.0e-6, mu_tol=1.0e-8)
 
     # Decoupled run: no latent coupling, theta diffuses to its weighted mean.
     model_d = make_model(1.0, 1.0, 32, 32, p_bulk=Potential.quartic(0.0),
@@ -165,8 +163,9 @@ def test_criterion_6_omega_limit():
     err_d = float(np.max(np.abs(final_d.theta - target)))
     decoupled_ok = err_d <= 1.0e-6
 
-    report(6, "omega-limit membership", coupled_ok and decoupled_ok,
-           f"u_std {u_std:.3e}, phase residual {resid:.3e}, drift {drift:.3e}, "
+    report(6, "omega-limit membership", omega.converged and decoupled_ok,
+           f"u_std {omega.u_spatial_std:.3e}, phase residual {omega.phase_residual:.3e}, "
+           f"drift {omega.mu_gap:.3e}, "
            f"decoupled theta error {err_d:.3e}")
 
 
@@ -174,7 +173,7 @@ def test_criterion_7_stationary_cross_check():
     model = make_model(1.0, 1.0, 16, 8, p_bulk=Potential.logarithmic(1.0),
                        l_bulk=LatentHeat(-1.0, 0.0, 0.0))
     n = model.grid.n_nodes
-    result = solve_stationary(3.12, (0.5, 2.0), np.zeros(n), model, tol=1.0e-12)
+    result = solve_stationary(3.12, 1.0, np.zeros(n), model, tol=1.0e-12)
     s_inf = State(0.0, np.full(n, result.u_inf), result.chi_inf)
 
     cfg = StepperConfig(tau=0.05, newton_tol=1.0e-12, cg_tol=1.0e-13)

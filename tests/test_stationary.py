@@ -1,21 +1,22 @@
 """Steady-state solver, admissibility checks, and omega-limit reports."""
 
-from types import SimpleNamespace
+import os
 
 import numpy as np
 import pytest
 
 import oracles
+import pfstrip.grid_ops as grid_ops
+import pfstrip.io_cli as io_cli
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model, roll_x
 from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
 import pfstrip.stationary as st
-from pfstrip.errors import AdmissibilityError, BracketError, SolverError
+from pfstrip.errors import AdmissibilityError, SolverError
 from pfstrip.functionals import mass_mu
 from pfstrip.potentials import scalar_f
-from pfstrip.stationary import (hypothesis_report, mass_gap, omega_limit_report,
-                                solve_chi_given_u, solve_stationary,
-                                stationary_phase_residual)
+from pfstrip.stationary import (hypothesis_report, mass_gap, solve_chi_given_u,
+                                solve_stationary, stationary_phase_residual)
 from pfstrip.timestepper import measure_norm, preset_field
 
 
@@ -100,7 +101,7 @@ def test_mass_gap_matches_summation_oracle(rng):
 
 def test_solve_stationary_decoupled_closed_form():
     m = make_model(p_bulk=Potential.quartic(0.0))
-    res = solve_stationary(3.0, (0.5, 2.0), np.zeros(m.grid.n_nodes), m)
+    res = solve_stationary(3.0, 1.0, np.zeros(m.grid.n_nodes), m)
     assert res.theta_inf == pytest.approx(1.0, rel=1e-10)
     assert np.max(np.abs(res.chi_inf)) <= 1e-12
     assert abs(res.mass_gap) <= 1e-10 and res.phase_residual <= 1e-12
@@ -111,7 +112,7 @@ def test_solve_stationary_shifted_latent_closed_form():
     # mu = 3*theta + 1*(lx*ly) + 2*(2*lx) so mu = 8 puts theta at 1
     m = make_model(p_bulk=Potential.quartic(0.0),
                    l_bulk=LatentHeat(0.0, 0.0, 1.0), l_surf=LatentHeat(0.0, 0.0, 2.0))
-    res = solve_stationary(8.0, (0.3, 3.0), np.zeros(m.grid.n_nodes), m)
+    res = solve_stationary(8.0, 1.0, np.zeros(m.grid.n_nodes), m)
     assert res.theta_inf == pytest.approx(1.0, rel=1e-10)
 
 
@@ -124,7 +125,7 @@ def test_solve_stationary_coupled_is_advance_fixed_point():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m)
-    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
+    res = solve_stationary(mu_t, 1.0, s0.chi, m)
     assert res.theta_inf > 0.0 and res.separation > 0.0
 
     cfg = StepperConfig(tau=0.01)
@@ -138,7 +139,7 @@ def test_stationary_result_residuals_are_reproducible():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m)
-    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
+    res = solve_stationary(mu_t, 1.0, s0.chi, m)
     re_resid = measure_norm(stationary_phase_residual(res.chi_inf, res.u_inf, m),
                             m.masses.m_comb)
     re_gap = mass_gap(res.u_inf, res.chi_inf, mu_t, m)
@@ -151,8 +152,8 @@ def test_solve_stationary_translation_invariance():
     guess = preset_field(m.grid, "sinusoid", value=0.2, amplitude=0.15, kx=1)
     s0 = State(0.0, np.full(m.grid.n_nodes, -1.0), guess)
     mu_t = mass_mu(s0, m)
-    res_a = solve_stationary(mu_t, (0.25, 4.0), guess, m)
-    res_b = solve_stationary(mu_t, (0.25, 4.0), roll_x(m.grid, guess, 3), m)
+    res_a = solve_stationary(mu_t, 1.0, guess, m)
+    res_b = solve_stationary(mu_t, 1.0, roll_x(m.grid, guess, 3), m)
     assert res_b.u_inf == pytest.approx(res_a.u_inf, rel=1e-9)
     assert np.max(np.abs(res_b.chi_inf - roll_x(m.grid, res_a.chi_inf, 3))) <= 1e-8
 
@@ -174,82 +175,41 @@ def test_solve_stationary_rejects_inadmissible_mass():
     m = make_model(p_bulk=Potential.quartic(1.0), l_bulk=LatentHeat(1.0, 0.0, 0.0))
     # lambda = -r^2 has minimum -1 on [-1,1]: bound is -3 on the (1,1) strip
     with pytest.raises(AdmissibilityError):
-        solve_stationary(-5.0, (0.5, 2.0), np.zeros(m.grid.n_nodes), m)
+        solve_stationary(-5.0, 1.0, np.zeros(m.grid.n_nodes), m)
 
 
-def test_solve_stationary_bracket_failure():
+def test_solve_stationary_far_start_solves():
+    """lambda = -10 puts the root at theta = 1/3; a start at theta0 = 1500, where
+    the bracketing root find found no sign change, reaches it."""
     m = make_model(p_bulk=Potential.quartic(0.0), l_bulk=LatentHeat(0.0, 0.0, -10.0))
-    # root sits at theta = 1/3; the bracket never reaches it, and the error names
-    # the last pair evaluated: (1000 / 2^10, 2000 * 2^10)
-    with pytest.raises(BracketError, match=r"theta in \(0\.977, 2\.05e\+06\)"):
-        solve_stationary(-29.0, (1000.0, 2000.0), np.zeros(m.grid.n_nodes), m)
-
-
-def regula_falsi_on(gap, a=-4.0, b=-0.25, tol=1e-12):
-    """Drive stationary._regula_falsi on a toy gap over (a, b); returns the
-    result (or the SolverError) and the points evaluated inside the bracket."""
-    calls = []
-
-    def point_at(u):
-        calls.append(u)
-        return SimpleNamespace(u_inf=u, mass_gap=gap(u))
-
-    ends = point_at(a), point_at(b)
-    calls.clear()
-    try:
-        return st._regula_falsi(point_at, *ends, tol), calls
-    except SolverError as err:
-        return err, calls
-
-
-def test_regula_falsi_nonmonotone_cubic():
-    """Three roots in the bracket: the result is one of them, well before the
-    ~42 points bisection needs from a 3.75-wide bracket to 1e-12."""
-    res, calls = regula_falsi_on(lambda u: (u + 3.0) * (u + 2.0) * (u + 1.0))
-    assert -4.0 < res.u_inf < -0.25 and abs(res.mass_gap) <= 1e-12
-    assert min(abs(res.u_inf - r) for r in (-3.0, -2.0, -1.0)) <= 1e-12
-    assert len(calls) <= 12 and all(-4.0 < u < -0.25 for u in calls)
-
-
-def test_regula_falsi_triple_root():
-    """At a triple root plain regula falsi stalls on one end; the Anderson-Bjorck
-    scaling keeps both ends moving."""
-    res, calls = regula_falsi_on(lambda u: (u + 1.1) ** 3)
-    assert abs(res.mass_gap) <= 1e-12 and abs(res.u_inf + 1.1) <= 1e-4
-    assert len(calls) <= 40
-
-
-def test_regula_falsi_jump_raises_when_bracket_closes():
-    """A +-1 jump has no zero: the loop stops once the bracket is a few ulps
-    wide, long before the REGULA_FALSI_STEPS cap."""
-    err, calls = regula_falsi_on(lambda u: 1.0 if u > -1.0 else -1.0)
-    assert isinstance(err, SolverError)
-    assert abs(calls[-1] + 1.0) <= 1e-14
-    assert 50 <= len(calls) <= 70 < st.REGULA_FALSI_STEPS
+    res = solve_stationary(-29.0, 1500.0, np.zeros(m.grid.n_nodes), m)
+    assert res.theta_inf == pytest.approx(1.0 / 3.0, rel=1e-10)
+    assert abs(res.mass_gap) <= 1e-12
 
 
 def test_solve_stationary_coupled_needs_few_inner_solves(monkeypatch):
-    """Two bracket ends plus a handful of regula falsi points (bisection made 42)."""
+    """Two CG solves per bordered Newton iteration (five iterations here), and
+    none through the fixed-u phase solve."""
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m)
     solves = []
-    real = st.solve_chi_given_u
-    monkeypatch.setattr(st, "solve_chi_given_u",
-                        lambda *a, **k: solves.append(a[0]) or real(*a, **k))
-    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
-    assert abs(res.mass_gap) <= 1e-12 and res.u_inf == solves[-1]
-    assert len(solves) <= 10
+    real = grid_ops.solve_spd
+    monkeypatch.setattr(st, "solve_spd", lambda *a, **k: solves.append(1) or real(*a, **k))
+    monkeypatch.setattr(st, "solve_chi_given_u", None)
+    res = solve_stationary(mu_t, 1.0, s0.chi, m)
+    assert abs(res.mass_gap) <= 1e-12 and res.phase_residual <= 1e-12
+    assert 2 <= len(solves) <= 12 and len(solves) % 2 == 0
 
 
 def test_omega_limit_report_exact_and_negative():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m)
-    res = solve_stationary(mu_t, (0.25, 4.0), s0.chi, m)
+    res = solve_stationary(mu_t, 1.0, s0.chi, m)
 
     exact = State(0.0, np.full(m.grid.n_nodes, res.u_inf), res.chi_inf.copy())
-    rep = omega_limit_report(exact, res, m)
+    rep = oracles.omega_limit_report(exact, res, m)
     assert rep.converged
     assert rep.u_spatial_std <= 1e-12 and rep.chi_distance <= 1e-12
     assert rep.u_mean_distance <= 1e-12
@@ -258,5 +218,83 @@ def test_omega_limit_report_exact_and_negative():
     far = State(0.0, -1.0 / theta0, preset_field(m.grid, "tanh_stripe",
                                                  amplitude=0.5, width=0.2))
     _, s_short = run(m, StepperConfig(tau=1e-3), far, 3e-3)
-    rep2 = omega_limit_report(s_short, res, m)
+    rep2 = oracles.omega_limit_report(s_short, res, m)
     assert not rep2.converged and rep2.u_spatial_std > 1e-6
+
+
+def assert_step_fixed_point(res, m, tol):
+    """Criterion 7's check: one Stepper.advance moves the steady state by at most 10 tol."""
+    cfg = StepperConfig(tau=0.05, newton_tol=1.0e-12, cg_tol=1.0e-13)
+    s_inf = State(0.0, np.full(m.grid.n_nodes, res.u_inf), res.chi_inf)
+    s_new, _ = Stepper(m, cfg).advance(s_inf, 1)
+    assert np.max(np.abs(s_new.u - s_inf.u)) <= 10.0 * tol
+    assert np.max(np.abs(s_new.chi - s_inf.chi)) <= 10.0 * tol
+
+
+SADDLE_STRIPE = pytest.mark.xfail(
+    strict=True, raises=SolverError,
+    reason="the iterate reaches a stripe saddle to ~1e-9, where CG finds the unstable "
+           "mode at every pseudo-time step above ~1, and the capped steps leave it")
+
+
+@pytest.mark.parametrize("delta,a", [
+    pytest.param(delta, a, marks=[SADDLE_STRIPE] if (delta, a) == (3.0, 0.5) else [])
+    for delta in (1.0, 3.0) for a in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)])
+@pytest.mark.parametrize("nx,ny", [(8, 4), (16, 8)])
+def test_solve_stationary_sweep(nx, ny, delta, a):
+    """Logarithmic delta on bulk and boundary, latent -a r^2, a tanh stripe at
+    theta0 = 1: the bracketing root find failed for delta = 3, a >= 0 and for
+    delta = 1, a = 0.25 (CG on its clamped Jacobian, or Newton)."""
+    m = make_model(nx=nx, ny=ny, p_bulk=Potential.logarithmic(delta),
+                   l_bulk=LatentHeat(a, 0.0, 0.0))
+    chi0 = preset_field(m.grid, "tanh_stripe", amplitude=0.8, width=0.1)
+    mu_t = mass_mu(State(0.0, np.full(m.grid.n_nodes, -1.0), chi0), m)
+    res = solve_stationary(mu_t, 1.0, chi0, m, tol=1.0e-10)
+    assert abs(res.mass_gap) <= 1.0e-10
+    assert_step_fixed_point(res, m, 1.0e-10)
+
+
+def stationary_cli(tmp_path, monkeypatch, text):
+    """pfstrip stationary on config text; returns the exit code and the
+    (result, model) of the solve it ran."""
+    solves = []
+    real = io_cli.solve_stationary
+
+    def spy(mu, theta0, guess, model, **kw):
+        solves.append((real(mu, theta0, guess, model, **kw), model))
+        return solves[-1][0]
+
+    monkeypatch.setattr(io_cli, "solve_stationary", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = io_cli.cli_main(["stationary", "--config", str(cfg), "--output", str(tmp_path / "out")])
+    return code, solves
+
+
+def test_cli_stationary_latent_a_half_is_a_fixed_point(tmp_path, monkeypatch):
+    """configs/example.cfg with latent a = +0.5 failed in CG on the clamped
+    Jacobian; it lands on a stripe, chi in +-0.687."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "example.cfg")) as fh:
+        text = fh.read()
+    assert text.count(".a = -0.5") == 2
+    code, solves = stationary_cli(tmp_path, monkeypatch, text.replace(".a = -0.5", ".a = 0.5"))
+    assert code == 0
+    (res, m), = solves
+    assert res.theta_inf == pytest.approx(0.886921, abs=1e-6)
+    assert_step_fixed_point(res, m, 1.0e-10)
+
+
+def test_cli_stationary_near_the_wall(tmp_path, monkeypatch):
+    """A steady state 1.16e-7 from the wall at theta = 2.5: the bracket's
+    theta0/4 end put the phase root 1e-28 from it, where the guard box left
+    a residual of 63.8.  Here the solve stops at the residual's round-off floor."""
+    lines = ["domain.lx = 1.0", "domain.ly = 1.0", "domain.nx = 8", "domain.ny = 4",
+             "time.dt = 0.001", "time.t_end = 0.05",
+             "init.theta_kind = constant", "init.theta_value = 2.5",
+             "init.chi_kind = constant", "init.chi_value = 0.999999884"]
+    for part in ("bulk", "surf"):
+        lines += [f"potential_{part}.kind = logarithmic", f"potential_{part}.delta = 0.5",
+                  f"latent_{part}.a = 0.2", f"latent_{part}.b = -40.0", f"latent_{part}.c = 0.0"]
+    code, solves = stationary_cli(tmp_path, monkeypatch, "\n".join(lines) + "\n")
+    assert code == 0
+    assert solves[0][0].theta_inf == pytest.approx(2.5, abs=1e-6)

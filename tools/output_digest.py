@@ -1,9 +1,11 @@
-"""Run 22 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 24 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
 Cases: configs/example.cfg through all four commands, the benchmark workload
-configs at seeds 1 and 7, the known-defect probe, six rejected configs and
+configs at seeds 1 and 7, the known-defect probe, two stationary solves (a
+steady state 1.16e-7 from the singular wall, and the 16x8 stripe saddle
+that the stationary solver does not converge on), six rejected configs and
 the help texts.  Per case: exit code, stdout, stderr and the sha256 of every
 output file.  pfstrip comes from SRC_DIR and the inputs from this repository,
 so the diff of two trees' digests shows any output byte a change moved.
@@ -31,6 +33,30 @@ def example(old: str = "", new: str = "") -> str:
     return text.replace(old, new) if old else text + new + "\n"
 
 
+NEAR_WALL = """\
+domain.lx = 1.0
+domain.ly = 1.0
+domain.nx = 8
+domain.ny = 4
+time.dt = 0.001
+time.t_end = 0.05
+potential_bulk.kind = logarithmic
+potential_bulk.delta = 0.5
+potential_surf.kind = logarithmic
+potential_surf.delta = 0.5
+latent_bulk.a = 0.2
+latent_bulk.b = -40.0
+latent_bulk.c = 0.0
+latent_surf.a = 0.2
+latent_surf.b = -40.0
+latent_surf.c = 0.0
+init.theta_kind = constant
+init.theta_value = 2.5
+init.chi_kind = constant
+init.chi_value = 0.999999884
+"""
+
+
 def cases() -> dict:
     out = {cmd: ([cmd], example()) for cmd in ("check", "simulate", "stationary")}
     out["ode"] = (["ode"], example("init.chi_kind = tanh_stripe",
@@ -43,6 +69,9 @@ def cases() -> dict:
                                 ("stripe_96", "simulate", "tiny")):
             out[f"{name}_{seed}"] = ([cmd], workloads.config_text(name, seed, size, "out"))
     out["probe"] = (["stationary"], workloads.probe_config_text("out"))
+    out["near_wall"] = (["stationary"], NEAR_WALL)
+    saddle = example("domain.nx = 32\ndomain.ny = 16", "domain.nx = 16\ndomain.ny = 8")
+    out["saddle_16x8"] = (["stationary"], saddle.replace(".a = -0.5", ".a = 0.5"))
     for i, edit in enumerate((("domain.nx = 32", "domain.nx = 3"),
                               ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
                               ("", "time.min_dt = 0.01"),
