@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, SolverError
 from .functionals import State, mass_mu
-from .grid_ops import solve_spd
 from .potentials import latent_range, separating_slope_margin
 from .timestepper import (EPS, MIN_BACKTRACK, NEWTON_NOISE_FACTOR, Model, PhaseValues, _newton,
                           measure_norm)
@@ -114,23 +113,6 @@ def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model, 
     return mass_mu(steady, model, at) - mu_target
 
 
-def _jacobian_solve(model: Model, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(K + diag(jac))^-1 rhs by the split PCG of Model.newton_step, preconditioned
-    with the exact inverse of K + c M at c = mean(jac / m_comb) of either sign.
-
-    newton_step refuses c <= 0.  Here c < 0 is what lets full Newton steps reach a
-    saddle whose Jacobian is indefinite only in modes the residual does not excite,
-    as at the odd, x-independent states of a stripe; where it does excite them, CG
-    finds a nonpositive curvature and raises.  c = 0 would divide by zero.
-    """
-    c = float(jac @ model.inv_m_comb) / jac.size
-    if c == 0.0:
-        raise SolverError("stationary Jacobian: mean(d / m_comb) = 0")
-    k, mc = model.stiffness, model.masses.m_comb
-    return solve_spd(lambda z: k.apply(z) + jac * z, model.shifted_inverse.solver(c), rhs,
-                     jac - c * mc, tol=1.0e-12)
-
-
 def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: Model,
                      tol: float = 1.0e-12) -> StationaryResult:
     """Find one steady state with the prescribed mass, starting from (guess, -1/theta0).
@@ -139,11 +121,15 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
     the mass gap g have the bordered Jacobian [[J, -b], [b^T, c]] with
     J = K + diag(d - d_lag), b = m lambda'(chi) and c = |Omega + Gamma| / u^2.
     Each iteration adds M/Delta to J and solves by Keller's bordering: two
-    _jacobian_solve calls, (J + M/Delta) x1 = -R and (J + M/Delta) x2 = b, then
-    du = (-g - b.x1) / (c + b.x2) and dchi = x1 + x2 du.  The step is halved
-    into the guard box and into u < 0.  Delta starts at PSEUDO_TIME_STEP and
-    follows switched evolution relaxation (Kelley and Keyes), Delta <- Delta
-    ||F_prev|| / ||F|| with ||F|| = hypot(||R||, |g|).  A step whose ||F|| grows
+    Model.newton_step calls, (J + M/Delta) x1 = -R and (J + M/Delta) x2 = b, then
+    du = (-g - b.x1) / (c + b.x2) and dchi = x1 + x2 du.  J + M/Delta may have a
+    negative mean diagonal: full Newton steps reach a saddle whose Jacobian is
+    indefinite only in modes the residual does not excite, as at the odd,
+    x-independent states of a stripe; where it does excite them, CG finds a
+    nonpositive curvature and raises.  The step is halved into the guard box
+    and into u < 0.  Delta starts at PSEUDO_TIME_STEP and follows switched
+    evolution relaxation (Kelley and Keyes), Delta <- Delta ||F_prev|| / ||F||
+    with ||F|| = hypot(||R||, |g|).  A step whose ||F|| grows
     is rejected and Delta halved; a failed CG solve also caps Delta at half its
     value.  Stops as timestepper._newton does, at ||R|| <= tol or at its
     round-off level 8 eps ||d chi||, once |g| <= tol too.
@@ -175,8 +161,8 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
                 separation=float(1.0 - np.max(np.abs(chi))), hypothesis_report=hyp)
         shifted = d + mc / delta
         try:
-            x1 = _jacobian_solve(model, shifted, -r)
-            x2 = _jacobian_solve(model, shifted, b)
+            x1 = model.newton_step(shifted, r, 1.0e-12)
+            x2 = model.newton_step(shifted, -b, 1.0e-12)
         except SolverError:
             delta = delta_max = 0.5 * delta
             continue

@@ -125,11 +125,12 @@ class Model:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
         inverse of P = K + c m_comb at c = mean(d / m_comb); the operator is
         P + diag(d - c m_comb), so CG carries P p and applies K only to check.
-        Raises SolverError when c <= 0, where P is singular or indefinite."""
+        At c < 0, P is indefinite and CG runs while it meets no nonpositive
+        curvature; c = 0 makes P singular in its constant mode and raises SolverError."""
         k, inv, mc = self.stiffness, self.shifted_inverse, self.masses.m_comb
         c = float(d @ self.inv_m_comb) / d.size
-        if not c > 0.0:
-            raise SolverError(f"Newton system has no positive shift: mean(d / m_comb) = {c:.3e}")
+        if c == 0.0:
+            raise SolverError("Newton system has no shift: mean(d / m_comb) = 0")
         return solve_spd(lambda z: k.apply(z) + d * z, inv.solver(c), -r,
                          d - c * mc, tol=tol)
 

@@ -1,9 +1,14 @@
-"""Shared builders for the test suite."""
+"""Shared builders and checks for the test suite."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from pfstrip import (LatentHeat, Model, Potential, State, assemble_masses,
                      assemble_stiffness, build_grid)
+from pfstrip.functionals import dm_mean, dm_std, mass_mu
+from pfstrip.stationary import stationary_phase_residual
+from pfstrip.timestepper import measure_norm
 
 
 def make_model(lx=1.0, ly=1.0, nx=8, ny=4, p_bulk=None, p_surf=None,
@@ -25,3 +30,29 @@ def constant_state(model, theta, chi):
 def roll_x(grid, z, shift):
     """Periodic shift of a flat field by whole columns."""
     return np.roll(np.asarray(z).reshape(grid.ny + 1, grid.nx), shift, axis=1).ravel()
+
+
+@dataclass(frozen=True)
+class OmegaLimitReport:
+    """Residual-based omega-limit membership check of a long-run final state."""
+
+    u_spatial_std: float
+    phase_residual: float
+    mu_gap: float
+    converged: bool
+
+
+def omega_limit_report(final: State, mu_target: float, model: Model,
+                       std_tol: float = 1.0e-6, residual_tol: float = 1.0e-6,
+                       mu_tol: float = 1.0e-8) -> OmegaLimitReport:
+    """Check how close a trajectory endpoint is to solving the stationary system:
+    the spatial spread of u, the stationary phase residual at the mean u and the
+    gap to the target mass, not the distance to any particular steady state."""
+    residual = measure_norm(stationary_phase_residual(final.chi, dm_mean(final.u, model.masses),
+                                                      model), model.masses.m_comb)
+    u_std = dm_std(final.u, model.masses)
+    mu_gap_val = abs(mass_mu(final, model) - mu_target)
+    return OmegaLimitReport(
+        u_spatial_std=u_std, phase_residual=residual, mu_gap=mu_gap_val,
+        converged=(u_std <= std_tol and residual <= residual_tol and mu_gap_val <= mu_tol),
+    )

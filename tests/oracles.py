@@ -5,18 +5,11 @@ Everything here takes a deliberately different route than the package:
 vectorized sums, plain bisection instead of Newton, and a two-variable
 RK4 that does not use the conserved combination.  Frozen once written;
 a change here means re-deriving the expected values, not patching them.
-The omega-limit report at the end is the one residual check of a long-run
-endpoint against the stationary system, shared by the tests that need it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from pfstrip.functionals import State, dm_mean, dm_std, mass_mu
-from pfstrip.stationary import StationaryResult, stationary_phase_residual
-from pfstrip.timestepper import Model, measure_norm
 
 
 def simpson(fn, a, b, panels=10_000):
@@ -205,39 +198,3 @@ def rk4_pair(theta0, chi0, f, delta, a, b, tau, t_end):
         k4 = rhs(y + tau * k3)
         y = y + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return float(y[0]), float(y[1])
-
-
-@dataclass(frozen=True)
-class OmegaLimitReport:
-    """Residual-based omega-limit membership check of a long-run final state."""
-
-    u_spatial_std: float
-    phase_residual: float
-    mu_gap: float
-    chi_distance: float
-    u_mean_distance: float
-    converged: bool
-
-
-def omega_limit_report(final: State, result: StationaryResult, model: Model,
-                       std_tol: float = 1.0e-6, residual_tol: float = 1.0e-6,
-                       mu_tol: float = 1.0e-8) -> OmegaLimitReport:
-    """Check how close a trajectory endpoint is to solving the stationary system.
-
-    Membership is decided by residuals (spatial spread of u, stationary phase
-    residual at the mean u, mass gap), not by distance to the particular
-    root in `result`; the distances are reported for information only.
-    """
-    u_mean = dm_mean(final.u, model.masses)
-    residual = measure_norm(
-        stationary_phase_residual(final.chi, u_mean, model), model.masses.m_comb)
-    u_std = dm_std(final.u, model.masses)
-    mu_gap_val = abs(mass_mu(final, model) - result.mu_target)
-    return OmegaLimitReport(
-        u_spatial_std=u_std,
-        phase_residual=residual,
-        mu_gap=mu_gap_val,
-        chi_distance=float(np.max(np.abs(final.chi - result.chi_inf))),
-        u_mean_distance=abs(u_mean - result.u_inf),
-        converged=(u_std <= std_tol and residual <= residual_tol and mu_gap_val <= mu_tol),
-    )

@@ -14,8 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import oracles
-from helpers import constant_state, make_model
+from helpers import constant_state, make_model, omega_limit_report
 from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
 from pfstrip.functionals import dm_mean, mass_mu
 from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
@@ -149,8 +148,8 @@ def test_criterion_6_omega_limit():
     rows, final = run(model, cfg, s0, 50.0)
 
     # residual-based: bounds u_std 1e-6, phase residual 1e-6, mass drift 1e-8
-    omega = oracles.omega_limit_report(final, solve_stationary(rows[0].mu, 1.0, chi0, model),
-                                       model, std_tol=1.0e-6, residual_tol=1.0e-6, mu_tol=1.0e-8)
+    omega = omega_limit_report(final, rows[0].mu, model,
+                               std_tol=1.0e-6, residual_tol=1.0e-6, mu_tol=1.0e-8)
 
     # Decoupled run: no latent coupling, theta diffuses to its weighted mean.
     model_d = make_model(1.0, 1.0, 32, 32, p_bulk=Potential.quartic(0.0),

@@ -9,11 +9,11 @@ import oracles
 import pfstrip.grid_ops as grid_ops
 import pfstrip.io_cli as io_cli
 import pfstrip.timestepper as ts
-from helpers import constant_state, make_model, roll_x
+from helpers import constant_state, make_model, omega_limit_report, roll_x
 from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
 import pfstrip.stationary as st
 from pfstrip.errors import AdmissibilityError, SolverError
-from pfstrip.functionals import mass_mu
+from pfstrip.functionals import dm_mean, mass_mu
 from pfstrip.potentials import scalar_f
 from pfstrip.stationary import (hypothesis_report, mass_gap, solve_chi_given_u,
                                 solve_stationary, stationary_phase_residual)
@@ -176,6 +176,9 @@ def test_solve_stationary_rejects_inadmissible_mass():
     # lambda = -r^2 has minimum -1 on [-1,1]: bound is -3 on the (1,1) strip
     with pytest.raises(AdmissibilityError):
         solve_stationary(-5.0, 1.0, np.zeros(m.grid.n_nodes), m)
+    for theta0 in (0.0, -1.0):   # admissible mass, but no positive start temperature
+        with pytest.raises(AdmissibilityError, match="theta0"):
+            solve_stationary(-2.0, theta0, np.zeros(m.grid.n_nodes), m)
 
 
 def test_solve_stationary_far_start_solves():
@@ -195,7 +198,7 @@ def test_solve_stationary_coupled_needs_few_inner_solves(monkeypatch):
     mu_t = mass_mu(s0, m)
     solves = []
     real = grid_ops.solve_spd
-    monkeypatch.setattr(st, "solve_spd", lambda *a, **k: solves.append(1) or real(*a, **k))
+    monkeypatch.setattr(ts, "solve_spd", lambda *a, **k: solves.append(1) or real(*a, **k))
     monkeypatch.setattr(st, "solve_chi_given_u", None)
     res = solve_stationary(mu_t, 1.0, s0.chi, m)
     assert abs(res.mass_gap) <= 1e-12 and res.phase_residual <= 1e-12
@@ -209,16 +212,16 @@ def test_omega_limit_report_exact_and_negative():
     res = solve_stationary(mu_t, 1.0, s0.chi, m)
 
     exact = State(0.0, np.full(m.grid.n_nodes, res.u_inf), res.chi_inf.copy())
-    rep = oracles.omega_limit_report(exact, res, m)
+    rep = omega_limit_report(exact, res.mu_target, m)
     assert rep.converged
-    assert rep.u_spatial_std <= 1e-12 and rep.chi_distance <= 1e-12
-    assert rep.u_mean_distance <= 1e-12
+    assert rep.u_spatial_std <= 1e-12 and rep.mu_gap <= 1e-12
+    assert abs(dm_mean(exact.u, m.masses) - res.u_inf) <= 1e-12
 
     theta0 = preset_field(m.grid, "sinusoid", value=1.0, amplitude=0.3, kx=1)
     far = State(0.0, -1.0 / theta0, preset_field(m.grid, "tanh_stripe",
                                                  amplitude=0.5, width=0.2))
     _, s_short = run(m, StepperConfig(tau=1e-3), far, 3e-3)
-    rep2 = oracles.omega_limit_report(s_short, res, m)
+    rep2 = omega_limit_report(s_short, res.mu_target, m)
     assert not rep2.converged and rep2.u_spatial_std > 1e-6
 
 
