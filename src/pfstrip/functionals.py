@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DomainError
 from .grid_ops import MassVectors
-from .potentials import latent_eval
 
 if TYPE_CHECKING:   # timestepper imports this module
     from .timestepper import Model
@@ -110,11 +109,9 @@ def _mass_sum(parts, lams) -> float:
 
 def mass_mu(s: State, model: Model, at=None) -> float:
     """Internal-energy mass: integral of theta + lambda(chi), bulk plus surface,
-    with lambda read from at = Model.phase_values(s.chi) or evaluated here."""
-    parts = _parts(s, model)
-    lams = ((at.bulk.lam, at.surf.lam) if at is not None else
-            [latent_eval(l, chi)[0] for (_, _, chi), l in zip(parts, (model.l_bulk, model.l_surf))])
-    return _mass_sum(parts, lams)
+    with lambda read from at = Model.phase_values(s.chi) (computed if not given)."""
+    at = model.phase_values(s.chi) if at is None else at
+    return _mass_sum(_parts(s, model), (at.bulk.lam, at.surf.lam))
 
 
 def row_functionals(s: State, model: Model, at=None) -> tuple[float, float, float]:

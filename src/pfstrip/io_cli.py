@@ -171,22 +171,6 @@ def parse_config(text: str) -> Config:
     return Config(**{sec: _SECTIONS[sec](**kw) for sec, kw in sections.items()})
 
 
-def serialize_config(c: Config) -> str:
-    """Emit text that parses back to an identical Config (floats via repr)."""
-    lines = []
-    for name, typ, _, _, _ in _SCHEMA:
-        sec, _, key = name.partition(".")
-        v = getattr(getattr(c, sec), key)
-        if typ is float:
-            out = repr(float(v))
-        elif typ is bool:
-            out = "true" if v else "false"
-        else:
-            out = str(v)
-        lines.append(f"{name} = {out}")
-    return "\n".join(lines) + "\n"
-
-
 def build_model(c: Config) -> Model:
     g = build_grid(**vars(c.domain))
     return Model(grid=g, masses=assemble_masses(g), stiffness=assemble_stiffness(g),

@@ -62,14 +62,6 @@ class Potential:
         object.__setattr__(self, "domain_lo", lo)
         object.__setattr__(self, "domain_hi", hi)
 
-    @classmethod
-    def logarithmic(cls, delta: float = 0.0) -> "Potential":
-        return cls("logarithmic", delta)
-
-    @classmethod
-    def quartic(cls, delta: float = 0.0) -> "Potential":
-        return cls("quartic", delta)
-
     @property
     def singular(self) -> bool:
         """True when the domain is a bounded interval with f blowing up at the ends."""

@@ -4,17 +4,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pfstrip import (LatentHeat, Model, Potential, State, assemble_masses,
-                     assemble_stiffness, build_grid)
-from pfstrip.functionals import dm_mean, dm_std, mass_mu
+from pfstrip.functionals import State, dm_mean, dm_std, mass_mu
+from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
+from pfstrip.potentials import LatentHeat, Potential
 from pfstrip.stationary import stationary_phase_residual
-from pfstrip.timestepper import measure_norm
+from pfstrip.timestepper import Model, measure_norm
 
 
 def make_model(lx=1.0, ly=1.0, nx=8, ny=4, p_bulk=None, p_surf=None,
                l_bulk=None, l_surf=None):
     g = build_grid(lx, ly, nx, ny)
-    p_bulk = p_bulk if p_bulk is not None else Potential.logarithmic(1.0)
+    p_bulk = p_bulk if p_bulk is not None else Potential("logarithmic", 1.0)
     p_surf = p_surf if p_surf is not None else p_bulk
     l_bulk = l_bulk if l_bulk is not None else LatentHeat(0.0, 0.0, 0.0)
     l_surf = l_surf if l_surf is not None else l_bulk

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from helpers import constant_state, make_model, omega_limit_report
-from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
-from pfstrip.functionals import dm_mean, mass_mu
+from pfstrip.functionals import State, dm_mean, mass_mu
 from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.io_cli import cli_main
-from pfstrip.potentials import separating_slope_margin
+from pfstrip.potentials import LatentHeat, Potential, separating_slope_margin
 from pfstrip.stationary import solve_stationary
-from pfstrip.timestepper import integrate_homogeneous, preset_field
+from pfstrip.timestepper import (Stepper, StepperConfig, integrate_homogeneous, preset_field,
+                                 run)
 
 
 def report(num, name, ok, detail):
@@ -31,7 +31,7 @@ def report(num, name, ok, detail):
 
 def stripe_run(nx, ny, tau):
     """Stripe relaxation shared by the conservation/identity/separation checks."""
-    model = make_model(1.0, 1.0, nx, ny, p_bulk=Potential.logarithmic(1.0),
+    model = make_model(1.0, 1.0, nx, ny, p_bulk=Potential("logarithmic", 1.0),
                        l_bulk=LatentHeat(1.0, 0.0, 0.0))
     g = model.grid
     chi0 = preset_field(g, "tanh_stripe", value=0.0, amplitude=0.3, kx=1,
@@ -92,7 +92,7 @@ def test_criterion_3_dissipation_and_energy_decay(run_base):
 
 
 def test_criterion_4_homogeneous_ode_oracle():
-    pot = Potential.logarithmic(1.8628)
+    pot = Potential("logarithmic", 1.8628)
     lat = LatentHeat(0.2, 0.0, 0.0)
     model = make_model(p_bulk=pot, l_bulk=lat)
     s0 = constant_state(model, 2.0, 0.3)
@@ -138,7 +138,7 @@ def test_criterion_6_omega_limit():
     # Coupled long run; the latent slope keeps the phase away from the walls.
     lat = LatentHeat(-1.0, 0.0, 0.0)
     assert separating_slope_margin(lat) > 0.0
-    model = make_model(1.0, 1.0, 32, 32, p_bulk=Potential.logarithmic(1.0),
+    model = make_model(1.0, 1.0, 32, 32, p_bulk=Potential("logarithmic", 1.0),
                        l_bulk=lat)
     g = model.grid
     chi0 = preset_field(g, "tanh_stripe", value=0.0, amplitude=0.3, kx=1,
@@ -152,7 +152,7 @@ def test_criterion_6_omega_limit():
                                std_tol=1.0e-6, residual_tol=1.0e-6, mu_tol=1.0e-8)
 
     # Decoupled run: no latent coupling, theta diffuses to its weighted mean.
-    model_d = make_model(1.0, 1.0, 32, 32, p_bulk=Potential.quartic(0.0),
+    model_d = make_model(1.0, 1.0, 32, 32, p_bulk=Potential("quartic", 0.0),
                          l_bulk=LatentHeat(0.0, 0.0, 0.0))
     theta0 = preset_field(model_d.grid, "sinusoid", value=1.0, amplitude=0.3,
                           kx=1, width=0.1, seed=0)
@@ -169,7 +169,7 @@ def test_criterion_6_omega_limit():
 
 
 def test_criterion_7_stationary_cross_check():
-    model = make_model(1.0, 1.0, 16, 8, p_bulk=Potential.logarithmic(1.0),
+    model = make_model(1.0, 1.0, 16, 8, p_bulk=Potential("logarithmic", 1.0),
                        l_bulk=LatentHeat(-1.0, 0.0, 0.0))
     n = model.grid.n_nodes
     result = solve_stationary(3.12, 1.0, np.zeros(n), model, tol=1.0e-12)

@@ -9,15 +9,15 @@ import pytest
 import oracles
 from helpers import constant_state, make_model, roll_x
 import pfstrip.functionals as fn
-from pfstrip import LatentHeat, Potential, State, StepperConfig, run
 from pfstrip.errors import DomainError
-from pfstrip.functionals import (DiagnosticsRow, dissipation_increment, dm_mean,
+from pfstrip.functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean,
                                  dm_std, energy, energy_identity_residual,
                                  entropy, mass_mu, row_functionals)
 from pfstrip.io_cli import (build_initial_state, build_model, build_source,
                             build_stepper_config, load_config)
+from pfstrip.potentials import LatentHeat, Potential
 from pfstrip.stationary import mass_gap
-from pfstrip.timestepper import preset_field
+from pfstrip.timestepper import StepperConfig, preset_field, run
 
 
 def random_state(model, rng, theta_span=(0.5, 2.0), chi_span=(-0.8, 0.8)):
@@ -46,7 +46,7 @@ def test_state_validate_rejects_bad_fields():
     with pytest.raises(DomainError):
         State(0.0, bad, s.chi).validate(m)
     # quartic bulk, logarithmic surface: |chi| > 1 is admissible on interior rows only
-    mixed = make_model(p_bulk=Potential.quartic(1.0), p_surf=Potential.logarithmic(1.0))
+    mixed = make_model(p_bulk=Potential("quartic", 1.0), p_surf=Potential("logarithmic", 1.0))
     chi = s.chi.copy()
     chi[mixed.grid.nx + 1] = 1.5   # row 1, an interior row
     State(0.0, s.u, chi).validate(mixed)
@@ -99,8 +99,8 @@ def test_energy_constant_examples():
 
 
 def test_energy_matches_summation_oracle(rng):
-    m = make_model(nx=16, ny=8, p_bulk=Potential.logarithmic(1.5),
-                   p_surf=Potential.logarithmic(0.5),
+    m = make_model(nx=16, ny=8, p_bulk=Potential("logarithmic", 1.5),
+                   p_surf=Potential("logarithmic", 0.5),
                    l_bulk=LatentHeat(0.6, 0.1, -0.2), l_surf=LatentHeat(0.2, 0.0, 0.3))
     g = m.grid
     s = State(0.0, -1.0 / (1.0 + 0.3 * np.sin(2.0 * np.pi * g.x)),
@@ -126,8 +126,8 @@ def test_entropy_constant_examples():
 
 
 def test_entropy_matches_summation_oracle(rng):
-    m = make_model(nx=16, ny=8, p_bulk=Potential.quartic(2.0),
-                   p_surf=Potential.quartic(1.0))
+    m = make_model(nx=16, ny=8, p_bulk=Potential("quartic", 2.0),
+                   p_surf=Potential("quartic", 1.0))
     s = random_state(m, rng, chi_span=(-1.5, 1.5))
     ref = oracles.entropy_oracle(m.grid, s.theta, s.chi, m.p_bulk, m.p_surf)
     val = entropy(s, m)
@@ -136,7 +136,7 @@ def test_entropy_matches_summation_oracle(rng):
 
 @pytest.mark.parametrize("kind", ["logarithmic", "quartic"])
 def test_energy_is_mass_minus_entropy(kind, rng):
-    p = getattr(Potential, kind)(1.3)
+    p = Potential(kind, 1.3)
     m = make_model(nx=12, ny=6, p_bulk=p, l_bulk=LatentHeat(0.5, -0.2, 0.4))
     for _ in range(5):
         s = random_state(m, rng)
@@ -147,9 +147,9 @@ def test_energy_is_mass_minus_entropy(kind, rng):
 
 
 @pytest.mark.parametrize("p_bulk,p_surf,span", [
-    (Potential.logarithmic(1.5), Potential.logarithmic(0.5), 0.95),
-    (Potential.quartic(2.0), Potential.quartic(1.0), 1.5),
-    (Potential.quartic(0.7), Potential.logarithmic(1.2), 0.95),
+    (Potential("logarithmic", 1.5), Potential("logarithmic", 0.5), 0.95),
+    (Potential("quartic", 2.0), Potential("quartic", 1.0), 1.5),
+    (Potential("quartic", 0.7), Potential("logarithmic", 1.2), 0.95),
 ])
 def test_row_functionals_match_separate_functionals_and_oracles(p_bulk, p_surf, span, rng):
     m = make_model(nx=16, ny=8, p_bulk=p_bulk, p_surf=p_surf,

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from pfstrip import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.errors import ConfigError, SolverError
-from pfstrip.grid_ops import MAX_RESTARTS, assemble_shifted_inverse, solve_spd
+from pfstrip.grid_ops import (MAX_RESTARTS, assemble_masses, assemble_shifted_inverse,
+                              assemble_stiffness, build_grid, solve_spd)
 
 # First nonconstant eigenvalue of the x-independent reduction of the coupled
 # form: -z'' = lam z on (0,1) with flux condition z'(1) = lam z(1) and

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
-from pfstrip import LatentHeat, Potential
 from pfstrip.errors import DomainError
-from pfstrip.potentials import (check_coercivity, check_compatibility, evaluate,
-                                latent_eval, latent_range, scalar_f,
+from pfstrip.potentials import (LatentHeat, Potential, check_coercivity, check_compatibility,
+                                evaluate, latent_eval, latent_range, scalar_f,
                                 separating_slope_margin)
 
 
 def test_logarithmic_closed_form_values():
-    p = Potential.logarithmic(1.0)
+    p = Potential("logarithmic", 1.0)
     big_f, f, fp = evaluate(p, 0.0)
     assert big_f == 0.0 and f == 0.0 and fp == 2.0
     big_f, f, fp = evaluate(p, 0.5)
@@ -24,14 +23,14 @@ def test_logarithmic_closed_form_values():
 
 
 def test_quartic_closed_form_values():
-    big_f, f, fp = evaluate(Potential.quartic(1.0), -2.0)
+    big_f, f, fp = evaluate(Potential("quartic", 1.0), -2.0)
     assert math.isclose(big_f, 4.0, rel_tol=1e-14)
     assert math.isclose(f, -8.0, rel_tol=1e-14)
     assert math.isclose(fp, 12.0, rel_tol=1e-14)
 
 
 def test_evaluate_is_vectorized():
-    p = Potential.logarithmic(2.0)
+    p = Potential("logarithmic", 2.0)
     r = np.array([-0.5, 0.0, 0.5])
     big_f, f, fp = evaluate(p, r)
     assert big_f.shape == f.shape == fp.shape == (3,)
@@ -39,7 +38,7 @@ def test_evaluate_is_vectorized():
 
 
 def test_logarithmic_rejects_domain_boundary():
-    p = Potential.logarithmic(1.0)
+    p = Potential("logarithmic", 1.0)
     with pytest.raises(DomainError):
         evaluate(p, 1.0)
     with pytest.raises(DomainError):
@@ -62,7 +61,7 @@ def test_family_fixes_the_domain():
     ("quartic", [np.nan, np.inf, -np.inf]),
 ])
 def test_evaluate_rejects_every_point_off_the_open_domain(kind, bad):
-    p = getattr(Potential, kind)(1.0)
+    p = Potential(kind, 1.0)
     for value in bad:
         with pytest.raises(DomainError, match=f"outside the open domain .* {kind} potential"):
             evaluate(p, value)
@@ -74,7 +73,7 @@ def test_evaluate_rejects_every_point_off_the_open_domain(kind, bad):
 
 @pytest.mark.parametrize("kind", ["logarithmic", "quartic"])
 def test_evaluate_accepts_empty_arrays(kind):
-    big_f, f, fp = evaluate(getattr(Potential, kind)(1.0), np.zeros(0))
+    big_f, f, fp = evaluate(Potential(kind, 1.0), np.zeros(0))
     assert big_f.shape == f.shape == fp.shape == (0,)
 
 
@@ -99,7 +98,7 @@ def test_separating_slope_margin_values():
 
 @pytest.mark.parametrize("kind,span", [("logarithmic", 0.95), ("quartic", 2.0)])
 def test_big_f_matches_quadrature_of_f(kind, span, rng):
-    p = getattr(Potential, kind)(1.0)
+    p = Potential(kind, 1.0)
     f = scalar_f(p)
     for r in rng.uniform(-span, span, size=100):
         big_f = evaluate(p, r)[0]
@@ -109,7 +108,7 @@ def test_big_f_matches_quadrature_of_f(kind, span, rng):
 
 @pytest.mark.parametrize("kind,span", [("logarithmic", 0.99), ("quartic", 2.0)])
 def test_fprime_matches_centered_differences(kind, span, rng):
-    p = getattr(Potential, kind)(1.0)
+    p = Potential(kind, 1.0)
     f = scalar_f(p)
     for r in rng.uniform(-span, span, size=100):
         h = 1e-6 * (1.0 - abs(r)) if kind == "logarithmic" else 1e-6
@@ -119,7 +118,7 @@ def test_fprime_matches_centered_differences(kind, span, rng):
 
 @pytest.mark.parametrize("kind,span", [("logarithmic", 0.999), ("quartic", 3.0)])
 def test_odd_symmetry(kind, span):
-    p = getattr(Potential, kind)(1.0)
+    p = Potential(kind, 1.0)
     r = np.linspace(-span, span, 401)
     big_f, f, _ = evaluate(p, r)
     assert np.allclose(f, -f[::-1], rtol=1e-13, atol=1e-15)
@@ -128,36 +127,36 @@ def test_odd_symmetry(kind, span):
 
 @pytest.mark.parametrize("kind,span", [("logarithmic", 0.999), ("quartic", 3.0)])
 def test_f_is_strictly_monotone(kind, span):
-    p = getattr(Potential, kind)(1.0)
+    p = Potential(kind, 1.0)
     f = evaluate(p, np.linspace(-span, span, 2001))[1]
     assert np.all(np.diff(f) > 0.0)
 
 
 def test_compatibility_identical_logarithmic():
-    r = check_compatibility(Potential.logarithmic(1.0), Potential.logarithmic(1.0))
+    r = check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 1.0))
     assert r.ok
     assert r.c_s == 1.0 and r.big_c_s == 0.0
     assert r.kappa_s == 1.0 and r.big_c_sing == 0.0
 
 
 def test_compatibility_ignores_delta():
-    r = check_compatibility(Potential.logarithmic(1.0), Potential.logarithmic(7.0))
+    r = check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 7.0))
     assert r.ok and r.c_s == 1.0 and r.big_c_s == 0.0
 
 
 def test_compatibility_quartic_bulk_logarithmic_surface():
     # surface domain (-1,1) sits inside the quartic bulk domain
-    r = check_compatibility(Potential.quartic(1.0), Potential.logarithmic(1.0))
+    r = check_compatibility(Potential("quartic", 1.0), Potential("logarithmic", 1.0))
     assert r.ok and r.c_s > 0.0
 
 
 def test_compatibility_rejects_reversed_inclusion():
     with pytest.raises(DomainError):
-        check_compatibility(Potential.logarithmic(1.0), Potential.quartic(1.0))
+        check_compatibility(Potential("logarithmic", 1.0), Potential("quartic", 1.0))
 
 
 def test_coercivity_bounded_domain_is_automatic():
-    rep = check_coercivity(Potential.logarithmic(1.0), Potential.logarithmic(1.0),
+    rep = check_coercivity(Potential("logarithmic", 1.0), Potential("logarithmic", 1.0),
                            LatentHeat(3.0, -1.0, 0.5), LatentHeat(-2.0, 0.0, 0.0))
     assert rep.ok
     assert rep.bulk.bounded_domain and rep.surf.bounded_domain
@@ -165,13 +164,13 @@ def test_coercivity_bounded_domain_is_automatic():
 
 def test_coercivity_quartic_growth():
     lz = LatentHeat(0.0, 0.0, 0.0)
-    rep = check_coercivity(Potential.quartic(1.0), Potential.quartic(1.0), lz, lz)
+    rep = check_coercivity(Potential("quartic", 1.0), Potential("quartic", 1.0), lz, lz)
     assert rep.ok and not rep.bulk.bounded_domain
     assert rep.bulk.c1 > 0.0 and rep.surf.c1 > 0.0
 
 
 def test_coercivity_quartic_large_concave_latent():
     lz = LatentHeat(0.0, 0.0, 0.0)
-    rep = check_coercivity(Potential.quartic(1.0), Potential.quartic(1.0),
+    rep = check_coercivity(Potential("quartic", 1.0), Potential("quartic", 1.0),
                            LatentHeat(10.0, 0.0, 0.0), lz)
     assert rep.ok and rep.bulk.c1 > 0.0

@@ -10,23 +10,22 @@ import pfstrip.grid_ops as grid_ops
 import pfstrip.io_cli as io_cli
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model, omega_limit_report, roll_x
-from pfstrip import LatentHeat, Potential, State, Stepper, StepperConfig, run
 import pfstrip.stationary as st
 from pfstrip.errors import AdmissibilityError, SolverError
-from pfstrip.functionals import dm_mean, mass_mu
-from pfstrip.potentials import scalar_f
+from pfstrip.functionals import State, dm_mean, mass_mu
+from pfstrip.potentials import LatentHeat, Potential, scalar_f
 from pfstrip.stationary import (hypothesis_report, mass_gap, solve_chi_given_u,
                                 solve_stationary, stationary_phase_residual)
-from pfstrip.timestepper import measure_norm, preset_field
+from pfstrip.timestepper import Stepper, StepperConfig, measure_norm, preset_field, run
 
 
 def test_solve_chi_trivial_roots():
-    m = make_model(p_bulk=Potential.quartic(0.0))
+    m = make_model(p_bulk=Potential("quartic", 0.0))
     zero = np.zeros(m.grid.n_nodes)
     chi, resid, _ = solve_chi_given_u(-1.0, zero, m)
     assert np.max(np.abs(chi)) <= 1e-14 and resid <= 1e-12
 
-    m1 = make_model(p_bulk=Potential.quartic(1.0))
+    m1 = make_model(p_bulk=Potential("quartic", 1.0))
     chi, resid, _ = solve_chi_given_u(-1.0, np.full(m1.grid.n_nodes, 0.9), m1)
     assert np.max(np.abs(chi - 1.0)) <= 1e-9 and resid <= 1e-12
 
@@ -38,7 +37,7 @@ def test_solve_chi_matches_scalar_bisection_oracle():
     u_inf = -0.4
     for b in (0.05, 40.0, -40.0):
         lat = LatentHeat(0.2, b, 0.0)
-        m = make_model(p_bulk=Potential.logarithmic(0.5), l_bulk=lat)
+        m = make_model(p_bulk=Potential("logarithmic", 0.5), l_bulk=lat)
         chi, _, _ = solve_chi_given_u(u_inf, np.zeros(m.grid.n_nodes), m)
         f = scalar_f(m.p_bulk)
 
@@ -83,7 +82,7 @@ def test_solve_chi_linearizes_each_trial_point_once(monkeypatch):
 
 
 def test_mass_gap_closed_forms():
-    m = make_model(p_bulk=Potential.quartic(0.0))
+    m = make_model(p_bulk=Potential("quartic", 0.0))
     zero = np.zeros(m.grid.n_nodes)
     assert mass_gap(-1.0, zero, 3.0, m) == pytest.approx(0.0, abs=1e-13)
     assert mass_gap(-0.5, zero, 3.0, m) == pytest.approx(3.0, rel=1e-13)
@@ -100,7 +99,7 @@ def test_mass_gap_matches_summation_oracle(rng):
 
 
 def test_solve_stationary_decoupled_closed_form():
-    m = make_model(p_bulk=Potential.quartic(0.0))
+    m = make_model(p_bulk=Potential("quartic", 0.0))
     res = solve_stationary(3.0, 1.0, np.zeros(m.grid.n_nodes), m)
     assert res.theta_inf == pytest.approx(1.0, rel=1e-10)
     assert np.max(np.abs(res.chi_inf)) <= 1e-12
@@ -110,14 +109,14 @@ def test_solve_stationary_decoupled_closed_form():
 
 def test_solve_stationary_shifted_latent_closed_form():
     # mu = 3*theta + 1*(lx*ly) + 2*(2*lx) so mu = 8 puts theta at 1
-    m = make_model(p_bulk=Potential.quartic(0.0),
+    m = make_model(p_bulk=Potential("quartic", 0.0),
                    l_bulk=LatentHeat(0.0, 0.0, 1.0), l_surf=LatentHeat(0.0, 0.0, 2.0))
     res = solve_stationary(8.0, 1.0, np.zeros(m.grid.n_nodes), m)
     assert res.theta_inf == pytest.approx(1.0, rel=1e-10)
 
 
 def coupled_model(nx=16, ny=8):
-    return make_model(nx=nx, ny=ny, p_bulk=Potential.logarithmic(1.0),
+    return make_model(nx=nx, ny=ny, p_bulk=Potential("logarithmic", 1.0),
                       l_bulk=LatentHeat(-1.0, 0.0, 0.0))
 
 
@@ -172,7 +171,7 @@ def test_hypothesis_report_quadratic_latent():
 
 
 def test_solve_stationary_rejects_inadmissible_mass():
-    m = make_model(p_bulk=Potential.quartic(1.0), l_bulk=LatentHeat(1.0, 0.0, 0.0))
+    m = make_model(p_bulk=Potential("quartic", 1.0), l_bulk=LatentHeat(1.0, 0.0, 0.0))
     # lambda = -r^2 has minimum -1 on [-1,1]: bound is -3 on the (1,1) strip
     with pytest.raises(AdmissibilityError):
         solve_stationary(-5.0, 1.0, np.zeros(m.grid.n_nodes), m)
@@ -184,7 +183,7 @@ def test_solve_stationary_rejects_inadmissible_mass():
 def test_solve_stationary_far_start_solves():
     """lambda = -10 puts the root at theta = 1/3; a start at theta0 = 1500, where
     the bracketing root find found no sign change, reaches it."""
-    m = make_model(p_bulk=Potential.quartic(0.0), l_bulk=LatentHeat(0.0, 0.0, -10.0))
+    m = make_model(p_bulk=Potential("quartic", 0.0), l_bulk=LatentHeat(0.0, 0.0, -10.0))
     res = solve_stationary(-29.0, 1500.0, np.zeros(m.grid.n_nodes), m)
     assert res.theta_inf == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert abs(res.mass_gap) <= 1e-12
@@ -248,7 +247,7 @@ def test_solve_stationary_sweep(nx, ny, delta, a):
     """Logarithmic delta on bulk and boundary, latent -a r^2, a tanh stripe at
     theta0 = 1: the bracketing root find failed for delta = 3, a >= 0 and for
     delta = 1, a = 0.25 (CG on its clamped Jacobian, or Newton)."""
-    m = make_model(nx=nx, ny=ny, p_bulk=Potential.logarithmic(delta),
+    m = make_model(nx=nx, ny=ny, p_bulk=Potential("logarithmic", delta),
                    l_bulk=LatentHeat(a, 0.0, 0.0))
     chi0 = preset_field(m.grid, "tanh_stripe", amplitude=0.8, width=0.1)
     mu_t = mass_mu(State(0.0, np.full(m.grid.n_nodes, -1.0), chi0), m)

@@ -12,11 +12,12 @@ import oracles
 import pfstrip.functionals as fn
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model
-from pfstrip import (LatentHeat, Potential, State, StiffnessOp, Stepper, StepperConfig,
-                     integrate_homogeneous, make_source, preset_field, run)
 from pfstrip.errors import ConfigError, DomainError, FatalSolverError, SolverError
-from pfstrip.functionals import mass_mu
-from pfstrip.potentials import scalar_f
+from pfstrip.functionals import State, mass_mu
+from pfstrip.grid_ops import StiffnessOp
+from pfstrip.potentials import LatentHeat, Potential, scalar_f
+from pfstrip.timestepper import (Stepper, StepperConfig, integrate_homogeneous, make_source,
+                                 preset_field, run)
 
 
 def latent_quotient(m, chi_old, chi_new, tau):
@@ -45,7 +46,7 @@ def test_config_rejects_nonpositive_solver_controls(bad):
 
 
 def test_step_chi_zero_fixed_point():
-    m = make_model(p_bulk=Potential.quartic(0.0))
+    m = make_model(p_bulk=Potential("quartic", 0.0))
     s = constant_state(m, 1.0, 0.0)
     chi_new, iters = ts.step_chi(s, 0.01, StepperConfig(tau=0.01), m, m.phase_values(s.chi))[:2]
     assert np.all(chi_new == 0.0) and iters == 0
@@ -53,7 +54,7 @@ def test_step_chi_zero_fixed_point():
 
 def test_step_chi_matches_scalar_bisection_oracle():
     lat = LatentHeat(0.3, 0.1, 0.0)
-    m = make_model(p_bulk=Potential.logarithmic(1.0), l_bulk=lat)
+    m = make_model(p_bulk=Potential("logarithmic", 1.0), l_bulk=lat)
     theta_n, chi_n, tau = 1.5, 0.2, 0.05
     s = constant_state(m, theta_n, chi_n)
     chi_new = ts.step_chi(s, tau, StepperConfig(tau=tau), m, m.phase_values(s.chi))[0]
@@ -111,7 +112,7 @@ def test_step_theta_conserves_mass(rng):
 
 
 def test_advance_keeps_stationary_state():
-    m = make_model(p_bulk=Potential.quartic(0.0), l_bulk=LatentHeat(0.0, 0.0, 0.8))
+    m = make_model(p_bulk=Potential("quartic", 0.0), l_bulk=LatentHeat(0.0, 0.0, 0.8))
     s = constant_state(m, 1.4, 0.0)
     stepper = Stepper(m, StepperConfig(tau=0.05))
     s_new, row = stepper.advance(s, 1)
@@ -135,7 +136,7 @@ def test_advance_emits_positive_bounds(rng):
 
 
 def test_u_spatial_std_decays_without_coupling():
-    m = make_model(nx=8, ny=4, p_bulk=Potential.quartic(0.0))
+    m = make_model(nx=8, ny=4, p_bulk=Potential("quartic", 0.0))
     g = m.grid
     theta0 = preset_field(g, "sinusoid", value=1.0, amplitude=0.3, kx=1)
     s = State(0.0, -1.0 / theta0, np.zeros(g.n_nodes))
@@ -249,7 +250,7 @@ def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
 
     monkeypatch.setattr(ts, "solve_spd", counting)
     for n in (16, 32, 64):
-        m = make_model(1.0, 1.0, n, n, p_bulk=Potential.logarithmic(1.0),
+        m = make_model(1.0, 1.0, n, n, p_bulk=Potential("logarithmic", 1.0),
                        l_bulk=LatentHeat(1.0, 0.0, 0.0))
         g = m.grid
         chi0 = preset_field(g, "tanh_stripe", amplitude=0.3, width=0.2) \
@@ -267,7 +268,7 @@ def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch)
     latent_eval on bulk and surface), and K is applied there, at the new heat
     iterate and once per CG solve to confirm its residual.  Everything at the
     current state is carried from the step (or the initial row) before."""
-    m = make_model(p_bulk=Potential.logarithmic(1.8628), l_bulk=LatentHeat(0.2, 0.0, 0.0))
+    m = make_model(p_bulk=Potential("logarithmic", 1.8628), l_bulk=LatentHeat(0.2, 0.0, 0.0))
     stepper = Stepper(m, StepperConfig(tau=1.0e-4, cg_tol=1.0e-12))
     s = constant_state(m, 2.0, 0.3)
     stepper.initial_row(s)
@@ -297,7 +298,7 @@ def test_carried_values_match_a_recomputation_bitwise():
     recomputed from the previous state with nothing carried, and every row's
     functionals and dissipation sum equal row_functionals and
     dissipation_increment evaluated afresh, bit for bit."""
-    m = make_model(nx=16, ny=8, p_bulk=Potential.logarithmic(1.5),
+    m = make_model(nx=16, ny=8, p_bulk=Potential("logarithmic", 1.5),
                    l_bulk=LatentHeat(0.4, 0.1, 0.0), l_surf=LatentHeat(-0.3, 0.2, 0.1))
     g = m.grid
     cfg = StepperConfig(tau=2.0e-3)
@@ -324,7 +325,7 @@ def test_carried_values_match_a_recomputation_bitwise():
 def test_model_phase_terms_match_pointwise_oracle(rng):
     """implicit_terms - lagged_terms is the phase operator of both parts, each with
     its own potential, delta and latent heat; a scalar u is the constant field."""
-    m = make_model(p_bulk=Potential.quartic(0.7), p_surf=Potential.logarithmic(2.5),
+    m = make_model(p_bulk=Potential("quartic", 0.7), p_surf=Potential("logarithmic", 2.5),
                    l_bulk=LatentHeat(0.3, -0.2, 0.1), l_surf=LatentHeat(-0.6, 0.4, 0.5))
     n = m.grid.n_nodes
     chi = rng.uniform(-0.9, 0.9, n)
@@ -395,16 +396,16 @@ def test_newton_step_refuses_a_zero_shift():
 
 def test_integrate_homogeneous_trivial_cases():
     lz = LatentHeat(0.0, 0.0, 0.0)
-    _, theta, chi = integrate_homogeneous(1.3, 0.2, Potential.logarithmic(1.0),
+    _, theta, chi = integrate_homogeneous(1.3, 0.2, Potential("logarithmic", 1.0),
                                           lz, 1e-3, 1.0)
     assert np.allclose(theta, 1.3, rtol=1e-14)
-    _, _, chi = integrate_homogeneous(1.0, 0.0, Potential.quartic(1.0), lz, 1e-3, 1.0)
+    _, _, chi = integrate_homogeneous(1.0, 0.0, Potential("quartic", 1.0), lz, 1e-3, 1.0)
     assert np.allclose(chi, 0.0, atol=1e-14)
 
 
 def test_integrate_homogeneous_conserves_invariant():
     lat = LatentHeat(0.5, 0.3, 0.1)
-    p = Potential.logarithmic(2.0)
+    p = Potential("logarithmic", 2.0)
     _, theta, chi = integrate_homogeneous(1.7, -0.2, p, lat, 1e-4, 1.0)
     inv = theta + (-lat.a * chi * chi + lat.b * chi + lat.c)
     assert np.max(np.abs(inv - inv[0])) <= 1e-10
@@ -412,7 +413,7 @@ def test_integrate_homogeneous_conserves_invariant():
 
 def test_integrate_homogeneous_matches_pair_oracle():
     lat = LatentHeat(0.5, 0.3, 0.1)
-    p = Potential.logarithmic(2.0)
+    p = Potential("logarithmic", 2.0)
     _, theta, chi = integrate_homogeneous(1.7, -0.2, p, lat, 1e-3, 1.0)
     th_ref, ch_ref = oracles.rk4_pair(1.7, -0.2, scalar_f(p), p.delta,
                                       lat.a, lat.b, 1e-3, 1.0)
@@ -421,7 +422,7 @@ def test_integrate_homogeneous_matches_pair_oracle():
 
 
 def test_integrate_homogeneous_rejects_bad_data():
-    p = Potential.logarithmic(1.0)
+    p = Potential("logarithmic", 1.0)
     lz = LatentHeat(0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         integrate_homogeneous(-1.0, 0.0, p, lz, 1e-3, 1.0)
