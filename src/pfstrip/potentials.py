@@ -1,4 +1,4 @@
-"""Configuration potentials, latent heats, and structural hypothesis checks.
+"""Configuration potentials, latent heats, and the bulk/surface compatibility check.
 
 The configuration entropy density is split as
 
@@ -16,11 +16,15 @@ delta never enters f itself; it is carried alongside so callers can assemble
 the split implicit/explicit terms.  The latent heat is the quadratic
 lambda(r) = -a r^2 + b r + c.
 
-The check_* functions verify, by sampling, the structural hypotheses the
-analysis rests on: the bulk/surface compatibility of the monotone parts, and
-coercivity of lambda - s0 against r^2.  The fitted constants are reported so
-a failure near a singular endpoint is distinguishable from a genuine
-violation.
+The analysis rests on two structural hypotheses.  Compatibility of the
+bulk and surface monotone parts depends on the pair, so check_compatibility
+fits its constants on samples.  Coercivity, lambda - s0 >= c1 r^2 - c2 with
+c1 > 0, holds for every family, latent heat and delta, so nothing checks it:
+lambda - s0 = F - delta r^2 / 2 + lambda.
+  * Quartic: the sum is r^4/4 - (a + delta/2) r^2 + b r + c, and for every
+    c1 > 0 the quartic term dominates (a + delta/2 + c1) r^2 - b r, so the
+    sum is >= c1 r^2 - c2.
+  * Logarithmic: r^2 < 1 on (-1, 1), and F and lambda are bounded there.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ import numpy as np
 
 from .errors import DomainError
 
-# Sampling controls for the hypothesis checks: relative margin kept away from
-# singular endpoints, and the sampled radius of an unbounded domain.
+# Sampling controls for the compatibility check: relative margin kept away
+# from singular endpoints, the sampled radius of an unbounded domain, and the
+# number of samples.
 SAMPLE_MARGIN_REL = 1.0e-6
 SAMPLE_RADIUS = 10.0
+COMPAT_SAMPLES = 4001
 
 # The open domain of each potential family: singular on a bounded interval,
 # regular on the whole line.
@@ -117,12 +123,12 @@ def latent_eval(l: LatentHeat, r):
     return -l.a * arr * arr + l.b * arr + l.c, -2.0 * l.a * arr + l.b, -2.0 * l.a
 
 
-def latent_range(l: LatentHeat, lo: float = -1.0, hi: float = 1.0) -> tuple[float, float]:
-    """Exact (min, max) of lambda over [lo, hi]: endpoints plus interior vertex."""
-    candidates = [lo, hi]
+def latent_range(l: LatentHeat) -> tuple[float, float]:
+    """Exact (min, max) of lambda over [-1, 1]: endpoints plus interior vertex."""
+    candidates = [-1.0, 1.0]
     if l.a != 0.0:
         vertex = l.b / (2.0 * l.a)
-        if lo < vertex < hi:
+        if -1.0 < vertex < 1.0:
             candidates.append(vertex)
     values = [-l.a * r * r + l.b * r + l.c for r in candidates]
     return min(values), max(values)
@@ -137,35 +143,24 @@ def separating_slope_margin(l: LatentHeat) -> float:
     return min(l.b - 2.0 * l.a, -l.b - 2.0 * l.a)
 
 
-def _sample_points(p: Potential, n: int) -> np.ndarray:
-    """n points filling the domain of p: SAMPLE_MARGIN_REL of the half-width
-    away from the ends of a singular domain, [-SAMPLE_RADIUS, SAMPLE_RADIUS]
-    on the whole line."""
-    if not p.singular:
-        return np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, n)
-    margin = SAMPLE_MARGIN_REL * (0.5 * (p.domain_hi - p.domain_lo))
-    return np.linspace(p.domain_lo + margin, p.domain_hi - margin, n)
-
-
 @dataclass(frozen=True)
 class CompatReport:
     """Fitted constants of the bulk/surface compatibility inequality."""
 
-    ok: bool
     c_s: float
     big_c_s: float
-    kappa_s: float | None
-    big_c_sing: float | None
 
 
-def check_compatibility(f_bulk: Potential, f_surf: Potential, n_samples: int = 4001) -> CompatReport:
+def check_compatibility(f_bulk: Potential, f_surf: Potential) -> CompatReport:
     """Fit f * f_surf >= c_s f^2 - C_s on samples of the surface domain.
 
     The surface monotone part must dominate the bulk one, so the surface
     domain has to sit inside the bulk domain; a DomainError is raised when
-    the inclusion fails.  For a pair of singular potentials the companion
-    bound |f_surf| >= kappa_s |f| - C is fitted as well, and ok requires
-    both fitted leading constants to be positive.
+    the inclusion fails.  Every pair that passes has c_s > 0: the same family
+    gives c_s = 1, and a quartic bulk with a logarithmic surface has
+    f * f_surf >= 0.  The samples fill the surface domain, SAMPLE_MARGIN_REL
+    of its half-width away from singular ends, [-SAMPLE_RADIUS, SAMPLE_RADIUS]
+    on the whole line.
     """
     if f_surf.domain_lo < f_bulk.domain_lo or f_surf.domain_hi > f_bulk.domain_hi:
         raise DomainError(
@@ -173,72 +168,17 @@ def check_compatibility(f_bulk: Potential, f_surf: Potential, n_samples: int = 4
             f"({f_surf.domain_lo}, {f_surf.domain_hi}) is not inside "
             f"({f_bulk.domain_lo}, {f_bulk.domain_hi})"
         )
-    samples = _sample_points(f_surf, n_samples)
+    if f_surf.singular:
+        margin = SAMPLE_MARGIN_REL * (0.5 * (f_surf.domain_hi - f_surf.domain_lo))
+        samples = np.linspace(f_surf.domain_lo + margin, f_surf.domain_hi - margin,
+                              COMPAT_SAMPLES)
+    else:
+        samples = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, COMPAT_SAMPLES)
     _, fb, _ = evaluate(f_bulk, samples)
     _, fs, _ = evaluate(f_surf, samples)
     nonzero = fb != 0.0
     product = fb * fs
     square = fb * fb
-    if not np.any(nonzero):
-        c_s = 1.0
-    else:
-        c_s = float(np.min(product[nonzero] / square[nonzero]))
+    c_s = float(np.min(product[nonzero] / square[nonzero]))
     big_c = float(max(0.0, np.max(c_s * square - product)))
-    kappa_s = big_c_sing = None
-    ok = c_s > 0.0
-    if f_bulk.singular and f_surf.singular:
-        kappa_s = float(min(1.0, np.min(np.abs(fs[nonzero]) / np.abs(fb[nonzero]))))
-        big_c_sing = float(max(0.0, np.max(kappa_s * np.abs(fb) - np.abs(fs))))
-        ok = ok and kappa_s > 0.0
-    return CompatReport(ok=ok, c_s=c_s, big_c_s=big_c, kappa_s=kappa_s, big_c_sing=big_c_sing)
-
-
-@dataclass(frozen=True)
-class PairCoercivity:
-    """Slope c1 of the fit lambda - s0 >= c1 r^2 - c2 for one (potential, latent) pair."""
-
-    ok: bool
-    bounded_domain: bool
-    c1: float
-
-
-@dataclass(frozen=True)
-class CoercivityReport:
-    ok: bool
-    bulk: PairCoercivity
-    surf: PairCoercivity
-
-
-def _coercivity_pair(p: Potential, l: LatentHeat, n_samples: int) -> PairCoercivity:
-    samples = _sample_points(p, n_samples)
-    big_f, _, _ = evaluate(p, samples)
-    lam, _, _ = latent_eval(l, samples)
-    # g = lambda - s0 = lambda + F - delta r^2 / 2 must dominate c1 r^2.
-    g = lam + big_f - 0.5 * p.delta * samples * samples
-    bounded = p.singular
-    if bounded:
-        c1 = 1.0
-        ok = True
-    else:
-        # Slope read off at the sampled extremes; positive iff the quartic
-        # growth beats the quadratic terms within the sampled radius.
-        c1 = 0.5 * min(g[0] / samples[0] ** 2, g[-1] / samples[-1] ** 2)
-        ok = c1 > 0.0
-    return PairCoercivity(ok=ok, bounded_domain=bounded, c1=float(c1))
-
-
-def check_coercivity(
-    p_bulk: Potential, p_surf: Potential,
-    l_bulk: LatentHeat, l_surf: LatentHeat,
-    n_samples: int = 4001,
-) -> CoercivityReport:
-    """Verify lambda - s0 >= c1 r^2 - c2 on samples for both domain/boundary pairs.
-
-    On a bounded potential domain the bound holds automatically (r^2 is
-    bounded), which the pair report records; on an unbounded domain c1 > 0
-    requires the convex quartic growth to dominate the latent quadratic on
-    the sampled range.
-    """
-    bulk = _coercivity_pair(p_bulk, l_bulk, n_samples)
-    surf = _coercivity_pair(p_surf, l_surf, n_samples)
-    return CoercivityReport(ok=bulk.ok and surf.ok, bulk=bulk, surf=surf)
+    return CompatReport(c_s=c_s, big_c_s=big_c)

@@ -434,7 +434,7 @@ def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
 
 
 def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: LatentHeat,
-                          tau_ref: float, t_end: float, sample_stride: int | None = None):
+                          tau_ref: float, t_end: float):
     """Classical RK4 oracle for the spatially homogeneous reduction.
 
     With f_surf = f and lambda_surf = lambda_bulk, every node obeys the
@@ -467,7 +467,7 @@ def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: Laten
         return np.array([0.0]), np.array([theta0]), np.array([chi0])
     n = max(1, round(t_end / tau_ref))
     h = t_end / n
-    stride = sample_stride if sample_stride else max(1, n // 1000)
+    stride = max(1, n // 1000)
     ts, chis = [0.0], [chi0]
     c = chi0
     h6 = h / 6.0
@@ -488,10 +488,11 @@ def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: Laten
 
 
 PRESET_KINDS = ("constant", "sinusoid", "tanh_stripe", "random")
+RANDOM_MODES = 3   # highest x and y mode number of the "random" preset
 
 
 def preset_field(grid: Grid, kind: str, *, value: float = 0.0, amplitude: float = 0.0,
-                 kx: int = 1, width: float = 0.1, seed: int = 0, modes: int = 3) -> np.ndarray:
+                 kx: int = 1, width: float = 0.1, seed: int = 0) -> np.ndarray:
     """Initial-data presets: constant, x-sinusoid, y-tanh stripe, seeded smooth noise."""
     if kind == "constant":
         return np.full(grid.n_nodes, value)
@@ -504,8 +505,8 @@ def preset_field(grid: Grid, kind: str, *, value: float = 0.0, amplitude: float 
     if kind == "random":
         rng = np.random.default_rng(seed)
         fld = np.zeros((grid.ny + 1, grid.nx))   # modes are x factor (columns) * y factor (rows)
-        for mx in range(modes + 1):
-            for my in range(modes + 1):
+        for mx in range(RANDOM_MODES + 1):
+            for my in range(RANDOM_MODES + 1):
                 if mx == 0 and my == 0:
                     continue
                 wgt = 1.0 / (1.0 + mx * mx + my * my)

@@ -164,8 +164,7 @@ def test_parse_overrides_optional_fields():
 def test_validate_minimal_ok():
     rep = validate_config(parse_config(MINIMAL))
     assert rep.ok
-    assert rep.compatibility.ok and rep.compatibility.c_s == 1.0
-    assert rep.coercivity.ok
+    assert rep.compatibility.c_s == 1.0
     assert rep.initial_state_error is None
     assert rep.mu0 == pytest.approx(3.0)
     assert "overall: ok" in rep.render()
@@ -175,7 +174,17 @@ def test_validate_quartic_bulk_log_surface_ok():
     text = MINIMAL.replace("potential_bulk.kind = logarithmic",
                            "potential_bulk.kind = quartic")
     rep = validate_config(parse_config(text))
-    assert rep.ok and rep.compatibility.ok
+    assert rep.ok
+
+
+def test_validate_quartic_strong_concavity_ok():
+    # lambda - s0 = r^4/4 - 30 r^2 + 0.5 r^2 is coercive although it is negative
+    # for every |r| < 10.8; the verdict must not depend on a sampled radius.
+    rep = validate_config(parse_config(with_lines(
+        "potential_bulk.kind = quartic", "potential_bulk.delta = 60.0",
+        "potential_surf.kind = quartic", "potential_surf.delta = 60.0")))
+    assert rep.ok
+    assert "coercivity: ok" in rep.render()
 
 
 def test_validate_log_bulk_quartic_surface_rejected():

