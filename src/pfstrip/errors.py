@@ -22,9 +22,5 @@ class FatalSolverError(RuntimeError):
         self.t = t
 
 
-class AdmissibilityError(ValueError):
-    """The target mass is below the attainable range of the latent heats."""
-
-
 class IoError(OSError):
     """Filesystem failure while writing outputs, or a held output-directory lock."""

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 
 MAX_RESTARTS = 32   # failed true-residual checks per CG solve; a healthy solve has <= 1
 
@@ -44,13 +44,7 @@ class Grid:
 
 
 def build_grid(lx: float, ly: float, nx: int, ny: int) -> Grid:
-    """Validate bounds and precompute node coordinates and boundary indices."""
-    if not (lx > 0.0 and ly > 0.0):
-        raise ConfigError("domain lengths must be positive")
-    if nx < 4:
-        raise ConfigError(f"nx must be >= 4, got {nx}")
-    if ny < 2:
-        raise ConfigError(f"ny must be >= 2, got {ny}")
+    """Precompute node coordinates and boundary indices."""
     hx, hy = lx / nx, ly / ny
     n = (ny + 1) * nx
     i = np.tile(np.arange(nx), ny + 1)

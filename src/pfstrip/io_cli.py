@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields, make_dataclass, replace
 
 import numpy as np
 
-from .errors import (AdmissibilityError, ConfigError, DomainError, FatalSolverError, IoError,
-                     SolverError)
+from .errors import ConfigError, DomainError, FatalSolverError, IoError, SolverError
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, assemble_masses, assemble_stiffness, build_grid
 from .potentials import DOMAINS, CompatReport, LatentHeat, Potential, check_compatibility
@@ -42,7 +41,8 @@ def _one_of(kinds) -> tuple:
     return (lambda v: v in kinds), "must be one of " + "/".join(kinds)
 
 
-# name, type, default, bound check, bound message; order fixes serialization.
+# name, type, default, bound check, bound message; the order fixes the dataclass
+# fields and lets the time.min_dt default read time.dt.
 # A section's keys are the parameter names of the object it builds, and the
 # solver defaults are StepperConfig's.
 _SCHEMA = (
@@ -206,7 +206,6 @@ def build_source(c: Config, model: Model) -> HeatSource | None:
 class ValidationReport:
     """Mandatory checks plus informational flags; ok requires all mandatory ones."""
 
-    ok: bool
     compatibility: CompatReport | None
     compatibility_error: str | None
     initial_state_error: str | None
@@ -214,6 +213,11 @@ class ValidationReport:
     hypotheses: HypothesisReport
     source_projected_mean: float
     initial_state: State | None   # built from the init presets; None if that failed
+
+    @property
+    def ok(self) -> bool:
+        """A failed initial state leaves the hypotheses at mu0 = -inf, so not mass_admissible."""
+        return self.compatibility_error is None and self.hypotheses.mass_admissible
 
     def render(self) -> str:
         lines = []
@@ -248,7 +252,6 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     """Run every pre-flight check on c and its model (built here unless the
     caller passes build_model(c)); never raises, failures land in the report."""
     model = build_model(c) if model is None else model
-    ok = True
 
     compat = None
     compat_err = None
@@ -256,7 +259,6 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
         compat = check_compatibility(model.p_bulk, model.p_surf)
     except DomainError as exc:
         compat_err = str(exc)
-        ok = False
 
     source = build_source(c, model)
     projected = source.projected_mean if source is not None else 0.0
@@ -267,16 +269,12 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
         s0 = build_initial_state(c, model)
         s0.validate(model)
         mu0 = mass_mu(s0, model)
-    except (DomainError, ConfigError) as exc:
+    except DomainError as exc:
         state_err = str(exc)
-        ok = False
 
     hyp = hypothesis_report(model, mu0 if mu0 is not None else -math.inf)
-    if mu0 is None or not hyp.mass_admissible:
-        ok = False
-
     return ValidationReport(
-        ok=ok, compatibility=compat, compatibility_error=compat_err,
+        compatibility=compat, compatibility_error=compat_err,
         initial_state_error=state_err, mu0=mu0,
         hypotheses=hyp, source_projected_mean=projected, initial_state=s0,
     )
@@ -363,8 +361,7 @@ def _snapshot_writer(c: Config, model: Model):
     return emit
 
 
-def _stationary_summary(r: StationaryResult) -> str:
-    h = r.hypothesis_report
+def _stationary_summary(r: StationaryResult, h: HypothesisReport) -> str:
     lines = [
         f"theta_inf = {r.theta_inf:.16e}",
         f"u_inf = {r.u_inf:.16e}",
@@ -415,7 +412,7 @@ def _cmd_stationary(c: Config) -> int:
     s0 = report.initial_state
     result = solve_stationary(report.mu0, dm_mean(s0.theta, model.masses), s0.chi, model,
                               tol=c.solver.newton_tol)
-    summary = _stationary_summary(result)
+    summary = _stationary_summary(result, report.hypotheses)
     with _output_lock(c.output.dir) as out_dir:
         write_snapshot(result.chi_inf, model.grid, os.path.join(out_dir, "chi_inf.csv"))
         if c.output.write_pgm:
@@ -483,7 +480,7 @@ def cli_main(argv=None) -> int:
     except (SolverError, FatalSolverError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AdmissibilityError, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

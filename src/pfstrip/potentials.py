@@ -60,10 +60,6 @@ class Potential:
     domain_hi: float = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in DOMAINS:
-            raise DomainError(f"unknown potential kind '{self.kind}'")
-        if self.delta < 0.0:
-            raise DomainError("delta must be >= 0")
         lo, hi = DOMAINS[self.kind]
         object.__setattr__(self, "domain_lo", lo)
         object.__setattr__(self, "domain_hi", hi)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, SolverError
+from .errors import SolverError
 from .functionals import State, mass_mu
 from .potentials import latent_range, separating_slope_margin
 from .timestepper import (EPS, MIN_BACKTRACK, NEWTON_NOISE_FACTOR, Model, PhaseValues, _newton,
@@ -58,7 +58,6 @@ class StationaryResult:
     mass_gap: float
     mu_target: float
     separation: float
-    hypothesis_report: HypothesisReport
 
 
 def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
@@ -83,11 +82,6 @@ def _linearization(chi: np.ndarray, u_inf: float, model: Model):
     v = model.phase_values(chi)
     (r, d), (r_lag, d_lag) = v.implicit, model.lagged_terms(v, u_inf)
     return r - r_lag, d - d_lag, v
-
-
-def stationary_phase_residual(chi: np.ndarray, u_inf: float, model: Model) -> np.ndarray:
-    """Residual vector of the stationary phase system at (chi, u_inf)."""
-    return _linearization(chi, u_inf, model)[0]
 
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,
@@ -117,6 +111,9 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
                      tol: float = 1.0e-12) -> StationaryResult:
     """Find one steady state with the prescribed mass, starting from (guess, -1/theta0).
 
+    The caller guarantees theta0 > 0 and a mass target above the admissibility
+    bound of hypothesis_report, as io_cli.validate_config does for the CLI.
+
     Pseudo-transient Newton on (chi, u_inf) together.  The phase residual R and
     the mass gap g have the bordered Jacobian [[J, -b], [b^T, c]] with
     J = K + diag(d - d_lag), b = m lambda'(chi) and c = |Omega + Gamma| / u^2.
@@ -134,13 +131,6 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
     value.  Stops as timestepper._newton does, at ||R|| <= tol or at its
     round-off level 8 eps ||d chi||, once |g| <= tol too.
     """
-    hyp = hypothesis_report(model, mu_target)
-    if not hyp.mass_admissible:
-        raise AdmissibilityError(
-            f"mass target {mu_target:.6g} is not above the admissibility bound "
-            f"{hyp.mass_lower_bound:.6g}")
-    if not theta0 > 0.0:
-        raise AdmissibilityError("the starting temperature theta0 must be positive")
     mc, total = model.masses.m_comb, model.masses.total
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
 
@@ -158,7 +148,7 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
             return StationaryResult(
                 u_inf=float(u), theta_inf=float(-1.0 / u), chi_inf=chi, phase_residual=norm,
                 mass_gap=gap, mu_target=mu_target,
-                separation=float(1.0 - np.max(np.abs(chi))), hypothesis_report=hyp)
+                separation=float(1.0 - np.max(np.abs(chi))))
         shifted = d + mc / delta
         try:
             x1 = model.newton_step(shifted, r, 1.0e-12)

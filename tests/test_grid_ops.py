@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
-from pfstrip.errors import ConfigError, SolverError
+from pfstrip.errors import SolverError
 from pfstrip.grid_ops import (MAX_RESTARTS, assemble_masses, assemble_shifted_inverse,
                               assemble_stiffness, build_grid, solve_spd)
 
@@ -26,15 +26,6 @@ def test_build_grid_small():
 def test_build_grid_rectangular():
     g = build_grid(2.0, 1.0, 8, 4)
     assert g.n_nodes == 40 and g.hx == 0.25 and g.hy == 0.25
-
-
-def test_build_grid_bounds():
-    with pytest.raises(ConfigError):
-        build_grid(1.0, 1.0, 3, 2)
-    with pytest.raises(ConfigError):
-        build_grid(1.0, 1.0, 4, 1)
-    with pytest.raises(ConfigError):
-        build_grid(-1.0, 1.0, 4, 2)
 
 
 def test_node_coordinates_row_major():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -80,9 +81,29 @@ def test_parse_comments_and_spacing():
     assert parse_config(text).domain.nx == 8
 
 
-def test_parse_bound_violation():
-    with pytest.raises(ConfigError, match="domain.nx.*at least 4"):
-        parse_config(MINIMAL.replace("domain.nx = 8", "domain.nx = 3"))
+# test id: a config line whose value only the schema rejects, and its message
+SCHEMA_BOUNDS = {
+    "nx": ("domain.nx = 3", "must be at least 4"),
+    "ny": ("domain.ny = 1", "must be at least 2"),
+    "lx": ("domain.lx = -1.0", "must be positive"),
+    "dt": ("time.dt = 0.0", "must be positive"),
+    "guard_eps": ("solver.guard_eps = 2.0", "must lie in (0, 1)"),
+    "newton_tol": ("solver.newton_tol = 0.0", "must be positive"),
+    "cg_tol": ("solver.cg_tol = -1e-10", "must be positive"),
+    "newton_max_iter": ("solver.newton_max_iter = 0", "must be at least 1"),
+    "bulk_kind": ("potential_bulk.kind = cubic", "must be one of logarithmic/quartic"),
+    "surf_delta": ("potential_surf.delta = -1.0", "must be nonnegative"),
+    "chi_width": ("init.chi_width = 0.0", "must be positive"),
+    "theta_kind": ("init.theta_kind = vortex",
+                   "must be one of constant/sinusoid/tanh_stripe/random"),
+    "source_kind": ("source.kind = square", "must be zero or sinusoid"),
+}
+
+
+@pytest.mark.parametrize("line,message", list(SCHEMA_BOUNDS.values()), ids=list(SCHEMA_BOUNDS))
+def test_parse_bound_violation(line, message):
+    with pytest.raises(ConfigError, match=re.escape(f"{line}: {message}")):
+        parse_config(with_lines(line))
 
 
 def test_parse_duplicate_key():

@@ -11,11 +11,11 @@ import pfstrip.io_cli as io_cli
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model, omega_limit_report, roll_x
 import pfstrip.stationary as st
-from pfstrip.errors import AdmissibilityError, SolverError
+from pfstrip.errors import SolverError
 from pfstrip.functionals import State, dm_mean, mass_mu
 from pfstrip.potentials import LatentHeat, Potential, scalar_f
 from pfstrip.stationary import (hypothesis_report, mass_gap, solve_chi_given_u,
-                                solve_stationary, stationary_phase_residual)
+                                solve_stationary)
 from pfstrip.timestepper import Stepper, StepperConfig, measure_norm, preset_field, run
 
 
@@ -139,8 +139,8 @@ def test_stationary_result_residuals_are_reproducible():
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m)
     res = solve_stationary(mu_t, 1.0, s0.chi, m)
-    re_resid = measure_norm(stationary_phase_residual(res.chi_inf, res.u_inf, m),
-                            m.masses.m_comb)
+    v = m.phase_values(res.chi_inf)
+    re_resid = measure_norm(v.implicit[0] - m.lagged_terms(v, res.u_inf)[0], m.masses.m_comb)
     re_gap = mass_gap(res.u_inf, res.chi_inf, mu_t, m)
     assert re_resid == pytest.approx(res.phase_residual, abs=1e-12)
     assert re_gap == pytest.approx(res.mass_gap, abs=1e-12)
@@ -168,16 +168,6 @@ def test_hypothesis_report_quadratic_latent():
 
     rep2 = hypothesis_report(m, 2.0)
     assert rep2.mass_admissible and not rep2.mass_dominates
-
-
-def test_solve_stationary_rejects_inadmissible_mass():
-    m = make_model(p_bulk=Potential("quartic", 1.0), l_bulk=LatentHeat(1.0, 0.0, 0.0))
-    # lambda = -r^2 has minimum -1 on [-1,1]: bound is -3 on the (1,1) strip
-    with pytest.raises(AdmissibilityError):
-        solve_stationary(-5.0, 1.0, np.zeros(m.grid.n_nodes), m)
-    for theta0 in (0.0, -1.0):   # admissible mass, but no positive start temperature
-        with pytest.raises(AdmissibilityError, match="theta0"):
-            solve_stationary(-2.0, theta0, np.zeros(m.grid.n_nodes), m)
 
 
 def test_solve_stationary_far_start_solves():

@@ -1,14 +1,15 @@
-"""Run 25 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 28 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
 Cases: configs/example.cfg through all four commands, the benchmark workload
-configs at seeds 1 and 7, the known-defect probe, two stationary solves (a
-steady state 1.16e-7 from the singular wall, and the 16x8 stripe saddle
-that the stationary solver does not converge on), a check of quartic
-potentials with delta = 60, six rejected configs and the help texts.  Per
-case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip comes from SRC_DIR and the inputs from this repository,
-so the diff of two trees' digests shows any output byte a change moved.
+configs at seeds 1 and 7, the perfbench stationary probe, two stationary
+solves (a steady state 1.16e-7 from the singular wall, and the 16x8 stripe
+saddle that the stationary solver does not converge on), a check of quartic
+potentials with delta = 60, nine rejected configs and the help texts.  Per
+case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip
+comes from SRC_DIR and the inputs from this repository, so the diff of two
+trees' digests shows any output byte a change moved.
 """
 
 import contextlib
@@ -78,7 +79,10 @@ def cases() -> dict:
                               ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
                               ("", "time.min_dt = 0.01"),
                               ("init.chi_kind = tanh_stripe", "init.chi_kind = wave"),
-                              ("", "source.kind = square"), ("", "solver.newton_tol = -1"))):
+                              ("", "source.kind = square"), ("", "solver.newton_tol = -1"),
+                              ("domain.ny = 16", "domain.ny = 1"),
+                              ("potential_surf.delta = 3.0", "potential_surf.delta = -1"),
+                              ("init.chi_width = 0.1", "init.chi_width = 0"))):
         out[f"bad_{i}"] = (["check"], example(*edit))
     out.update(help=(["--help"], None), simulate_help=(["simulate", "--help"], None))
     return out
