@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FatalSolverError, IoError, SolverError
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
-from .grid_ops import Grid, assemble_masses, assemble_stiffness, build_grid
-from .potentials import DOMAINS, CompatReport, LatentHeat, Potential, check_compatibility
-from .stationary import HypothesisReport, StationaryResult, hypothesis_report, solve_stationary
+from .grid_ops import Grid, build_grid
+from .potentials import (DOMAINS, CompatReport, LatentHeat, Potential, check_compatibility,
+                         latent_range, separating_slope_margin)
+from .stationary import StationaryResult, solve_stationary
 from .timestepper import (EPS, MIN_TAU_FRACTION, PRESET_KINDS, SOURCE_KINDS, HeatSource,
                           Model, StepperConfig, integrate_homogeneous, make_source,
                           preset_field, run)
@@ -171,8 +172,7 @@ def parse_config(text: str) -> Config:
 
 
 def build_model(c: Config) -> Model:
-    g = build_grid(**vars(c.domain))
-    return Model(grid=g, masses=assemble_masses(g), stiffness=assemble_stiffness(g),
+    return Model(grid=build_grid(**vars(c.domain)),
                  p_bulk=Potential(**vars(c.potential_bulk)),
                  p_surf=Potential(**vars(c.potential_surf)),
                  l_bulk=LatentHeat(**vars(c.latent_bulk)),
@@ -198,26 +198,41 @@ def build_initial_state(c: Config, model: Model) -> State:
     return State(0.0, u, chi)
 
 
-def build_source(c: Config, model: Model) -> HeatSource | None:
-    return make_source(model, **vars(c.source))
-
-
 @dataclass
 class ValidationReport:
-    """Mandatory checks plus informational flags; ok requires all mandatory ones."""
+    """The model, initial state and source of a config, with the checks of the
+    paper's hypotheses on them; ok requires every mandatory check.
 
+    mass_lower_bound / mass_upper_bound are the integrals of the latent
+    extrema over bulk and boundary; a mass target above the lower bound
+    admits a constant positive temperature, and one above the upper bound
+    keeps the steady temperature above a uniform positive level regardless
+    of the phase.  slope_margin > 0 is the alternative route to the same
+    conclusion through the sign of lambda' at the pure states.
+    """
+
+    model: Model
+    source: HeatSource | None
     compatibility: CompatReport | None
     compatibility_error: str | None
+    initial_state: State | None   # built from the init presets; None if that failed
     initial_state_error: str | None
     mu0: float | None
-    hypotheses: HypothesisReport
-    source_projected_mean: float
-    initial_state: State | None   # built from the init presets; None if that failed
+    mass_lower_bound: float
+    mass_upper_bound: float
+    slope_margin: float
+
+    @property
+    def mass_admissible(self) -> bool:
+        return self.mu0 is not None and self.mu0 > self.mass_lower_bound
+
+    @property
+    def mass_dominates(self) -> bool:
+        return self.mu0 is not None and self.mu0 > self.mass_upper_bound
 
     @property
     def ok(self) -> bool:
-        """A failed initial state leaves the hypotheses at mu0 = -inf, so not mass_admissible."""
-        return self.compatibility_error is None and self.hypotheses.mass_admissible
+        return self.compatibility_error is None and self.mass_admissible
 
     def render(self) -> str:
         lines = []
@@ -232,26 +247,24 @@ class ValidationReport:
             lines.append("mass admissibility: FAIL (no valid initial state)")
         else:
             lines.append("initial state: ok")
-            h = self.hypotheses
-            verdict = "ok" if h.mass_admissible else "FAIL"
-            lines.append(f"mass admissibility: {verdict} (mu0={self.mu0:.10g}, "
-                         f"lower bound={h.mass_lower_bound:.10g})")
-        lines.append(f"source projected mean: {self.source_projected_mean:.3e}")
-        h = self.hypotheses
+            lines.append(f"mass admissibility: {'ok' if self.mass_admissible else 'FAIL'} "
+                         f"(mu0={self.mu0:.10g}, lower bound={self.mass_lower_bound:.10g})")
+        projected = self.source.projected_mean if self.source is not None else 0.0
+        lines.append(f"source projected mean: {projected:.3e}")
         lines.append(f"info: mass above upper latent bound: "
-                     f"{'yes' if h.mass_dominates else 'no'} "
-                     f"(upper bound={h.mass_upper_bound:.10g})")
+                     f"{'yes' if self.mass_dominates else 'no'} "
+                     f"(upper bound={self.mass_upper_bound:.10g})")
         lines.append(f"info: separating latent slope: "
-                     f"{'yes' if h.slope_separates else 'no'} "
-                     f"(margin={h.slope_margin:.6g})")
+                     f"{'yes' if self.slope_margin > 0.0 else 'no'} "
+                     f"(margin={self.slope_margin:.6g})")
         lines.append(f"overall: {'ok' if self.ok else 'FAIL'}")
         return "\n".join(lines)
 
 
-def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
-    """Run every pre-flight check on c and its model (built here unless the
-    caller passes build_model(c)); never raises, failures land in the report."""
-    model = build_model(c) if model is None else model
+def validate_config(c: Config) -> ValidationReport:
+    """Build the model, initial state and source of c, once, and run every
+    pre-flight check on them; never raises, failures land in the report."""
+    model = build_model(c)
 
     compat = None
     compat_err = None
@@ -260,8 +273,7 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     except DomainError as exc:
         compat_err = str(exc)
 
-    source = build_source(c, model)
-    projected = source.projected_mean if source is not None else 0.0
+    source = make_source(model, **vars(c.source))
 
     state_err = None
     mu0 = s0 = None
@@ -272,11 +284,16 @@ def validate_config(c: Config, model: Model | None = None) -> ValidationReport:
     except DomainError as exc:
         state_err = str(exc)
 
-    hyp = hypothesis_report(model, mu0 if mu0 is not None else -math.inf)
+    # |Omega| ext(lambda_b) + |Gamma| ext(lambda_s) over the pure-state interval [-1, 1]
+    area, perimeter = c.domain.lx * c.domain.ly, 2.0 * c.domain.lx
+    (lo_b, hi_b), (lo_s, hi_s) = latent_range(model.l_bulk), latent_range(model.l_surf)
     return ValidationReport(
-        compatibility=compat, compatibility_error=compat_err,
-        initial_state_error=state_err, mu0=mu0,
-        hypotheses=hyp, source_projected_mean=projected, initial_state=s0,
+        model=model, source=source, compatibility=compat, compatibility_error=compat_err,
+        initial_state=s0, initial_state_error=state_err, mu0=mu0,
+        mass_lower_bound=area * lo_b + perimeter * lo_s,
+        mass_upper_bound=area * hi_b + perimeter * hi_s,
+        slope_margin=min(separating_slope_margin(model.l_bulk),
+                         separating_slope_margin(model.l_surf)),
     )
 
 
@@ -349,19 +366,14 @@ def _output_lock(out_dir: str):
             os.unlink(lock_path)
 
 
-def _snapshot_writer(c: Config, model: Model):
-    out_dir = c.output.dir
-
-    def emit(step: int, s: State) -> None:
-        for name, field in (("theta", s.theta), ("chi", s.chi)):
-            write_snapshot(field, model.grid, os.path.join(out_dir, f"{name}_{step}.csv"))
-            if c.output.write_pgm:
-                write_pgm(field, model.grid, os.path.join(out_dir, f"{name}_{step}.pgm"))
-
-    return emit
+def _write_field(c: Config, grid: Grid, field: np.ndarray, stem: str) -> None:
+    """stem.csv in output.dir, plus stem.pgm if output.write_pgm."""
+    write_snapshot(field, grid, os.path.join(c.output.dir, stem + ".csv"))
+    if c.output.write_pgm:
+        write_pgm(field, grid, os.path.join(c.output.dir, stem + ".pgm"))
 
 
-def _stationary_summary(r: StationaryResult, h: HypothesisReport) -> str:
+def _stationary_summary(r: StationaryResult, report: ValidationReport) -> str:
     lines = [
         f"theta_inf = {r.theta_inf:.16e}",
         f"u_inf = {r.u_inf:.16e}",
@@ -369,12 +381,12 @@ def _stationary_summary(r: StationaryResult, h: HypothesisReport) -> str:
         f"phase_residual = {r.phase_residual:.3e}",
         f"mass_gap = {r.mass_gap:.3e}",
         f"separation = {r.separation:.6e}",
-        f"mass_admissible = {'yes' if h.mass_admissible else 'no'} "
-        f"(lower bound {h.mass_lower_bound:.10g})",
-        f"mass_above_upper_bound = {'yes' if h.mass_dominates else 'no'} "
-        f"(upper bound {h.mass_upper_bound:.10g})",
-        f"separating_slope = {'yes' if h.slope_separates else 'no'} "
-        f"(margin {h.slope_margin:.6g})",
+        f"mass_admissible = {'yes' if report.mass_admissible else 'no'} "
+        f"(lower bound {report.mass_lower_bound:.10g})",
+        f"mass_above_upper_bound = {'yes' if report.mass_dominates else 'no'} "
+        f"(upper bound {report.mass_upper_bound:.10g})",
+        f"separating_slope = {'yes' if report.slope_margin > 0.0 else 'no'} "
+        f"(margin {report.slope_margin:.6g})",
     ]
     return "\n".join(lines) + "\n"
 
@@ -386,17 +398,20 @@ def _cmd_check(c: Config) -> int:
 
 
 def _cmd_simulate(c: Config) -> int:
-    model = build_model(c)
-    report = validate_config(c, model)
+    report = validate_config(c)
     if not report.ok:
         print(report.render(), file=sys.stderr)
         return 3
-    source = build_source(c, model)
     cfg = build_stepper_config(c)
+
+    def snapshot(step: int, s: State) -> None:
+        for name, field in (("theta", s.theta), ("chi", s.chi)):
+            _write_field(c, report.model.grid, field, f"{name}_{step}")
+
     with _output_lock(c.output.dir) as out_dir:
-        rows, _ = run(model, cfg, report.initial_state, c.time.t_end, source=source,
-                      snapshot_every=c.time.snapshot_every,
-                      on_snapshot=_snapshot_writer(c, model))
+        rows, _ = run(report.model, cfg, report.initial_state, c.time.t_end,
+                      source=report.source, snapshot_every=c.time.snapshot_every,
+                      on_snapshot=snapshot)
         write_diagnostics(rows, os.path.join(out_dir, "diagnostics.csv"))
     print(f"simulate: {len(rows) - 1} steps to t = {rows[-1].t:.6g}, "
           f"mu drift {abs(rows[-1].mu - rows[0].mu):.3e}")
@@ -404,19 +419,16 @@ def _cmd_simulate(c: Config) -> int:
 
 
 def _cmd_stationary(c: Config) -> int:
-    model = build_model(c)
-    report = validate_config(c, model)
+    report = validate_config(c)
     if not report.ok:
         print(report.render(), file=sys.stderr)
         return 3
-    s0 = report.initial_state
+    model, s0 = report.model, report.initial_state
     result = solve_stationary(report.mu0, dm_mean(s0.theta, model.masses), s0.chi, model,
                               tol=c.solver.newton_tol)
-    summary = _stationary_summary(result, report.hypotheses)
+    summary = _stationary_summary(result, report)
     with _output_lock(c.output.dir) as out_dir:
-        write_snapshot(result.chi_inf, model.grid, os.path.join(out_dir, "chi_inf.csv"))
-        if c.output.write_pgm:
-            write_pgm(result.chi_inf, model.grid, os.path.join(out_dir, "chi_inf.pgm"))
+        _write_field(c, model.grid, result.chi_inf, "chi_inf")
         _write(os.path.join(out_dir, "stationary_summary.txt"), summary)
     print(summary, end="")
     return 0

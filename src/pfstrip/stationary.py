@@ -1,4 +1,4 @@
-"""Steady-state solver and the admissibility report of its mass target.
+"""Steady-state solver.
 
 A steady state has a constant positive temperature theta_inf = -1/u_inf and
 a phase field chi_inf solving the semilinear elliptic system
@@ -20,33 +20,12 @@ import numpy as np
 
 from .errors import SolverError
 from .functionals import State, mass_mu
-from .potentials import latent_range, separating_slope_margin
 from .timestepper import (EPS, MIN_BACKTRACK, NEWTON_NOISE_FACTOR, Model, PhaseValues, _newton,
                           measure_norm)
 
 STATIONARY_GUARD_EPS = 1.0e-12
 PSEUDO_TIME_STEP = 1.0   # Delta_0 of the pseudo-transient continuation
 MAX_ATTEMPTS = 200       # stationary Newton steps tried, rejected ones included
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Numerical evaluation of the mass admissibility and separation hypotheses.
-
-    mass_lower_bound / mass_upper_bound are the integrals of the latent
-    extrema over bulk and boundary; a mass target above the lower bound
-    admits a constant positive temperature, and one above the upper bound
-    keeps the steady temperature above a uniform positive level regardless
-    of the phase.  slope_margin > 0 is the alternative route to the same
-    conclusion through the sign of lambda' at the pure states.
-    """
-
-    mass_admissible: bool
-    mass_lower_bound: float
-    mass_dominates: bool
-    mass_upper_bound: float
-    slope_separates: bool
-    slope_margin: float
 
 
 @dataclass
@@ -58,23 +37,6 @@ class StationaryResult:
     mass_gap: float
     mu_target: float
     separation: float
-
-
-def hypothesis_report(model: Model, mu_target: float) -> HypothesisReport:
-    """Both latent bounds |Omega| ext(lambda_b) + |Gamma| ext(lambda_s) over the
-    pure-state interval [-1, 1], and the smaller of the two slope margins."""
-    g = model.grid
-    area, perimeter = g.lx * g.ly, 2.0 * g.lx
-    (lo_b, hi_b), (lo_s, hi_s) = latent_range(model.l_bulk), latent_range(model.l_surf)
-    min_bound = area * lo_b + perimeter * lo_s
-    max_bound = area * hi_b + perimeter * hi_s
-    margin = min(separating_slope_margin(model.l_bulk),
-                 separating_slope_margin(model.l_surf))
-    return HypothesisReport(
-        mass_admissible=mu_target > min_bound, mass_lower_bound=min_bound,
-        mass_dominates=mu_target > max_bound, mass_upper_bound=max_bound,
-        slope_separates=margin > 0.0, slope_margin=margin,
-    )
 
 
 def _linearization(chi: np.ndarray, u_inf: float, model: Model):
@@ -112,7 +74,7 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
     """Find one steady state with the prescribed mass, starting from (guess, -1/theta0).
 
     The caller guarantees theta0 > 0 and a mass target above the admissibility
-    bound of hypothesis_report, as io_cli.validate_config does for the CLI.
+    bound, as io_cli.validate_config does for the CLI.
 
     Pseudo-transient Newton on (chi, u_inf) together.  The phase residual R and
     the mass gap g have the bordered Jacobian [[J, -b], [b^T, c]] with

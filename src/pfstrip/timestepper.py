@@ -33,8 +33,8 @@ import numpy as np
 from .errors import DomainError, FatalSolverError, SolverError
 from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean, dm_std,
                           energy_identity_residual, row_functionals)
-from .grid_ops import (Grid, MassVectors, ShiftedInverse, StiffnessOp,
-                       assemble_shifted_inverse, solve_spd)
+from .grid_ops import (Grid, MassVectors, ShiftedInverse, StiffnessOp, assemble_masses,
+                       assemble_shifted_inverse, assemble_stiffness, solve_spd)
 from .potentials import LatentHeat, Potential, evaluate, latent_eval, scalar_f
 
 NEWTON_ABS_FLOOR = 1.0e-12
@@ -69,26 +69,27 @@ PhaseValues = namedtuple("PhaseValues", "chi chi_b bulk surf implicit")
 
 @dataclass(eq=False)
 class Model:
-    """Grid, measures, stiffness, the four constitutive ingredients, and the
-    exact inverse of K + c m_comb that preconditions every Newton solve.
+    """Grid and the four constitutive ingredients; __post_init__ assembles the measures,
+    the stiffness and the exact inverse of K + c m_comb that preconditions every Newton solve.
 
     grid.boundary and ms_bnd are the bulk/boundary split, read here and by the
     functionals.  phase_values and the *_terms methods compose the phase operator:
     each puts the bulk term on every row and the surface term on the boundary rows."""
 
     grid: Grid
-    masses: MassVectors
-    stiffness: StiffnessOp
     p_bulk: Potential
     p_surf: Potential
     l_bulk: LatentHeat
     l_surf: LatentHeat
+    masses: MassVectors = field(init=False)
+    stiffness: StiffnessOp = field(init=False)
     ms_bnd: np.ndarray = field(init=False, repr=False)   # m_surf on the boundary rows
     inv_m_comb: np.ndarray = field(init=False, repr=False)
     shifted_inverse: ShiftedInverse = field(init=False, repr=False)
     _chi_boxes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        self.masses, self.stiffness = assemble_masses(self.grid), assemble_stiffness(self.grid)
         _keep_freed_heap()
         self.ms_bnd = self.masses.m_surf[self.grid.boundary]
         self.inv_m_comb = 1.0 / self.masses.m_comb

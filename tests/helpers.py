@@ -5,20 +5,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from pfstrip.functionals import State, dm_mean, dm_std, mass_mu
-from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
+from pfstrip.grid_ops import build_grid
 from pfstrip.potentials import LatentHeat, Potential
 from pfstrip.timestepper import Model, measure_norm
 
 
 def make_model(lx=1.0, ly=1.0, nx=8, ny=4, p_bulk=None, p_surf=None,
                l_bulk=None, l_surf=None):
-    g = build_grid(lx, ly, nx, ny)
     p_bulk = p_bulk if p_bulk is not None else Potential("logarithmic", 1.0)
     p_surf = p_surf if p_surf is not None else p_bulk
     l_bulk = l_bulk if l_bulk is not None else LatentHeat(0.0, 0.0, 0.0)
     l_surf = l_surf if l_surf is not None else l_bulk
-    return Model(grid=g, masses=assemble_masses(g), stiffness=assemble_stiffness(g),
-                 p_bulk=p_bulk, p_surf=p_surf, l_bulk=l_bulk, l_surf=l_surf)
+    return Model(grid=build_grid(lx, ly, nx, ny), p_bulk=p_bulk, p_surf=p_surf,
+                 l_bulk=l_bulk, l_surf=l_surf)
 
 
 def constant_state(model, theta, chi):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import constant_state, make_model, omega_limit_report
-from pfstrip.functionals import State, dm_mean, mass_mu
+from pfstrip.functionals import State, dm_mean
 from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.io_cli import cli_main
 from pfstrip.potentials import LatentHeat, Potential, separating_slope_margin

@@ -13,8 +13,7 @@ from pfstrip.errors import DomainError
 from pfstrip.functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean,
                                  dm_std, energy, energy_identity_residual,
                                  entropy, mass_mu, row_functionals)
-from pfstrip.io_cli import (build_initial_state, build_model, build_source,
-                            build_stepper_config, load_config)
+from pfstrip.io_cli import build_stepper_config, load_config, validate_config
 from pfstrip.potentials import LatentHeat, Potential
 from pfstrip.stationary import mass_gap
 from pfstrip.timestepper import StepperConfig, preset_field, run
@@ -237,12 +236,13 @@ def test_boundary_index_split_matches_surface_mask_bitwise(monkeypatch):
     mass gap equals, bit for bit, the split through the mask m_surf > 0 that
     the index replaced."""
     c = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.cfg"))
-    m = build_model(c)
+    report = validate_config(c)
+    m = report.model
     assert np.array_equal(m.grid.boundary, np.flatnonzero(m.masses.m_surf > 0.0))
 
     def diagnostics():
-        rows, final = run(m, build_stepper_config(c), build_initial_state(c, m),
-                          c.time.t_end, source=build_source(c, m))
+        rows, final = run(m, build_stepper_config(c), report.initial_state, c.time.t_end,
+                          source=report.source)
         gaps = [mass_gap(u, final.chi, rows[0].mu, m) for u in (-2.0, -1.0, -0.5)]
         return rows, gaps
 

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import pfstrip.io_cli as io_cli
-from pfstrip.errors import ConfigError, IoError
+from pfstrip.errors import ConfigError
 from pfstrip.functionals import DiagnosticsRow
 from pfstrip.grid_ops import build_grid
-from pfstrip.io_cli import (CSV_HEADER, build_model, build_source, build_stepper_config,
-                            cli_main, format_diagnostics_row, parse_config,
-                            validate_config, write_pgm, write_snapshot)
+from pfstrip.io_cli import (CSV_HEADER, build_stepper_config, cli_main,
+                            format_diagnostics_row, parse_config, validate_config,
+                            write_pgm, write_snapshot)
 from pfstrip.potentials import LatentHeat, Potential
 from pfstrip.timestepper import StepperConfig
 
@@ -152,13 +152,13 @@ def test_config_sections_reach_objects():
     for name in ("newton_tol", "newton_max_iter", "guard_eps", "min_tau", "cg_tol"):
         assert getattr(expected, name) != getattr(defaults, name), name
 
-    m = build_model(c)
+    report = validate_config(c)
+    m, src = report.model, report.source
     assert (m.grid.lx, m.grid.ly, m.grid.nx, m.grid.ny) == (1.0, 1.0, 8, 4)
     assert (m.p_bulk, m.p_surf) == (Potential("quartic", 0.7), Potential("logarithmic", 0.4))
     assert m.l_bulk == LatentHeat(0.11, 0.22, 0.33)
     assert m.l_surf == LatentHeat(0.44, 0.55, 0.66)
 
-    src = build_source(c, m)
     g = m.grid
     # kx = 2 has zero dm-mean on the periodic grid, so nothing is projected out.
     np.testing.assert_allclose(src.profile, 0.3 * np.cos(4.0 * np.pi * g.x / g.lx),
@@ -222,12 +222,30 @@ def test_validate_mean_mode_source_is_reported():
     rep = validate_config(parse_config(with_lines(
         "source.kind = sinusoid", "source.amplitude = 0.5", "source.kx = 0")))
     assert rep.ok
-    assert rep.source_projected_mean == pytest.approx(0.5)
+    assert rep.source.projected_mean == pytest.approx(0.5)
+
+
+def test_validate_mass_bounds_quadratic_latent():
+    # lambda(r) = r^2 on [-1,1]: range [0,1], so the mass bounds on the
+    # (1,1) strip are 0 (min) and lx*ly + 2*lx = 3 (max)
+    quadratic = ("domain.nx = 16", "domain.ny = 8", "latent_bulk.a = -1.0",
+                 "latent_surf.a = -1.0", "init.chi_value = 0.2")
+    rep = validate_config(parse_config(with_lines(*quadratic, "init.theta_value = 1.0")))
+    assert rep.mu0 == pytest.approx(3.12, rel=1e-12)
+    assert rep.mass_admissible and rep.mass_lower_bound == pytest.approx(0.0, abs=1e-14)
+    assert rep.mass_dominates and rep.mass_upper_bound == pytest.approx(3.0, rel=1e-14)
+    assert rep.slope_margin == pytest.approx(2.0, rel=1e-14)
+    assert "info: separating latent slope: yes (margin=2)" in rep.render()
+
+    rep2 = validate_config(parse_config(with_lines(*quadratic,
+                                                   "init.theta_value = 0.6266666666666667")))
+    assert rep2.mu0 == pytest.approx(2.0, rel=1e-12)
+    assert rep2.mass_admissible and not rep2.mass_dominates
 
 
 def test_validate_bad_initial_state():
     rep = validate_config(parse_config(with_lines("init.chi_value = 1.5")))
-    assert not rep.ok
+    assert not rep.ok and not rep.mass_admissible
     assert rep.initial_state_error is not None
     assert "initial state: FAIL" in rep.render()
 
@@ -433,17 +451,26 @@ def test_cli_stationary_writes_outputs(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_builds_the_initial_state_once_per_command(tmp_path, monkeypatch):
-    """simulate and stationary run from the state that validate_config built."""
-    calls = []
-    real = io_cli.build_initial_state
-    monkeypatch.setattr(io_cli, "build_initial_state",
-                        lambda c, m: calls.append(c) or real(c, m))
+    """simulate and stationary run from the model, state and source that
+    validate_config built: one build of each per command."""
+    names = ("build_model", "build_initial_state", "make_source")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(io_cli, name, counted(name, getattr(io_cli, name)))
     cfg = write_cfg(tmp_path, with_lines("init.chi_value = 0.2", "init.theta_kind = random",
-                                         "init.theta_value = 1.0", "init.theta_amplitude = 0.1"))
+                                         "init.theta_value = 1.0", "init.theta_amplitude = 0.1",
+                                         "source.kind = sinusoid", "source.amplitude = 0.1"))
     for cmd in ("simulate", "stationary"):
-        calls.clear()
+        calls.update(dict.fromkeys(names, 0))
         assert cli_main([cmd, "--config", cfg, "--output", str(tmp_path / cmd)]) == 0
-        assert len(calls) == 1, cmd
+        assert calls == dict.fromkeys(names, 1), cmd
 
 
 def test_cli_solver_failure_exits_2(tmp_path, capsys):

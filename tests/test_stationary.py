@@ -14,8 +14,7 @@ import pfstrip.stationary as st
 from pfstrip.errors import SolverError
 from pfstrip.functionals import State, dm_mean, mass_mu
 from pfstrip.potentials import LatentHeat, Potential, scalar_f
-from pfstrip.stationary import (hypothesis_report, mass_gap, solve_chi_given_u,
-                                solve_stationary)
+from pfstrip.stationary import mass_gap, solve_chi_given_u, solve_stationary
 from pfstrip.timestepper import Stepper, StepperConfig, measure_norm, preset_field, run
 
 
@@ -155,19 +154,6 @@ def test_solve_stationary_translation_invariance():
     res_b = solve_stationary(mu_t, 1.0, roll_x(m.grid, guess, 3), m)
     assert res_b.u_inf == pytest.approx(res_a.u_inf, rel=1e-9)
     assert np.max(np.abs(res_b.chi_inf - roll_x(m.grid, res_a.chi_inf, 3))) <= 1e-8
-
-
-def test_hypothesis_report_quadratic_latent():
-    # lambda(r) = r^2 on [-1,1]: range [0,1], so the mass bounds on the
-    # (1,1) strip are 0 (min) and lx*ly + 2*lx = 3 (max)
-    m = coupled_model()
-    rep = hypothesis_report(m, 3.12)
-    assert rep.mass_admissible and rep.mass_lower_bound == pytest.approx(0.0, abs=1e-14)
-    assert rep.mass_dominates and rep.mass_upper_bound == pytest.approx(3.0, rel=1e-14)
-    assert rep.slope_separates and rep.slope_margin == pytest.approx(2.0, rel=1e-14)
-
-    rep2 = hypothesis_report(m, 2.0)
-    assert rep2.mass_admissible and not rep2.mass_dominates
 
 
 def test_solve_stationary_far_start_solves():
