@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, FatalSolverError, IoError, SolverError
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, build_grid
-from .potentials import (DOMAINS, CompatReport, LatentHeat, Potential, check_compatibility,
+from .potentials import (DOMAINS, LatentHeat, Potential, check_compatibility,
                          latent_range, separating_slope_margin)
 from .stationary import StationaryResult, solve_stationary
 from .timestepper import (EPS, MIN_TAU_FRACTION, PRESET_KINDS, SOURCE_KINDS, HeatSource,
@@ -213,7 +213,7 @@ class ValidationReport:
 
     model: Model
     source: HeatSource | None
-    compatibility: CompatReport | None
+    c_s: float | None   # compatibility constant; C_s = 0 for every admissible pair
     compatibility_error: str | None
     initial_state: State | None   # built from the init presets; None if that failed
     initial_state_error: str | None
@@ -239,8 +239,7 @@ class ValidationReport:
         if self.compatibility_error is not None:
             lines.append(f"compatibility: FAIL ({self.compatibility_error})")
         else:
-            cr = self.compatibility
-            lines.append(f"compatibility: ok (c_s={cr.c_s:.6g}, C_s={cr.big_c_s:.6g})")
+            lines.append(f"compatibility: ok (c_s={self.c_s:.6g}, C_s=0)")
         lines.append("coercivity: ok")   # holds for every config: see the potentials docstring
         if self.initial_state_error is not None:
             lines.append(f"initial state: FAIL ({self.initial_state_error})")
@@ -266,10 +265,10 @@ def validate_config(c: Config) -> ValidationReport:
     pre-flight check on them; never raises, failures land in the report."""
     model = build_model(c)
 
-    compat = None
+    c_s = None
     compat_err = None
     try:
-        compat = check_compatibility(model.p_bulk, model.p_surf)
+        c_s = check_compatibility(model.p_bulk, model.p_surf)
     except DomainError as exc:
         compat_err = str(exc)
 
@@ -288,7 +287,7 @@ def validate_config(c: Config) -> ValidationReport:
     area, perimeter = c.domain.lx * c.domain.ly, 2.0 * c.domain.lx
     (lo_b, hi_b), (lo_s, hi_s) = latent_range(model.l_bulk), latent_range(model.l_surf)
     return ValidationReport(
-        model=model, source=source, compatibility=compat, compatibility_error=compat_err,
+        model=model, source=source, c_s=c_s, compatibility_error=compat_err,
         initial_state=s0, initial_state_error=state_err, mu0=mu0,
         mass_lower_bound=area * lo_b + perimeter * lo_s,
         mass_upper_bound=area * hi_b + perimeter * hi_s,
@@ -464,7 +463,7 @@ def load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     return parse_config(text)
 

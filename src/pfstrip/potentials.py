@@ -16,10 +16,16 @@ delta never enters f itself; it is carried alongside so callers can assemble
 the split implicit/explicit terms.  The latent heat is the quadratic
 lambda(r) = -a r^2 + b r + c.
 
-The analysis rests on two structural hypotheses.  Compatibility of the
-bulk and surface monotone parts depends on the pair, so check_compatibility
-fits its constants on samples.  Coercivity, lambda - s0 >= c1 r^2 - c2 with
-c1 > 0, holds for every family, latent heat and delta, so nothing checks it:
+The analysis rests on two structural hypotheses, both proved here in closed
+form.  Compatibility: the surface domain lies inside the bulk one (so a
+logarithmic bulk rejects a quartic surface) and f * f_surf >= c_s f^2 - C_s
+there with c_s > 0.  Every admissible pair has C_s = 0, whatever delta:
+  * Same family: f * f = f^2, so c_s = 1.
+  * Quartic bulk, logarithmic surface: both f are odd and f * f_surf =
+    r^3 * 2 artanh(r), so c_s = min over (0, 1) of 2 artanh(r) / r^3, which
+    is 4.0339960793287... at r = 0.8894367592 (+inf at both ends).
+Coercivity, lambda - s0 >= c1 r^2 - c2 with c1 > 0, holds for every family,
+latent heat and delta, so nothing checks it:
 lambda - s0 = F - delta r^2 / 2 + lambda.
   * Quartic: the sum is r^4/4 - (a + delta/2) r^2 + b r + c, and for every
     c1 > 0 the quartic term dominates (a + delta/2 + c1) r^2 - b r, so the
@@ -36,12 +42,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# Sampling controls for the compatibility check: relative margin kept away
-# from singular endpoints, the sampled radius of an unbounded domain, and the
-# number of samples.
-SAMPLE_MARGIN_REL = 1.0e-6
-SAMPLE_RADIUS = 10.0
-COMPAT_SAMPLES = 4001
+QUARTIC_LOG_C_S = 4.0339960793   # min of 2 artanh(r) / r^3 on (0, 1), rounded down
 
 # The open domain of each potential family: singular on a bounded interval,
 # regular on the whole line.
@@ -63,11 +64,6 @@ class Potential:
         lo, hi = DOMAINS[self.kind]
         object.__setattr__(self, "domain_lo", lo)
         object.__setattr__(self, "domain_hi", hi)
-
-    @property
-    def singular(self) -> bool:
-        """True when the domain is a bounded interval with f blowing up at the ends."""
-        return math.isfinite(self.domain_lo)
 
     def contains(self, r) -> bool:
         """True when every entry lies in the open domain; NaN never does, and an
@@ -139,42 +135,14 @@ def separating_slope_margin(l: LatentHeat) -> float:
     return min(l.b - 2.0 * l.a, -l.b - 2.0 * l.a)
 
 
-@dataclass(frozen=True)
-class CompatReport:
-    """Fitted constants of the bulk/surface compatibility inequality."""
-
-    c_s: float
-    big_c_s: float
-
-
-def check_compatibility(f_bulk: Potential, f_surf: Potential) -> CompatReport:
-    """Fit f * f_surf >= c_s f^2 - C_s on samples of the surface domain.
-
-    The surface monotone part must dominate the bulk one, so the surface
-    domain has to sit inside the bulk domain; a DomainError is raised when
-    the inclusion fails.  Every pair that passes has c_s > 0: the same family
-    gives c_s = 1, and a quartic bulk with a logarithmic surface has
-    f * f_surf >= 0.  The samples fill the surface domain, SAMPLE_MARGIN_REL
-    of its half-width away from singular ends, [-SAMPLE_RADIUS, SAMPLE_RADIUS]
-    on the whole line.
-    """
+def check_compatibility(f_bulk: Potential, f_surf: Potential) -> float:
+    """Return c_s > 0 with f * f_surf >= c_s f^2 (C_s = 0) on the surface domain,
+    as the module docstring proves; DomainError if that domain is not inside
+    the bulk one."""
     if f_surf.domain_lo < f_bulk.domain_lo or f_surf.domain_hi > f_bulk.domain_hi:
         raise DomainError(
             "surface potential domain must be contained in the bulk potential domain: "
             f"({f_surf.domain_lo}, {f_surf.domain_hi}) is not inside "
             f"({f_bulk.domain_lo}, {f_bulk.domain_hi})"
         )
-    if f_surf.singular:
-        margin = SAMPLE_MARGIN_REL * (0.5 * (f_surf.domain_hi - f_surf.domain_lo))
-        samples = np.linspace(f_surf.domain_lo + margin, f_surf.domain_hi - margin,
-                              COMPAT_SAMPLES)
-    else:
-        samples = np.linspace(-SAMPLE_RADIUS, SAMPLE_RADIUS, COMPAT_SAMPLES)
-    _, fb, _ = evaluate(f_bulk, samples)
-    _, fs, _ = evaluate(f_surf, samples)
-    nonzero = fb != 0.0
-    product = fb * fs
-    square = fb * fb
-    c_s = float(np.min(product[nonzero] / square[nonzero]))
-    big_c = float(max(0.0, np.max(c_s * square - product)))
-    return CompatReport(c_s=c_s, big_c_s=big_c)
+    return 1.0 if f_bulk.kind == f_surf.kind else QUARTIC_LOG_C_S

@@ -185,7 +185,7 @@ def test_parse_overrides_optional_fields():
 def test_validate_minimal_ok():
     rep = validate_config(parse_config(MINIMAL))
     assert rep.ok
-    assert rep.compatibility.c_s == 1.0
+    assert rep.c_s == 1.0
     assert rep.initial_state_error is None
     assert rep.mu0 == pytest.approx(3.0)
     assert "overall: ok" in rep.render()
@@ -394,6 +394,12 @@ def test_cli_malformed_config(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     assert cli_main(["check", "--config", str(tmp_path / "no.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+    undecodable = tmp_path / "bad.cfg"
+    undecodable.write_bytes(b"domain.lx = 1.0\n\xff\n")
+    assert cli_main(["check", "--config", str(undecodable)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read config '{undecodable}'" in err
+    assert "Traceback" not in err
 
 
 def test_cli_validation_failure_exits_3(tmp_path, capsys):

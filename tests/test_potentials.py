@@ -47,11 +47,11 @@ def test_logarithmic_rejects_domain_boundary():
 
 def test_family_fixes_the_domain():
     p = Potential("logarithmic")
-    assert (p.domain_lo, p.domain_hi) == (-1.0, 1.0) and p.singular
+    assert (p.domain_lo, p.domain_hi) == (-1.0, 1.0)
     with pytest.raises(DomainError):
         evaluate(p, 2.0)
     q = Potential("quartic", 0.5)
-    assert (q.domain_lo, q.domain_hi) == (-math.inf, math.inf) and not q.singular
+    assert (q.domain_lo, q.domain_hi) == (-math.inf, math.inf)
     with pytest.raises(TypeError):
         Potential("quartic", 0.0, -1.0, 1.0)
 
@@ -132,20 +132,25 @@ def test_f_is_strictly_monotone(kind, span):
     assert np.all(np.diff(f) > 0.0)
 
 
-def test_compatibility_identical_logarithmic():
-    r = check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 1.0))
-    assert r.c_s == 1.0 and r.big_c_s == 0.0
-
-
-def test_compatibility_ignores_delta():
-    r = check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 7.0))
-    assert r.c_s == 1.0 and r.big_c_s == 0.0
-
-
-def test_compatibility_quartic_bulk_logarithmic_surface():
-    # surface domain (-1,1) sits inside the quartic bulk domain
-    r = check_compatibility(Potential("quartic", 1.0), Potential("logarithmic", 1.0))
-    assert r.c_s > 0.0
+@pytest.mark.parametrize("bulk,surf", [
+    # delta does not enter: the same-family pairs differ in it
+    (Potential("logarithmic", 1.0), Potential("logarithmic", 7.0)),
+    (Potential("quartic", 0.5), Potential("quartic", 60.0)),
+    (Potential("quartic", 1.0), Potential("logarithmic", 1.0)),
+], ids=["log_log", "quartic_quartic", "quartic_log"])
+def test_compatibility_constant_holds_on_the_surface_domain(bulk, surf):
+    c_s = check_compatibility(bulk, surf)
+    assert c_s > 0.0
+    # dense grid of the surface domain through r = +-0.889437, the minimiser of
+    # 2 artanh(r) / r^3, where the mixed pair's inequality is tight
+    span = 0.999999 if surf.kind == "logarithmic" else 10.0
+    r = np.union1d(np.linspace(-span, span, 200001), [-0.889437, 0.889437])
+    _, fb, _ = evaluate(bulk, r)
+    _, fs, _ = evaluate(surf, r)
+    assert np.all(fb * fs - c_s * fb * fb >= 0.0)
+    if bulk.kind != surf.kind:
+        nonzero = fb != 0.0
+        assert abs(c_s - np.min(fs[nonzero] / fb[nonzero])) < 1e-9
 
 
 def test_compatibility_rejects_reversed_inclusion():

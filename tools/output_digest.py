@@ -1,4 +1,4 @@
-"""Run 32 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 33 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
@@ -6,12 +6,13 @@ Cases: configs/example.cfg through all four commands, the benchmark workload
 configs at seeds 1 and 7, the perfbench stationary probe, two stationary
 solves (a steady state 1.16e-7 from the singular wall, and the 16x8 stripe
 saddle that the stationary solver does not converge on), a check of quartic
-potentials with delta = 60, checks that fail compatibility or the initial
-state and one that reports a nonzero projected source mean, a simulate with a
-sinusoid source, nine rejected configs and the help texts.  Per
-case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip
-comes from SRC_DIR and the inputs from this repository, so the diff of two
-trees' digests shows any output byte a change moved.
+potentials with delta = 60, a check of a quartic bulk with a logarithmic
+surface (the one compatibility constant other than 1), checks that fail
+compatibility or the initial state and one that reports a nonzero projected
+source mean, a simulate with a sinusoid source, nine rejected configs and the
+help texts.  Per case: exit code, stdout, stderr and the sha256 of every
+output file.  pfstrip comes from SRC_DIR and the inputs from this repository,
+so the diff of two trees' digests shows any output byte a change moved.
 """
 
 import contextlib
@@ -77,6 +78,8 @@ def cases() -> dict:
     out["saddle_16x8"] = (["stationary"], saddle.replace(".a = -0.5", ".a = 0.5"))
     quartic = example().replace("kind = logarithmic", "kind = quartic")
     out["quartic_delta_60"] = (["check"], quartic.replace("delta = 3.0", "delta = 60"))
+    out["quartic_bulk"] = (["check"], example("potential_bulk.kind = logarithmic",
+                                              "potential_bulk.kind = quartic"))
     out["quartic_surface"] = (["check"], example("potential_surf.kind = logarithmic",
                                                  "potential_surf.kind = quartic"))
     out["bad_initial_chi"] = (["check"], example("init.chi_kind = tanh_stripe",
