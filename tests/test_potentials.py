@@ -132,6 +132,14 @@ def test_f_is_strictly_monotone(kind, span):
     assert np.all(np.diff(f) > 0.0)
 
 
+def test_compatibility_identical_logarithmic():
+    assert check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 1.0)) == 1.0
+
+
+def test_compatibility_ignores_delta():
+    assert check_compatibility(Potential("logarithmic", 1.0), Potential("logarithmic", 7.0)) == 1.0
+
+
 @pytest.mark.parametrize("bulk,surf", [
     # delta does not enter: the same-family pairs differ in it
     (Potential("logarithmic", 1.0), Potential("logarithmic", 7.0)),
