@@ -96,22 +96,23 @@ def dm_std(v: np.ndarray, m: MassVectors) -> float:
     return math.sqrt(float(m.m_comb @ (d * d)) / m.total)
 
 
-def _parts(s: State, model: Model):
-    """(weights, theta, chi) of the bulk and of the two boundary circles."""
-    theta, chi, bnd = s.theta, s.chi, model.grid.boundary
-    return (model.masses.m_bulk, theta, chi), (model.ms_bnd, theta[bnd], chi[bnd])
+def _integral(model: Model, bulk: np.ndarray, surf) -> float:
+    """Integral of a nodal density: bulk against m_bulk on every row plus surf against m_surf
+    on the boundary rows; surf None (shared laws) reads bulk there, bit for bit the same."""
+    surf = bulk[model.grid.boundary] if surf is None else surf
+    return sum((float(model.masses.m_bulk @ bulk), float(model.ms_bnd @ surf)))
 
 
-def _mass_sum(parts, lams) -> float:
-    """Integral of theta + lambda(chi) over the parts, lams their lambda values."""
-    return sum(float(w @ (theta + lam)) for (w, theta, _), lam in zip(parts, lams))
+def _mass_sum(theta: np.ndarray, model: Model, at) -> float:
+    """Integral of theta + lambda(chi), lambda read from at."""
+    return _integral(model, theta + at.bulk.lam, None if model.shared.latent else
+                     theta[model.grid.boundary] + at.surf.lam)
 
 
 def mass_mu(s: State, model: Model, at=None) -> float:
     """Internal-energy mass: integral of theta + lambda(chi), bulk plus surface,
     with lambda read from at = Model.phase_values(s.chi) (computed if not given)."""
-    at = model.phase_values(s.chi) if at is None else at
-    return _mass_sum(_parts(s, model), (at.bulk.lam, at.surf.lam))
+    return _mass_sum(s.theta, model, model.phase_values(s.chi) if at is None else at)
 
 
 def row_functionals(s: State, model: Model, at=None) -> tuple[float, float, float]:
@@ -120,10 +121,12 @@ def row_functionals(s: State, model: Model, at=None) -> tuple[float, float, floa
     if not s.u.max() < 0.0:
         raise DomainError("energy and entropy require u < 0")
     at = model.phase_values(s.chi) if at is None else at
-    parts, values = _parts(s, model), (at.bulk, at.surf)
-    mu = _mass_sum(parts, (at.bulk.lam, at.surf.lam))
-    s_nodal = sum(float(w @ (np.log(theta) + (0.5 * p.delta * chi * chi - v.big_f)))
-                  for (w, theta, chi), v, p in zip(parts, values, (model.p_bulk, model.p_surf)))
+    theta, chi, chi_b, shared = s.theta, s.chi, at.chi_b, model.shared
+    mu = _mass_sum(theta, model, at)
+    s_nodal = _integral(
+        model, np.log(theta) + (0.5 * model.p_bulk.delta * chi * chi - at.bulk.big_f),
+        None if shared.kind and shared.delta else np.log(theta[model.grid.boundary])
+        + (0.5 * model.p_surf.delta * chi_b * chi_b - at.surf.big_f))
     half_grad = 0.5 * model.stiffness.quad(s.chi)
     return mu, mu - s_nodal + half_grad, s_nodal - half_grad
 

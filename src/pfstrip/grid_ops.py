@@ -189,25 +189,23 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
               tol: float = 1.0e-10, max_iter: int | None = None) -> np.ndarray:
     """Split preconditioned conjugate gradients for the SPD operator P + diag(split).
 
-    precond is a callable r -> P^-1 r applying the exact inverse of P, and
-    apply(z) the full operator product (P + diag(split)) z.  P p follows the
-    recurrence P p <- r + beta P p, so each iteration forms the operator
-    product as P p + split p, and apply runs only for the true-residual
-    checks (after Eisenstat's trick).  Each iteration checks the residual,
-    preconditions it and updates, so precond runs once per iteration and never
-    after the last update.  Stops when the true residual satisfies
-    ||apply(x) - rhs||_2 <= tol ||rhs||_2; restarts from the true residual when
-    only the recurrence does, and raises SolverError after MAX_RESTARTS
-    restarts.  Sequential and deterministic for fixed inputs.
+    rhs is a float vector, precond a callable r -> P^-1 r applying the exact
+    inverse of P (a new array, or r itself) and apply(z) the full operator
+    product (P + diag(split)) z.  P p follows the recurrence P p <- r + beta
+    P p, so each iteration forms the operator product as P p + split p, and
+    apply runs only for the true-residual checks (after Eisenstat's trick).
+    Each iteration checks the residual, preconditions it and updates, so
+    precond runs once per iteration and never after the last update.  Stops
+    when the true residual satisfies ||apply(x) - rhs||_2 <= tol ||rhs||_2;
+    restarts from the true residual when only the recurrence does, and raises
+    SolverError after MAX_RESTARTS restarts.  Sequential and deterministic for
+    fixed inputs.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.size
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * rhs.size if max_iter is None else max_iter
     bnorm = math.sqrt(rhs @ rhs)
+    x = np.zeros(rhs.size)
     if bnorm == 0.0:
-        return np.zeros_like(rhs)
-    x = np.zeros_like(rhs)
+        return x
     r = rhs.copy()
     p = None   # (re)start: p and P p are set from the next preconditioned residual
     restarts = 0
@@ -225,7 +223,7 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
         z = precond(r)
         rz_new = float(r @ z)
         if p is None:
-            p, pp = z.copy(), r.copy()   # p and P p
+            p, pp = z.copy() if z is r else z, r.copy()   # p and P p
         else:
             beta = rz_new / rz
             p *= beta

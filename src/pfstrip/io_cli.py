@@ -23,11 +23,10 @@ from .errors import ConfigError, DomainError, FatalSolverError, IoError, SolverE
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, build_grid
 from .potentials import (DOMAINS, LatentHeat, Potential, check_compatibility,
-                         latent_range, separating_slope_margin)
+                         integrate_homogeneous, latent_range, separating_slope_margin)
 from .stationary import StationaryResult, solve_stationary
 from .timestepper import (EPS, MIN_TAU_FRACTION, PRESET_KINDS, SOURCE_KINDS, HeatSource,
-                          Model, StepperConfig, integrate_homogeneous, make_source,
-                          preset_field, run)
+                          Model, StepperConfig, make_source, preset_field, run)
 
 LOCK_NAME = ".lock"
 

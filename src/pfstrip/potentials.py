@@ -1,4 +1,5 @@
-"""Configuration potentials, latent heats, and the bulk/surface compatibility check.
+"""Configuration potentials, latent heats, the bulk/surface compatibility check, and
+the scalar ODE of the spatially homogeneous reduction (integrate_homogeneous).
 
 The configuration entropy density is split as
 
@@ -93,13 +94,6 @@ def evaluate(p: Potential, r):
     return 0.25 * arr**4, arr**3, 3.0 * arr * arr
 
 
-def scalar_f(p: Potential):
-    """Plain-float f(r) closure (fast path for the scalar ODE oracle)."""
-    if p.kind == "logarithmic":
-        return lambda r: math.log1p(r) - math.log1p(-r)
-    return lambda r: r * r * r
-
-
 @dataclass(frozen=True)
 class LatentHeat:
     """Quadratic latent heat lambda(r) = -a r^2 + b r + c."""
@@ -113,6 +107,67 @@ def latent_eval(l: LatentHeat, r):
     """Return (lambda(r), lambda'(r), lambda''(r)); lambda'' is the constant -2a."""
     arr = np.asarray(r, dtype=float)
     return -l.a * arr * arr + l.b * arr + l.c, -2.0 * l.a * arr + l.b, -2.0 * l.a
+
+
+def scalar_f(p: Potential):
+    """Plain-float f(r) closure (fast path for the scalar ODE oracle)."""
+    if p.kind == "logarithmic":
+        return lambda r: math.log1p(r) - math.log1p(-r)
+    return lambda r: r * r * r
+
+
+def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: LatentHeat,
+                          tau_ref: float, t_end: float):
+    """Classical RK4 oracle for the spatially homogeneous reduction.
+
+    With f_surf = f and lambda_surf = lambda_bulk, every node obeys the
+    scalar law chi' = -f(chi) + delta chi + lambda'(chi) (-1/theta) with
+    theta' = -lambda'(chi) chi'.  The combination theta + lambda(chi) is a
+    first integral, so the system is integrated as a scalar ODE for chi and
+    theta is reconstructed from the invariant: conservation is exact by
+    construction.  Returns (t, theta, chi) sample arrays.
+    """
+    if theta0 <= 0.0:
+        raise DomainError("theta0 must be positive")
+    if not pot.contains(chi0):
+        raise DomainError("chi0 outside the potential domain")
+    a, b, c0 = lat.a, lat.b, lat.c
+    lam0 = -a * chi0 * chi0 + b * chi0 + c0
+    e0 = theta0 + lam0
+    f = scalar_f(pot)
+    delta = pot.delta
+    lo, hi = pot.domain_lo, pot.domain_hi
+
+    def rhs(c: float) -> float:
+        if not lo < c < hi:
+            raise DomainError("trajectory left the potential domain; reduce tau_ref")
+        th = e0 + a * c * c - b * c - c0
+        if th <= 0.0:
+            raise DomainError("temperature reached zero along the trajectory; reduce tau_ref")
+        return -f(c) + delta * c - (-2.0 * a * c + b) / th
+
+    if t_end <= 0.0:
+        return np.array([0.0]), np.array([theta0]), np.array([chi0])
+    n = max(1, round(t_end / tau_ref))
+    h = t_end / n
+    stride = max(1, n // 1000)
+    ts, chis = [0.0], [chi0]
+    c = chi0
+    h6 = h / 6.0
+    for i in range(1, n + 1):
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * h * k1)
+        k3 = rhs(c + 0.5 * h * k2)
+        k4 = rhs(c + h * k3)
+        c = c + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not lo < c < hi:
+            raise DomainError("trajectory left the potential domain; reduce tau_ref")
+        if i % stride == 0 or i == n:
+            ts.append(i * h)
+            chis.append(c)
+    chi_arr = np.array(chis)
+    theta_arr = e0 + a * chi_arr * chi_arr - b * chi_arr - c0
+    return np.array(ts), theta_arr, chi_arr
 
 
 def latent_range(l: LatentHeat) -> tuple[float, float]:

@@ -42,8 +42,9 @@ class StationaryResult:
 def _linearization(chi: np.ndarray, u_inf: float, model: Model):
     """Stationary phase residual, its unclamped Jacobian diagonal and the PhaseValues at chi."""
     v = model.phase_values(chi)
-    (r, d), (r_lag, d_lag) = v.implicit, model.lagged_terms(v, u_inf)
-    return r - r_lag, d - d_lag, v
+    (r, d), pb, ps = v.implicit, model.p_bulk, model.p_surf
+    d_lag = model._compose(pb.delta + v.bulk.lampp * u_inf, ps.delta + v.surf.lampp * u_inf)
+    return r - model.lagged_rhs(v, u_inf), d - d_lag, v
 
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,

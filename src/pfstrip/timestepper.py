@@ -16,9 +16,9 @@ a domain guard: u <= -guard_eps always, and for singular potentials the
 phase stays a guard_eps distance from the domain endpoints.  The guard box
 is convex, so once a damped step is feasible every shorter step is, too.
 
-Model.phase_values evaluates f, f', F, lambda, lambda' and K chi once per phase iterate;
-the Stepper carries them and K u of the accepted iterates into the next step and its row,
-so a step of one Newton iteration per solve makes 2 evaluate, 2 latent_eval, 4 K applies.
+Model.phase_values evaluates f, f', F, lambda, lambda' and K chi once per phase iterate and
+law; the Stepper carries them and K u of the accepted iterates into the next step and its row,
+so a step of one Newton iteration per solve makes 1 evaluate, 1 latent_eval, 4 K applies.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FatalSolverError, SolverError
+from .errors import FatalSolverError, SolverError
 from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean, dm_std,
                           energy_identity_residual, row_functionals)
 from .grid_ops import (Grid, MassVectors, ShiftedInverse, StiffnessOp, assemble_masses,
                        assemble_shifted_inverse, assemble_stiffness, solve_spd)
-from .potentials import LatentHeat, Potential, evaluate, latent_eval, scalar_f
+from .potentials import LatentHeat, Potential, evaluate, latent_eval
 
 NEWTON_ABS_FLOOR = 1.0e-12
 NEWTON_NOISE_FACTOR = 8.0
@@ -65,6 +65,7 @@ Laws = namedtuple("Laws", "big_f lam lamp lampp")   # F, lambda, lambda', lambda
 # Model.phase_values: bulk Laws at chi, surface Laws at its boundary rows chi_b, and the
 # implicit terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve
 PhaseValues = namedtuple("PhaseValues", "chi chi_b bulk surf implicit")
+Shared = namedtuple("Shared", "kind delta latent")   # which surface laws equal the bulk ones
 
 
 @dataclass(eq=False)
@@ -73,7 +74,7 @@ class Model:
     the stiffness and the exact inverse of K + c m_comb that preconditions every Newton solve.
 
     grid.boundary and ms_bnd are the bulk/boundary split, read here and by the
-    functionals.  phase_values and the *_terms methods compose the phase operator:
+    functionals.  phase_values, lagged_rhs and latent_terms compose the phase operator:
     each puts the bulk term on every row and the surface term on the boundary rows."""
 
     grid: Grid
@@ -86,6 +87,7 @@ class Model:
     ms_bnd: np.ndarray = field(init=False, repr=False)   # m_surf on the boundary rows
     inv_m_comb: np.ndarray = field(init=False, repr=False)
     shifted_inverse: ShiftedInverse = field(init=False, repr=False)
+    shared: Shared = field(init=False)
     _chi_boxes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -94,6 +96,9 @@ class Model:
         self.ms_bnd = self.masses.m_surf[self.grid.boundary]
         self.inv_m_comb = 1.0 / self.masses.m_comb
         self.shifted_inverse = assemble_shifted_inverse(self.grid, self.masses)
+        pb, ps = self.p_bulk, self.p_surf   # repr tells 0.0 from -0.0, which == does not
+        self.shared = Shared(pb.kind == ps.kind, repr(pb.delta) == repr(ps.delta),
+                             repr(self.l_bulk) == repr(self.l_surf))
 
     def _compose(self, bulk, surf) -> np.ndarray:
         """m_bulk bulk on every row plus m_surf surf on the boundary rows."""
@@ -102,21 +107,24 @@ class Model:
         return out
 
     def phase_values(self, chi: np.ndarray) -> PhaseValues:
-        """PhaseValues at chi: two evaluate and two latent_eval calls and one K chi."""
-        chi_b = chi[self.grid.boundary]
-        (F_b, f_b, fp_b), (F_s, f_s, fp_s) = evaluate(self.p_bulk, chi), evaluate(self.p_surf, chi_b)
-        return PhaseValues(chi, chi_b, Laws(F_b, *latent_eval(self.l_bulk, chi)),
-                           Laws(F_s, *latent_eval(self.l_surf, chi_b)),
-                           (self.stiffness.apply(chi) + self._compose(f_b, f_s),
-                            self._compose(fp_b, fp_s)))
+        """PhaseValues at chi; a surface law equal to its bulk law is the bulk values read on
+        the boundary rows, bit for bit the same, as numpy's ufuncs work entry by entry."""
+        bnd, (same_kind, _, same_lat) = self.grid.boundary, self.shared
+        chi_b = chi[bnd]
+        (F, f, fp), lat = evaluate(self.p_bulk, chi), latent_eval(self.l_bulk, chi)
+        F_s, f_s, fp_s = (F[bnd], f[bnd], fp[bnd]) if same_kind else evaluate(self.p_surf, chi_b)
+        lat_s = (lat[0][bnd], lat[1][bnd], lat[2]) if same_lat else latent_eval(self.l_surf, chi_b)
+        return PhaseValues(chi, chi_b, Laws(F, *lat), Laws(F_s, *lat_s),
+                           (self.stiffness.apply(chi) + self._compose(f, f_s),
+                            self._compose(fp, fp_s)))
 
-    def lagged_terms(self, v: PhaseValues, u) -> tuple[np.ndarray, np.ndarray]:
-        """(m (delta chi + lambda'(chi) u), m (delta + lambda'' u)): the concave
-        part and the temperature coupling; u is nodal or a scalar u_inf."""
-        b, sf, db, ds = v.bulk, v.surf, self.p_bulk.delta, self.p_surf.delta
+    def lagged_rhs(self, v: PhaseValues, u) -> np.ndarray:
+        """m (delta chi + lambda'(chi) u), explicit in the phase step; u nodal or scalar."""
+        bulk = self.p_bulk.delta * v.chi + v.bulk.lamp * u
+        if self.shared.delta and self.shared.latent:
+            return self._compose(bulk, bulk[self.grid.boundary])
         u_b = u[self.grid.boundary] if np.ndim(u) else u
-        return (self._compose(db * v.chi + b.lamp * u, ds * v.chi_b + sf.lamp * u_b),
-                self._compose(db + b.lampp * u, ds + sf.lampp * u_b))
+        return self._compose(bulk, self.p_surf.delta * v.chi_b + v.surf.lamp * u_b)
 
     def latent_terms(self, v: PhaseValues) -> np.ndarray:
         """m lambda(chi), the latent part of the internal energy."""
@@ -188,9 +196,9 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
     evaluation of the nonlinear terms, then any values of it the caller wants
     back.  Every trial point is linearized once; the accepted trial's diagonal
     is the one the next step solves with.  A step is halved until it lies in
-    the box [lo, hi], then until the residual decreases.  Returns (x,
-    iterations, residual norm, *values) of the last point linearized; a
-    point's values are dropped before the solve that steps away from it.
+    the box [lo, hi] (lo None: unbounded below), then until the residual
+    decreases.  Returns (x, iterations, residual norm, *values) of the last
+    point linearized; a point's values are dropped before the solve that steps away from it.
 
     The iteration stops when the L^2(dm) residual norm is at most
     max(rel_tol * initial norm, abs_tol), or at most its round-off level at
@@ -199,7 +207,7 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
     next to a singular wall).  No iterate can do better than that.
     """
     m_comb = model.masses.m_comb
-    x = np.clip(x0, lo, hi)
+    x = np.minimum(x0 if lo is None else np.maximum(x0, lo), hi)
     r, d, *values = linearize(x)
     norm = measure_norm(r, m_comb)
     target = max(rel_tol * norm, abs_tol)
@@ -212,7 +220,7 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
         step = model.newton_step(d, r, cg_tol)
         alpha = 1.0
         xt = x + step
-        while not ((xt >= lo).all() and (xt <= hi).all()):
+        while not ((lo is None or (xt >= lo).all()) and (xt <= hi).all()):
             alpha *= 0.5
             if alpha < MIN_BACKTRACK:
                 raise SolverError("Newton step cannot enter the domain guard box")
@@ -236,7 +244,7 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model,
     """Convex-split backward-Euler phase step with the temperature lagged at t_n.
 
     Solves m_comb (chi - chi_n)/tau plus the implicit terms at chi equal to
-    Model.lagged_terms at (chi_n, u_n), that is, per node,
+    Model.lagged_rhs at (chi_n, u_n), that is, per node,
       m_comb (chi - chi_n)/tau + K chi + m_bulk f(chi) + m_surf f_s(chi)
         = m_bulk (delta_b chi_n + lambda_b'(chi_n) u_n)
         + m_surf (delta_s chi_n + lambda_s'(chi_n) u_n).
@@ -244,7 +252,7 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model,
     PhaseValues and G = m (lambda(chi) - lambda(chi_n)) / tau.
     """
     chi_n, mc = s.chi, model.masses.m_comb
-    rhs, lat = model.lagged_terms(at, s.u)[0], model.latent_terms(at)
+    rhs, lat = model.lagged_rhs(at, s.u), model.latent_terms(at)
     mc_tau = mc / tau
 
     def linearize(chi):
@@ -280,7 +288,7 @@ def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: floa
         ku = None
         return mc * (-1.0 / u - theta_n) / tau + k_u + shift, mc / (tau * u * u), k_u
 
-    u, iters, _, k_u = _newton(u_n, linearize, model, -math.inf, -cfg.guard_eps, cfg.cg_tol,
+    u, iters, _, k_u = _newton(u_n, linearize, model, None, -cfg.guard_eps, cfg.cg_tol,
                                cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
     return u, iters, k_u
 
@@ -420,60 +428,6 @@ def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
             if step % snapshot_every == 0 or s.t >= t_end - eps_t:
                 on_snapshot(step, s)
     return rows, s
-
-
-def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: LatentHeat,
-                          tau_ref: float, t_end: float):
-    """Classical RK4 oracle for the spatially homogeneous reduction.
-
-    With f_surf = f and lambda_surf = lambda_bulk, every node obeys the
-    scalar law chi' = -f(chi) + delta chi + lambda'(chi) (-1/theta) with
-    theta' = -lambda'(chi) chi'.  The combination theta + lambda(chi) is a
-    first integral, so the system is integrated as a scalar ODE for chi and
-    theta is reconstructed from the invariant: conservation is exact by
-    construction.  Returns (t, theta, chi) sample arrays.
-    """
-    if theta0 <= 0.0:
-        raise DomainError("theta0 must be positive")
-    if not pot.contains(chi0):
-        raise DomainError("chi0 outside the potential domain")
-    a, b, c0 = lat.a, lat.b, lat.c
-    lam0 = -a * chi0 * chi0 + b * chi0 + c0
-    e0 = theta0 + lam0
-    f = scalar_f(pot)
-    delta = pot.delta
-    lo, hi = pot.domain_lo, pot.domain_hi
-
-    def rhs(c: float) -> float:
-        if not lo < c < hi:
-            raise DomainError("trajectory left the potential domain; reduce tau_ref")
-        th = e0 + a * c * c - b * c - c0
-        if th <= 0.0:
-            raise DomainError("temperature reached zero along the trajectory; reduce tau_ref")
-        return -f(c) + delta * c - (-2.0 * a * c + b) / th
-
-    if t_end <= 0.0:
-        return np.array([0.0]), np.array([theta0]), np.array([chi0])
-    n = max(1, round(t_end / tau_ref))
-    h = t_end / n
-    stride = max(1, n // 1000)
-    ts, chis = [0.0], [chi0]
-    c = chi0
-    h6 = h / 6.0
-    for i in range(1, n + 1):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
-        c = c + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not lo < c < hi:
-            raise DomainError("trajectory left the potential domain; reduce tau_ref")
-        if i % stride == 0 or i == n:
-            ts.append(i * h)
-            chis.append(c)
-    chi_arr = np.array(chis)
-    theta_arr = e0 + a * chi_arr * chi_arr - b * chi_arr - c0
-    return np.array(ts), theta_arr, chi_arr
 
 
 PRESET_KINDS = ("constant", "sinusoid", "tanh_stripe", "random")

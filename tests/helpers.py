@@ -47,7 +47,7 @@ def omega_limit_report(final: State, mu_target: float, model: Model,
     the spatial spread of u, the stationary phase residual at the mean u and the
     gap to the target mass, not the distance to any particular steady state."""
     v = model.phase_values(final.chi)
-    r = v.implicit[0] - model.lagged_terms(v, dm_mean(final.u, model.masses))[0]
+    r = v.implicit[0] - model.lagged_rhs(v, dm_mean(final.u, model.masses))
     residual = measure_norm(r, model.masses.m_comb)
     u_std = dm_std(final.u, model.masses)
     mu_gap_val = abs(mass_mu(final, model) - mu_target)

@@ -18,10 +18,10 @@ from helpers import constant_state, make_model, omega_limit_report
 from pfstrip.functionals import State, dm_mean
 from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.io_cli import cli_main
-from pfstrip.potentials import LatentHeat, Potential, separating_slope_margin
+from pfstrip.potentials import (LatentHeat, Potential, integrate_homogeneous,
+                                separating_slope_margin)
 from pfstrip.stationary import solve_stationary
-from pfstrip.timestepper import (Stepper, StepperConfig, integrate_homogeneous, preset_field,
-                                 run)
+from pfstrip.timestepper import Stepper, StepperConfig, preset_field, run
 
 
 def report(num, name, ok, detail):

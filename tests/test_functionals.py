@@ -248,11 +248,12 @@ def test_boundary_index_split_matches_surface_mask_bitwise(monkeypatch):
 
     by_index = diagnostics()
 
-    def parts_by_mask(s, model):
+    def integral_by_mask(model, bulk, surf):
         masses = model.masses
-        surf = masses.m_surf > 0.0
-        return ((masses.m_bulk, s.theta, s.chi),
-                (masses.m_surf[surf], s.theta[surf], s.chi[surf]))
+        mask = masses.m_surf > 0.0
+        surf = bulk[mask] if surf is None else surf
+        return sum((float(masses.m_bulk @ bulk), float(masses.m_surf[mask] @ surf)))
 
-    monkeypatch.setattr(fn, "_parts", parts_by_mask)
+    assert all(m.shared)   # so every surface density is split off by _integral
+    monkeypatch.setattr(fn, "_integral", integral_by_mask)
     assert diagnostics() == by_index

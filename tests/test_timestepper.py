@@ -10,14 +10,14 @@ import pytest
 
 import oracles
 import pfstrip.functionals as fn
+import pfstrip.stationary as stationary
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model
 from pfstrip.errors import DomainError, FatalSolverError, SolverError
 from pfstrip.functionals import State, mass_mu
 from pfstrip.grid_ops import StiffnessOp
-from pfstrip.potentials import LatentHeat, Potential, scalar_f
-from pfstrip.timestepper import (Stepper, StepperConfig, integrate_homogeneous, make_source,
-                                 preset_field, run)
+from pfstrip.potentials import LatentHeat, Potential, integrate_homogeneous, scalar_f
+from pfstrip.timestepper import Stepper, StepperConfig, make_source, preset_field, run
 
 
 def latent_quotient(m, chi_old, chi_new, tau):
@@ -250,14 +250,13 @@ def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
 
 def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch):
     """Accepted 8x4 steps of the criterion-4 data, one Newton iteration per solve:
-    the phase values are evaluated once, at the new phase iterate (evaluate and
-    latent_eval on bulk and surface), and K is applied there, at the new heat
+    the phase values are evaluated once, at the new phase iterate, with one
+    evaluate and one latent_eval call, since the surface laws equal the bulk
+    ones and are read on the boundary rows; K is applied there, at the new heat
     iterate and once per CG solve to confirm its residual.  Everything at the
-    current state is carried from the step (or the initial row) before."""
-    m = make_model(p_bulk=Potential("logarithmic", 1.8628), l_bulk=LatentHeat(0.2, 0.0, 0.0))
-    stepper = Stepper(m, StepperConfig(tau=1.0e-4, cg_tol=1.0e-12))
-    s = constant_state(m, 2.0, 0.3)
-    stepper.initial_row(s)
+    current state is carried from the step (or the initial row) before.  A
+    surface potential family or latent heat of its own is evaluated on its own,
+    once per phase iterate (the boundary rows then take two iterations)."""
     calls = dict.fromkeys(("evaluate", "latent_eval", "apply"), 0)
 
     def counting(name, real):
@@ -272,11 +271,23 @@ def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch)
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
     monkeypatch.setattr(StiffnessOp, "apply", counting("apply", StiffnessOp.apply))
-    for k in range(3):
-        calls.update(dict.fromkeys(calls, 0))
-        s, row = stepper.advance(s, k + 1)
-        assert row.newton_iters_chi == 1 and row.newton_iters_theta == 1
-        assert calls == {"evaluate": 2, "latent_eval": 2, "apply": 4}, (k, calls)
+    log, lat = Potential("logarithmic", 1.8628), LatentHeat(0.2, 0.0, 0.0)
+    for surf, want in (({}, {"evaluate": 1, "latent_eval": 1}),
+                       ({"p_bulk": Potential("quartic", 1.8628), "p_surf": log},
+                        {"evaluate": 2, "latent_eval": 1}),
+                       ({"l_surf": LatentHeat(0.2, 0.1, 0.0)}, {"evaluate": 1, "latent_eval": 2})):
+        m = make_model(**{"p_bulk": log, "l_bulk": lat, **surf})
+        stepper = Stepper(m, StepperConfig(tau=1.0e-4, cg_tol=1.0e-12))
+        s = constant_state(m, 2.0, 0.3)
+        stepper.initial_row(s)
+        for k in range(3):
+            calls.update(dict.fromkeys(calls, 0))
+            s, row = stepper.advance(s, k + 1)
+            iterates = row.newton_iters_chi
+            assert {name: calls[name] / iterates for name in want} == want, (surf, k, calls)
+            if not surf:
+                assert iterates == 1 and row.newton_iters_theta == 1, k
+                assert calls == {**want, "apply": 4}, (k, calls)
 
 
 def test_carried_values_match_a_recomputation_bitwise():
@@ -308,23 +319,62 @@ def test_carried_values_match_a_recomputation_bitwise():
         s = new
 
 
+def bits(*values) -> list:
+    """The bytes of each value as float64: equal bits, not merely equal values."""
+    return [np.asarray(x, dtype=float).tobytes() for x in values]
+
+
+@pytest.mark.parametrize("nx,ny", [(8, 4), (32, 16), (96, 96)])
+def test_shared_surface_laws_match_a_separate_evaluation_bitwise(rng, nx, ny):
+    """Where a surface law equals its bulk law, Model reads the bulk values on the
+    boundary rows instead of evaluating the law again on chi[boundary].  The surface
+    fields of phase_values, lagged_rhs, latent_terms, row_functionals and mass_mu must
+    equal that separate evaluation bit for bit, at random chi in the guard box with
+    entries within 1e-9 of +-1; an elementwise kernel whose result depended on an
+    entry's position in the array (a SIMD log1p, say) would fail here."""
+    log, lat = Potential("logarithmic", 1.5), LatentHeat(0.4, -0.1, 0.2)
+    for surf in ({}, {"p_surf": Potential("logarithmic", 0.5)},
+                 {"l_surf": LatentHeat(-0.3, 0.2, 0.1)}):
+        shared = make_model(nx=nx, ny=ny, **{"p_bulk": log, "l_bulk": lat, **surf})
+        separate = make_model(nx=nx, ny=ny, **{"p_bulk": log, "l_bulk": lat, **surf})
+        separate.shared = ts.Shared(False, False, False)
+        assert any(shared.shared)
+        n = shared.grid.n_nodes
+        lo, hi = shared.chi_bounds(1.0e-12)
+        chi = rng.uniform(lo, hi)
+        walls = np.where(chi[::3] < 0.0, -1.0, 1.0)   # every third node within 1e-9 of +-1
+        chi[::3] = walls * (1.0 - rng.uniform(1.0e-12, 1.0e-9, walls.size))
+        assert np.all(chi >= lo) and np.all(chi <= hi)
+        s = State(0.0, -rng.uniform(0.2, 3.0, n), chi)
+        got, want = shared.phase_values(chi), separate.phase_values(chi)
+        assert bits(*got.surf, *got.implicit) == bits(*want.surf, *want.implicit), surf
+        for u in (s.u, -0.8):
+            assert bits(shared.lagged_rhs(got, u)) == bits(separate.lagged_rhs(want, u)), surf
+        assert bits(shared.latent_terms(got)) == bits(separate.latent_terms(want)), surf
+        assert bits(*fn.row_functionals(s, shared, got)) == \
+            bits(*fn.row_functionals(s, separate, want)), surf
+        assert bits(mass_mu(s, shared)) == bits(mass_mu(s, separate)), surf
+
+
 def test_model_phase_terms_match_pointwise_oracle(rng):
-    """implicit_terms - lagged_terms is the phase operator of both parts, each with
-    its own potential, delta and latent heat; a scalar u is the constant field."""
+    """implicit terms - lagged_rhs is the phase operator of both parts, each with its
+    own potential, delta and latent heat, and the stationary linearization's diagonal
+    its derivative; a scalar u is the constant field."""
     m = make_model(p_bulk=Potential("quartic", 0.7), p_surf=Potential("logarithmic", 2.5),
                    l_bulk=LatentHeat(0.3, -0.2, 0.1), l_surf=LatentHeat(-0.6, 0.4, 0.5))
     n = m.grid.n_nodes
     chi = rng.uniform(-0.9, 0.9, n)
     u = -rng.uniform(0.5, 2.0, n)
     v = m.phase_values(chi)
-    r_imp, d_imp = v.implicit
-    r_lag, d_lag = m.lagged_terms(v, u)
-    oracle = oracles.phase_operator_oracle(m.grid, chi, u, m.p_bulk, m.p_surf,
-                                           m.l_bulk, m.l_surf)
-    for got, want in zip((r_imp - r_lag, d_imp - d_lag, m.latent_terms(v)), oracle):
+    want_r, _, want_lam = oracles.phase_operator_oracle(m.grid, chi, u, m.p_bulk, m.p_surf,
+                                                        m.l_bulk, m.l_surf)
+    want_d = oracles.phase_operator_oracle(m.grid, chi, np.full(n, -0.8), m.p_bulk, m.p_surf,
+                                           m.l_bulk, m.l_surf)[1]
+    d = stationary._linearization(chi, -0.8, m)[1]
+    for got, want in ((v.implicit[0] - m.lagged_rhs(v, u), want_r), (d, want_d),
+                      (m.latent_terms(v), want_lam)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    scalar, nodal = m.lagged_terms(v, -0.8), m.lagged_terms(v, np.full(n, -0.8))
-    assert all(np.array_equal(a, b) for a, b in zip(scalar, nodal))
+    assert np.array_equal(m.lagged_rhs(v, -0.8), m.lagged_rhs(v, np.full(n, -0.8)))
 
 
 def test_newton_solves_with_the_accepted_iterates_diagonal():

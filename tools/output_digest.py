@@ -1,4 +1,4 @@
-"""Run 33 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 35 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
@@ -9,10 +9,12 @@ saddle that the stationary solver does not converge on), a check of quartic
 potentials with delta = 60, a check of a quartic bulk with a logarithmic
 surface (the one compatibility constant other than 1), checks that fail
 compatibility or the initial state and one that reports a nonzero projected
-source mean, a simulate with a sinusoid source, nine rejected configs and the
-help texts.  Per case: exit code, stdout, stderr and the sha256 of every
-output file.  pfstrip comes from SRC_DIR and the inputs from this repository,
-so the diff of two trees' digests shows any output byte a change moved.
+source mean, a simulate with a sinusoid source, two simulates whose surface
+laws differ from the bulk ones (a quartic bulk potential; a surface delta and
+latent heat of their own), nine rejected configs and the help texts.  Per
+case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip
+comes from SRC_DIR and the inputs from this repository, so the diff of two
+trees' digests shows any output byte a change moved.
 """
 
 import contextlib
@@ -87,6 +89,11 @@ def cases() -> dict:
     sinusoid = "source.kind = sinusoid\nsource.amplitude = 0.5"
     out["source_mean"] = (["check"], example("", sinusoid + "\nsource.kx = 0"))
     out["simulate_source"] = (["simulate"], example("", sinusoid + "\nsource.omega = 20.0"))
+    out["simulate_quartic_bulk"] = (["simulate"], example("potential_bulk.kind = logarithmic",
+                                                          "potential_bulk.kind = quartic"))
+    surface_laws = example("potential_surf.delta = 3.0", "potential_surf.delta = 2.0")
+    out["simulate_surface_laws"] = (["simulate"], surface_laws.replace("latent_surf.b = 0.0",
+                                                                       "latent_surf.b = 0.3"))
     for i, edit in enumerate((("domain.nx = 32", "domain.nx = 3"),
                               ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
                               ("", "time.min_dt = 0.01"),
