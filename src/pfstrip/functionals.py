@@ -123,10 +123,10 @@ def row_functionals(s: State, model: Model, at=None) -> tuple[float, float, floa
     at = model.phase_values(s.chi) if at is None else at
     theta, chi, chi_b, shared = s.theta, s.chi, at.chi_b, model.shared
     mu = _mass_sum(theta, model, at)
-    s_nodal = _integral(
-        model, np.log(theta) + (0.5 * model.p_bulk.delta * chi * chi - at.bulk.big_f),
-        None if shared.kind and shared.delta else np.log(theta[model.grid.boundary])
-        + (0.5 * model.p_surf.delta * chi_b * chi_b - at.surf.big_f))
+    ent = np.log(theta) + (0.5 * model.p_bulk.delta * chi * chi - at.bulk.big_f)
+    ent_s = None if shared.kind and shared.delta else np.log(theta[model.grid.boundary]) \
+        + (0.5 * model.p_surf.delta * chi_b * chi_b - at.surf.big_f)
+    s_nodal = _integral(model, ent, ent_s)
     half_grad = 0.5 * model.stiffness.quad(s.chi)
     return mu, mu - s_nodal + half_grad, s_nodal - half_grad
 

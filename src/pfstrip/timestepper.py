@@ -16,9 +16,9 @@ a domain guard: u <= -guard_eps always, and for singular potentials the
 phase stays a guard_eps distance from the domain endpoints.  The guard box
 is convex, so once a damped step is feasible every shorter step is, too.
 
-Model.phase_values evaluates f, f', F, lambda, lambda' and K chi once per phase iterate and
-law; the Stepper carries them and K u of the accepted iterates into the next step and its row,
-so a step of one Newton iteration per solve makes 1 evaluate, 1 latent_eval, 4 K applies.
+Model.phase_values evaluates f, f', F, lambda, lambda' and K chi once per phase iterate: one
+evaluate and one latent_eval call per distinct law.  The Stepper carries them and K u on, so a
+one-iteration step with shared laws makes 1 evaluate, 1 latent_eval and 4 K applies.
 """
 
 from __future__ import annotations
