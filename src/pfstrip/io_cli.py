@@ -15,7 +15,8 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, make_dataclass, replace
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,8 +42,8 @@ def _one_of(kinds) -> tuple:
     return (lambda v: v in kinds), "must be one of " + "/".join(kinds)
 
 
-# name, type, default, bound check, bound message; the order fixes the dataclass
-# fields and lets the time.min_dt default read time.dt.
+# name, type, default, bound check, bound message; the order fixes the attribute
+# order of each parsed section and lets the time.min_dt default read time.dt.
 # A section's keys are the parameter names of the object it builds, and the
 # solver defaults are StepperConfig's.
 _SCHEMA = (
@@ -91,22 +92,6 @@ _SCHEMA = (
 )
 
 
-def _make_sections() -> dict[str, type]:
-    """One frozen dataclass per config section, its fields the _SCHEMA keys in order."""
-    keys: dict[str, list] = {}
-    for name, typ, *_ in _SCHEMA:
-        sec, _, key = name.partition(".")
-        keys.setdefault(sec, []).append((key, typ))
-    return {sec: make_dataclass(sec.title().replace("_", "") + "Cfg", fields, frozen=True,
-                                namespace={"__module__": __name__})
-            for sec, fields in keys.items()}
-
-
-_SECTIONS = _make_sections()
-Config = make_dataclass("Config", list(_SECTIONS.items()), frozen=True,
-                        namespace={"__module__": __name__})
-
-
 def _convert(name: str, typ: type, text: str, line_no: int):
     try:
         if typ is float:
@@ -126,8 +111,9 @@ def _convert(name: str, typ: type, text: str, line_no: int):
             f"line {line_no}: key '{name}' expects a {typ.__name__}, got '{text}'") from None
 
 
-def parse_config(text: str) -> Config:
-    """Parse config text; ConfigError carries the line number of the offence."""
+def parse_config(text: str) -> SimpleNamespace:
+    """Parse config text into one namespace per section, its attributes the _SCHEMA keys
+    in order; ConfigError carries the line number of the offence."""
     raw: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -167,10 +153,10 @@ def parse_config(text: str) -> Config:
     for name, v in values.items():
         sec, _, key = name.partition(".")
         sections.setdefault(sec, {})[key] = v
-    return Config(**{sec: _SECTIONS[sec](**kw) for sec, kw in sections.items()})
+    return SimpleNamespace(**{sec: SimpleNamespace(**kw) for sec, kw in sections.items()})
 
 
-def build_model(c: Config) -> Model:
+def build_model(c: SimpleNamespace) -> Model:
     return Model(grid=build_grid(**vars(c.domain)),
                  p_bulk=Potential(**vars(c.potential_bulk)),
                  p_surf=Potential(**vars(c.potential_surf)),
@@ -178,11 +164,11 @@ def build_model(c: Config) -> Model:
                  l_surf=LatentHeat(**vars(c.latent_surf)))
 
 
-def build_stepper_config(c: Config) -> StepperConfig:
+def build_stepper_config(c: SimpleNamespace) -> StepperConfig:
     return StepperConfig(tau=c.time.dt, min_tau=c.time.min_dt, **vars(c.solver))
 
 
-def build_initial_state(c: Config, model: Model) -> State:
+def build_initial_state(c: SimpleNamespace, model: Model) -> State:
     """Fields from the init presets; theta seeds with seed, chi with seed + 1."""
     ic = c.init
     g = model.grid
@@ -259,7 +245,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_config(c: Config) -> ValidationReport:
+def validate_config(c: SimpleNamespace) -> ValidationReport:
     """Build the model, initial state and source of c, once, and run every
     pre-flight check on them; never raises, failures land in the report."""
     model = build_model(c)
@@ -364,7 +350,7 @@ def _output_lock(out_dir: str):
             os.unlink(lock_path)
 
 
-def _write_field(c: Config, grid: Grid, field: np.ndarray, stem: str) -> None:
+def _write_field(c: SimpleNamespace, grid: Grid, field: np.ndarray, stem: str) -> None:
     """stem.csv in output.dir, plus stem.pgm if output.write_pgm."""
     write_snapshot(field, grid, os.path.join(c.output.dir, stem + ".csv"))
     if c.output.write_pgm:
@@ -389,13 +375,13 @@ def _stationary_summary(r: StationaryResult, report: ValidationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_check(c: Config) -> int:
+def _cmd_check(c: SimpleNamespace) -> int:
     report = validate_config(c)
     print(report.render())
     return 0 if report.ok else 3
 
 
-def _cmd_simulate(c: Config) -> int:
+def _cmd_simulate(c: SimpleNamespace) -> int:
     report = validate_config(c)
     if not report.ok:
         print(report.render(), file=sys.stderr)
@@ -416,7 +402,7 @@ def _cmd_simulate(c: Config) -> int:
     return 0
 
 
-def _cmd_stationary(c: Config) -> int:
+def _cmd_stationary(c: SimpleNamespace) -> int:
     report = validate_config(c)
     if not report.ok:
         print(report.render(), file=sys.stderr)
@@ -432,7 +418,7 @@ def _cmd_stationary(c: Config) -> int:
     return 0
 
 
-def _cmd_ode(c: Config) -> int:
+def _cmd_ode(c: SimpleNamespace) -> int:
     if c.init.theta_kind != "constant" or c.init.chi_kind != "constant":
         raise ConfigError("the ode command requires constant init presets")
     for surf, bulk in (("potential_surf", "potential_bulk"), ("latent_surf", "latent_bulk")):
@@ -458,7 +444,7 @@ _COMMANDS = {
 }
 
 
-def load_config(path: str) -> Config:
+def load_config(path: str) -> SimpleNamespace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -482,17 +468,11 @@ def cli_main(argv=None) -> int:
     try:
         c = load_config(args.config)
         if args.output is not None:
-            c = replace(c, output=replace(c.output, dir=args.output))
+            c.output.dir = args.output
         return _COMMANDS[args.command][0](c)
-    except ConfigError as exc:
+    except (ConfigError, SolverError, FatalSolverError, IoError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SolverError, FatalSolverError, IoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DomainError) else 2
 
 
 def main() -> None:

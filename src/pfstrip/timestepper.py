@@ -62,9 +62,10 @@ def _keep_freed_heap() -> None:
 
 
 Laws = namedtuple("Laws", "big_f lam lamp lampp")   # F, lambda, lambda', lambda''
-# Model.phase_values: bulk Laws at chi, surface Laws at its boundary rows chi_b, and the
-# implicit terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve
-PhaseValues = namedtuple("PhaseValues", "chi chi_b bulk surf implicit")
+# Model.phase_values: bulk Laws at chi, surface Laws at its boundary rows chi_b, the
+# implicit terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve,
+# and m lambda(chi), the latent part of the internal energy
+PhaseValues = namedtuple("PhaseValues", "chi chi_b bulk surf implicit latent")
 Shared = namedtuple("Shared", "kind delta latent")   # which surface laws equal the bulk ones
 
 
@@ -74,8 +75,8 @@ class Model:
     the stiffness and the exact inverse of K + c m_comb that preconditions every Newton solve.
 
     grid.boundary and ms_bnd are the bulk/boundary split, read here and by the
-    functionals.  phase_values, lagged_rhs and latent_terms compose the phase operator:
-    each puts the bulk term on every row and the surface term on the boundary rows."""
+    functionals.  phase_values and lagged_rhs compose the phase operator and the latent
+    terms: each puts the bulk term on every row and the surface term on the boundary rows."""
 
     grid: Grid
     p_bulk: Potential
@@ -116,7 +117,7 @@ class Model:
         lat_s = (lat[0][bnd], lat[1][bnd], lat[2]) if same_lat else latent_eval(self.l_surf, chi_b)
         return PhaseValues(chi, chi_b, Laws(F, *lat), Laws(F_s, *lat_s),
                            (self.stiffness.apply(chi) + self._compose(f, f_s),
-                            self._compose(fp, fp_s)))
+                            self._compose(fp, fp_s)), self._compose(lat[0], lat_s[0]))
 
     def lagged_rhs(self, v: PhaseValues, u) -> np.ndarray:
         """m (delta chi + lambda'(chi) u), explicit in the phase step; u nodal or scalar."""
@@ -125,10 +126,6 @@ class Model:
             return self._compose(bulk, bulk[self.grid.boundary])
         u_b = u[self.grid.boundary] if np.ndim(u) else u
         return self._compose(bulk, self.p_surf.delta * v.chi_b + v.surf.lamp * u_b)
-
-    def latent_terms(self, v: PhaseValues) -> np.ndarray:
-        """m lambda(chi), the latent part of the internal energy."""
-        return self._compose(v.bulk.lam, v.surf.lam)
 
     def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
@@ -252,7 +249,7 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model,
     PhaseValues and G = m (lambda(chi) - lambda(chi_n)) / tau.
     """
     chi_n, mc = s.chi, model.masses.m_comb
-    rhs, lat = model.lagged_rhs(at, s.u), model.latent_terms(at)
+    rhs, lat = model.lagged_rhs(at, s.u), at.latent
     mc_tau = mc / tau
 
     def linearize(chi):
@@ -265,7 +262,7 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model,
     lo, hi = model.chi_bounds(cfg.guard_eps)
     chi, iters, _, v = _newton(chi_n, linearize, model, lo, hi, cfg.cg_tol, cfg.newton_max_iter,
                                cfg.newton_tol, NEWTON_ABS_FLOOR)
-    return chi, iters, v, (model.latent_terms(v) - lat) / tau
+    return chi, iters, v, (v.latent - lat) / tau
 
 
 def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: float,
@@ -367,7 +364,10 @@ class Stepper:
 
     def advance(self, s: State, step_index: int, tau_cap: float | None = None
                 ) -> tuple[State, DiagnosticsRow]:
-        """One accepted step: phase then heat, halving tau on solver failure."""
+        """One accepted step: phase then heat, halving tau on solver failure.  A stepper
+        not given its initial_row takes the row of s first: the energy identity starts at s."""
+        if self.row0 is None:
+            self.initial_row(s)
         tau_try = self.tau_cur if tau_cap is None else min(self.tau_cur, tau_cap)
         while True:
             try:

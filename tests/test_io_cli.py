@@ -60,6 +60,8 @@ def with_lines(*extra):
 
 def test_minimal_config_defaults():
     c = parse_config(MINIMAL)
+    schema_keys = [entry[0] for entry in io_cli._SCHEMA]
+    assert [f"{sec}.{key}" for sec in vars(c) for key in vars(getattr(c, sec))] == schema_keys
     assert (c.domain.lx, c.domain.ly, c.domain.nx, c.domain.ny) == (1.0, 1.0, 8, 4)
     assert c.time.snapshot_every == 0
     assert c.time.min_dt == 0.01 / 1024.0
@@ -515,6 +517,19 @@ def test_cli_ode_command(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 2.0
     assert "samples to t = 0.1" in capsys.readouterr().out
+
+
+def test_cli_ode_trajectory_leaving_the_domain_exits_3(tmp_path, capsys):
+    # an RK4 stage of tau_ref = 0.5 from chi = 0.99 leaves the logarithmic domain
+    with open(os.path.join(os.path.dirname(GOLDEN), "..", "configs", "example.cfg")) as fh:
+        text = fh.read().replace("init.chi_kind = tanh_stripe",
+                                 "init.chi_kind = constant\ninit.chi_value = 0.99")
+    cfg = write_cfg(tmp_path, text.replace("time.dt = 0.001\ntime.t_end = 0.05",
+                                           "time.dt = 0.5\ntime.t_end = 1.0"))
+    assert cli_main(["ode", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        "error: trajectory left the potential domain; reduce tau_ref\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_ode_rejects_nonconstant_presets(tmp_path, capsys):

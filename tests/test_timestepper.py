@@ -22,7 +22,7 @@ from pfstrip.timestepper import Stepper, StepperConfig, make_source, preset_fiel
 
 def latent_quotient(m, chi_old, chi_new, tau):
     """m (lambda(chi_new) - lambda(chi_old)) / tau, the G that step_chi returns."""
-    return (m.latent_terms(m.phase_values(chi_new)) - m.latent_terms(m.phase_values(chi_old))) / tau
+    return (m.phase_values(chi_new).latent - m.phase_values(chi_old).latent) / tau
 
 
 def test_config_defaults_and_bounds():
@@ -119,6 +119,21 @@ def test_advance_emits_positive_bounds(rng):
         assert row.theta_min > 0.0
         assert -1.0 < row.chi_min <= row.chi_max < 1.0
         assert np.all(s.u < 0.0)
+
+
+def test_advance_without_initial_row_matches_run():
+    """A Stepper advanced with no initial_row emits the rows of run from the same state,
+    its energy-identity residual measured from that state and not from its first step."""
+    m = make_model(nx=16, ny=8, p_bulk=Potential("logarithmic", 3.0),
+                   l_bulk=LatentHeat(-0.5, 0.0, 0.0))
+    g = m.grid
+    cfg = StepperConfig(tau=1.0e-3)
+    s = State(0.0, np.full(g.n_nodes, -1.0), preset_field(g, "tanh_stripe", amplitude=0.8))
+    want = run(m, cfg, s, 5.5 * cfg.tau)[0][1:6]   # five full steps; only the sixth is capped
+    stepper = Stepper(m, cfg)
+    for k, expected in enumerate(want):
+        s, row = stepper.advance(s, k + 1)
+        assert row == expected, k
 
 
 def test_u_spatial_std_decays_without_coupling():
@@ -328,7 +343,7 @@ def bits(*values) -> list:
 def test_shared_surface_laws_match_a_separate_evaluation_bitwise(rng, nx, ny):
     """Where a surface law equals its bulk law, Model reads the bulk values on the
     boundary rows instead of evaluating the law again on chi[boundary].  The surface
-    fields of phase_values, lagged_rhs, latent_terms, row_functionals and mass_mu must
+    fields of phase_values, its latent terms, lagged_rhs, row_functionals and mass_mu must
     equal that separate evaluation bit for bit, at random chi in the guard box with
     entries within 1e-9 of +-1; an elementwise kernel whose result depended on an
     entry's position in the array (a SIMD log1p, say) would fail here."""
@@ -350,7 +365,7 @@ def test_shared_surface_laws_match_a_separate_evaluation_bitwise(rng, nx, ny):
         assert bits(*got.surf, *got.implicit) == bits(*want.surf, *want.implicit), surf
         for u in (s.u, -0.8):
             assert bits(shared.lagged_rhs(got, u)) == bits(separate.lagged_rhs(want, u)), surf
-        assert bits(shared.latent_terms(got)) == bits(separate.latent_terms(want)), surf
+        assert bits(got.latent) == bits(want.latent), surf
         assert bits(*fn.row_functionals(s, shared, got)) == \
             bits(*fn.row_functionals(s, separate, want)), surf
         assert bits(mass_mu(s, shared)) == bits(mass_mu(s, separate)), surf
@@ -372,7 +387,7 @@ def test_model_phase_terms_match_pointwise_oracle(rng):
                                            m.l_bulk, m.l_surf)[1]
     d = stationary._linearization(chi, -0.8, m)[1]
     for got, want in ((v.implicit[0] - m.lagged_rhs(v, u), want_r), (d, want_d),
-                      (m.latent_terms(v), want_lam)):
+                      (v.latent, want_lam)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(m.lagged_rhs(v, -0.8), m.lagged_rhs(v, np.full(n, -0.8)))
 

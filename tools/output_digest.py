@@ -1,8 +1,9 @@
-"""Run 35 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 36 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
-Cases: configs/example.cfg through all four commands, the benchmark workload
+Cases: configs/example.cfg through all four commands, an ode whose trajectory
+leaves the potential domain (exit 3), the benchmark workload
 configs at seeds 1 and 7, the perfbench stationary probe, two stationary
 solves (a steady state 1.16e-7 from the singular wall, and the 16x8 stripe
 saddle that the stationary solver does not converge on), a check of quartic
@@ -68,6 +69,9 @@ def cases() -> dict:
     out["ode"] = (["ode"], example("init.chi_kind = tanh_stripe",
                                    "init.chi_kind = constant\ninit.chi_value = 0.3"))
     out["ode_nonconstant"] = (["ode"], example())
+    leaves = example("time.dt = 0.001\ntime.t_end = 0.05", "time.dt = 0.5\ntime.t_end = 1.0")
+    out["ode_leaves_domain"] = (["ode"], leaves.replace(
+        "init.chi_kind = tanh_stripe", "init.chi_kind = constant\ninit.chi_value = 0.99"))
     for seed in (1, 7):
         for name, cmd, size in (("cli_snapshots", "simulate", "full"),
                                 ("stationary_96", "stationary", "full"),
