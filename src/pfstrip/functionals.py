@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,8 +45,9 @@ class State:
     u: np.ndarray
     chi: np.ndarray
 
-    @property
+    @cached_property
     def theta(self) -> np.ndarray:
+        """-1/u, formed once per state: the row, the next heat step and a snapshot share it."""
         return -1.0 / self.u
 
     def copy(self) -> "State":

@@ -140,10 +140,11 @@ def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: Laten
 
     def rhs(c: float) -> float:
         if not lo < c < hi:
-            raise DomainError("trajectory left the potential domain; reduce tau_ref")
+            raise DomainError("trajectory left the potential domain; reduce the step (time.dt)")
         th = e0 + a * c * c - b * c - c0
         if th <= 0.0:
-            raise DomainError("temperature reached zero along the trajectory; reduce tau_ref")
+            raise DomainError("temperature reached zero along the trajectory; "
+                              "reduce the step (time.dt)")
         return -f(c) + delta * c - (-2.0 * a * c + b) / th
 
     if t_end <= 0.0:
@@ -161,7 +162,7 @@ def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: Laten
         k4 = rhs(c + h * k3)
         c = c + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not lo < c < hi:
-            raise DomainError("trajectory left the potential domain; reduce tau_ref")
+            raise DomainError("trajectory left the potential domain; reduce the step (time.dt)")
         if i % stride == 0 or i == n:
             ts.append(i * h)
             chis.append(c)

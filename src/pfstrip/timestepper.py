@@ -17,8 +17,9 @@ phase stays a guard_eps distance from the domain endpoints.  The guard box
 is convex, so once a damped step is feasible every shorter step is, too.
 
 Model.phase_values evaluates f, f', F, lambda, lambda' and K chi once per phase iterate: one
-evaluate and one latent_eval call per distinct law.  The Stepper carries them and K u on, so a
-one-iteration step with shared laws makes 1 evaluate, 1 latent_eval and 4 K applies.
+evaluate and one latent_eval call per distinct law.  run carries them and K u from one step to
+the next, so a one-iteration step with shared laws makes 1 evaluate, 1 latent_eval and 4 K
+applies.
 """
 
 from __future__ import annotations
@@ -275,8 +276,7 @@ def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: floa
     measure-weighted source; ku is K u_n.  The Jacobian m_comb/(tau u^2) + K
     is SPD for any u < 0.  Returns (u, iterations, K u).
     """
-    k, mc, u_n = model.stiffness, model.masses.m_comb, s.u
-    theta_n = -1.0 / u_n
+    k, mc, u_n, theta_n = model.stiffness, model.masses.m_comb, s.u, s.theta
     shift = g if source_vec is None else g - source_vec
 
     def linearize(u):
@@ -317,116 +317,79 @@ def make_source(model: Model, kind: str, amplitude: float = 0.0, kx: int = 1,
     return HeatSource(profile=profile - mean, omega=omega, projected_mean=abs(mean))
 
 
-class Stepper:
-    """Owns the adaptive step size and the cumulative diagnostic sums of one run."""
-
-    def __init__(self, model: Model, cfg: StepperConfig, source: HeatSource | None = None):
-        self.model = model
-        self.cfg = cfg
-        self.source = source
-        self.tau_cur = cfg.tau
-        self.successes = 0
-        self.dissipation_cum = 0.0
-        self.source_cum = 0.0
-        self.row0 = None
-        self._at = [None, None, None]   # last state returned or given, its PhaseValues, K u
-
-    def _take(self, s: State, i: int):
-        """The PhaseValues (i = 1) or K u (i = 2) of s, carried or evaluated; handed on
-        and no longer kept here, so the step frees it after its last use."""
-        if self._at[0] is not s or self._at[i] is None:
-            self._at = [s, self.model.phase_values(s.chi), self.model.stiffness.apply(s.u)]
-        value, self._at[i] = self._at[i], None
-        return value
-
-    def _row(self, step: int, s: State, iters_chi: int, iters_theta: int,
-             at: PhaseValues) -> DiagnosticsRow:
-        mu, e, ent = row_functionals(s, self.model, at)
-        row = DiagnosticsRow(
-            step=step, t=s.t, mu=mu, energy=e, entropy=ent,
-            dissipation_cum=self.dissipation_cum,
-            source_cum=self.source_cum,
-            energy_id_residual=0.0,
-            # theta = -1/u is increasing in u, and so is its rounding
-            theta_min=-1.0 / float(s.u.min()), theta_max=-1.0 / float(s.u.max()),
-            chi_min=float(s.chi.min()), chi_max=float(s.chi.max()),
-            u_spatial_std=dm_std(s.u, self.model.masses),
-            newton_iters_chi=iters_chi, newton_iters_theta=iters_theta,
-        )
-        if self.row0 is None:
-            self.row0 = row
-        row.energy_id_residual = energy_identity_residual((self.row0, row))
-        return row
-
-    def initial_row(self, s: State) -> DiagnosticsRow:
-        self._at = [s, self.model.phase_values(s.chi), self.model.stiffness.apply(s.u)]
-        return self._row(0, s, 0, 0, self._at[1])
-
-    def advance(self, s: State, step_index: int, tau_cap: float | None = None
-                ) -> tuple[State, DiagnosticsRow]:
-        """One accepted step: phase then heat, halving tau on solver failure.  A stepper
-        not given its initial_row takes the row of s first: the energy identity starts at s."""
-        if self.row0 is None:
-            self.initial_row(s)
-        tau_try = self.tau_cur if tau_cap is None else min(self.tau_cur, tau_cap)
-        while True:
-            try:
-                chi_new, iters_chi, at_new, g = step_chi(s, tau_try, self.cfg, self.model,
-                                                         self._take(s, 1))
-                source_vec = None if self.source is None else \
-                    self.model.masses.m_comb * self.source.value(s.t + tau_try)
-                u_new, iters_theta, ku_new = step_theta(s, g, source_vec, tau_try,
-                                                        self.cfg, self.model, self._take(s, 2))
-                break
-            except SolverError as exc:
-                self.successes = 0
-                half = 0.5 * tau_try
-                if half < self.cfg.min_tau:
-                    raise FatalSolverError(
-                        f"step {step_index} failed at the minimum step size "
-                        f"(t = {s.t:.6g}): {exc}", step=step_index, t=s.t) from exc
-                tau_try = half
-                self.tau_cur = min(self.tau_cur, tau_try)
-        self.successes += 1
-        if self.successes >= 10 and self.tau_cur < self.cfg.tau:
-            self.tau_cur = min(2.0 * self.tau_cur, self.cfg.tau)
-            self.successes = 0
-        new = State(s.t + tau_try, u_new, chi_new)
-        u_new.flags.writeable = chi_new.flags.writeable = False
-        self._at = [new, at_new, ku_new]
-        self.dissipation_cum += dissipation_increment(u_new, s.chi, chi_new, tau_try, self.model)
-        if source_vec is not None:
-            self.source_cum += tau_try * float(source_vec @ u_new)
-        return new, self._row(step_index, new, iters_chi, iters_theta, at_new)
-
-
 def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
         source: HeatSource | None = None, snapshot_every: int = 0,
         on_row=None, on_snapshot=None) -> tuple[list[DiagnosticsRow], State]:
     """Integrate from t = 0 to t_end, emitting one diagnostics row per step.
 
+    Each accepted step is step_chi, then step_theta.  A SolverError halves tau
+    down to cfg.min_tau, below which the run raises FatalSolverError; ten
+    successes in a row double it back towards cfg.tau, and the last step is
+    cut to end at t_end.  The PhaseValues and K u of the current state come
+    from the step that made it, and are evaluated again after a failed
+    attempt.  The energy-identity residual of every row is measured from
+    row 0, the row of state0.
+
     Snapshots fire at step 0, every snapshot_every accepted steps, and at the
     final step (when snapshot_every > 0).  Deterministic for fixed inputs.
     """
     state0.validate(model)
-    stepper = Stepper(model, cfg, source)
     s = state0.copy()
-    rows = [stepper.initial_row(s)]
-    if on_row:
-        on_row(rows[0])
-    if snapshot_every > 0 and on_snapshot:
-        on_snapshot(0, s)
-    eps_t = 1.0e-9 * cfg.tau
-    step = 0
-    while s.t < t_end - eps_t:
-        step += 1
-        s, row = stepper.advance(s, step, tau_cap=t_end - s.t)
+    at, ku = model.phase_values(s.chi), model.stiffness.apply(s.u)
+    dissipation_cum = source_cum = 0.0
+    tau_cur, successes, step, eps_t = cfg.tau, 0, 0, 1.0e-9 * cfg.tau
+    rows = []
+
+    def emit(iters_chi: int, iters_theta: int) -> None:   # the row of s at step
+        mu, e, ent = row_functionals(s, model, at)
+        row = DiagnosticsRow(
+            step=step, t=s.t, mu=mu, energy=e, entropy=ent,
+            dissipation_cum=dissipation_cum, source_cum=source_cum,
+            energy_id_residual=0.0,
+            # theta = -1/u is increasing in u, and so is its rounding
+            theta_min=-1.0 / float(s.u.min()), theta_max=-1.0 / float(s.u.max()),
+            chi_min=float(s.chi.min()), chi_max=float(s.chi.max()),
+            u_spatial_std=dm_std(s.u, model.masses),
+            newton_iters_chi=iters_chi, newton_iters_theta=iters_theta,
+        )
+        row.energy_id_residual = energy_identity_residual((rows[0] if rows else row, row))
         rows.append(row)
         if on_row:
             on_row(row)
-        if snapshot_every > 0 and on_snapshot:
-            if step % snapshot_every == 0 or s.t >= t_end - eps_t:
-                on_snapshot(step, s)
+        if snapshot_every > 0 and on_snapshot and (
+                step % snapshot_every == 0 or s.t >= t_end - eps_t):
+            on_snapshot(step, s)
+
+    emit(0, 0)
+    while s.t < t_end - eps_t:
+        step += 1
+        tau = min(tau_cur, t_end - s.t)
+        while True:
+            try:   # the carried values are handed on, not kept: the step frees them after use
+                chi, iters_chi, at, g = step_chi(s, tau, cfg, model, (at, at := None)[0])
+                source_vec = None if source is None else \
+                    model.masses.m_comb * source.value(s.t + tau)
+                u, iters_theta, ku = step_theta(s, g, source_vec, tau, cfg, model,
+                                                (ku, ku := None)[0])
+                break
+            except SolverError as exc:
+                successes = 0
+                if 0.5 * tau < cfg.min_tau:
+                    raise FatalSolverError(
+                        f"step {step} failed at the minimum step size "
+                        f"(t = {s.t:.6g}): {exc}", step=step, t=s.t) from exc
+                tau *= 0.5
+                tau_cur = min(tau_cur, tau)
+                at, ku = model.phase_values(s.chi), model.stiffness.apply(s.u)
+        successes += 1
+        if successes >= 10 and tau_cur < cfg.tau:
+            tau_cur, successes = min(2.0 * tau_cur, cfg.tau), 0
+        u.flags.writeable = chi.flags.writeable = False
+        dissipation_cum += dissipation_increment(u, s.chi, chi, tau, model)
+        if source_vec is not None:
+            source_cum += tau * float(source_vec @ u)
+        s = State(s.t + tau, u, chi)
+        emit(iters_chi, iters_theta)
     return rows, s
 
 

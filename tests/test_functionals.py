@@ -32,6 +32,13 @@ def test_state_theta_roundtrip():
     assert np.allclose(s.theta, 2.0, rtol=1e-15)
 
 
+def test_state_theta_is_formed_once():
+    """theta = -1/u is one array per state: the diagnostics row, the heat step from
+    the state and its snapshot all read the same one."""
+    s = constant_state(make_model(), 2.0, 0.1)
+    assert s.theta is s.theta
+
+
 def test_state_validate_rejects_bad_fields():
     m = make_model()
     s = constant_state(m, 1.0, 0.0)

@@ -1,6 +1,8 @@
 """Config grammar, validation report, output formats, and CLI exit codes."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -528,7 +530,7 @@ def test_cli_ode_trajectory_leaving_the_domain_exits_3(tmp_path, capsys):
                                            "time.dt = 0.5\ntime.t_end = 1.0"))
     assert cli_main(["ode", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == \
-        "error: trajectory left the potential domain; reduce tau_ref\n"
+        "error: trajectory left the potential domain; reduce the step (time.dt)\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -617,3 +619,25 @@ def test_benchmark_patched_names_resolve():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert set(tracing.LAYERS) <= set(out.stdout.split()), out.stdout
+
+
+def test_output_digest_cases_keep_their_bytes(monkeypatch):
+    """The command-line cases of tools/output_digest.py, run in-process, keep the sha256
+    of each case's result (exit code, stdout, stderr and the sha256 of every output file)
+    recorded in golden/output_digest.json.  When a change moves output bytes on purpose,
+    diff the tool's JSON of both trees to see what moved, then record the values that
+    this test's failure lists."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setenv("COLUMNS", "80")   # as the tool sets it: argparse wraps its help to it
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool adds perfbench to it
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", os.path.join(root, "tools", "output_digest.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    got = {name: hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+           for name, result in tool.digest(cli_main).items()}
+    with open(os.path.join(GOLDEN, "output_digest.json"), encoding="ascii") as fh:
+        want = json.load(fh)
+    moved = {name: got.get(name) for name in sorted(set(got) | set(want))
+             if got.get(name) != want.get(name)}
+    assert not moved, json.dumps(moved, indent=1)

@@ -17,7 +17,7 @@ from pfstrip.errors import DomainError, FatalSolverError, SolverError
 from pfstrip.functionals import State, mass_mu
 from pfstrip.grid_ops import StiffnessOp
 from pfstrip.potentials import LatentHeat, Potential, integrate_homogeneous, scalar_f
-from pfstrip.timestepper import Stepper, StepperConfig, make_source, preset_field, run
+from pfstrip.timestepper import StepperConfig, make_source, preset_field, run
 
 
 def latent_quotient(m, chi_old, chi_new, tau):
@@ -100,11 +100,11 @@ def test_step_theta_conserves_mass(rng):
 def test_advance_keeps_stationary_state():
     m = make_model(p_bulk=Potential("quartic", 0.0), l_bulk=LatentHeat(0.0, 0.0, 0.8))
     s = constant_state(m, 1.4, 0.0)
-    stepper = Stepper(m, StepperConfig(tau=0.05))
-    s_new, row = stepper.advance(s, 1)
+    rows, s_new = run(m, StepperConfig(tau=0.05), s, 0.05)
+    assert len(rows) == 2
     assert np.max(np.abs(s_new.u - s.u)) <= 1e-12
     assert np.max(np.abs(s_new.chi - s.chi)) <= 1e-12
-    assert row.dissipation_cum >= 0.0
+    assert rows[1].dissipation_cum >= 0.0
 
 
 def test_advance_emits_positive_bounds(rng):
@@ -112,28 +112,14 @@ def test_advance_emits_positive_bounds(rng):
     g = m.grid
     theta0 = preset_field(g, "random", value=1.0, amplitude=0.4, seed=7)
     chi0 = preset_field(g, "random", amplitude=0.6, seed=8)
-    s = State(0.0, -1.0 / theta0, chi0)
-    stepper = Stepper(m, StepperConfig(tau=0.01))
-    for k in range(5):
-        s, row = stepper.advance(s, k + 1)
+    states = []
+    rows, _ = run(m, StepperConfig(tau=0.01), State(0.0, -1.0 / theta0, chi0), 0.05,
+                  snapshot_every=1, on_snapshot=lambda step, s: states.append(s))
+    assert len(rows) == len(states) >= 6
+    for row, s in zip(rows[1:], states[1:]):
         assert row.theta_min > 0.0
         assert -1.0 < row.chi_min <= row.chi_max < 1.0
         assert np.all(s.u < 0.0)
-
-
-def test_advance_without_initial_row_matches_run():
-    """A Stepper advanced with no initial_row emits the rows of run from the same state,
-    its energy-identity residual measured from that state and not from its first step."""
-    m = make_model(nx=16, ny=8, p_bulk=Potential("logarithmic", 3.0),
-                   l_bulk=LatentHeat(-0.5, 0.0, 0.0))
-    g = m.grid
-    cfg = StepperConfig(tau=1.0e-3)
-    s = State(0.0, np.full(g.n_nodes, -1.0), preset_field(g, "tanh_stripe", amplitude=0.8))
-    want = run(m, cfg, s, 5.5 * cfg.tau)[0][1:6]   # five full steps; only the sixth is capped
-    stepper = Stepper(m, cfg)
-    for k, expected in enumerate(want):
-        s, row = stepper.advance(s, k + 1)
-        assert row == expected, k
 
 
 def test_u_spatial_std_decays_without_coupling():
@@ -195,22 +181,39 @@ def test_adaptive_halving_and_redoubling(monkeypatch):
     s = constant_state(m, 1.0, 0.2)
     cfg = StepperConfig(tau=0.02)
     real = ts.step_chi
+    tried = []
 
     def flaky(state, tau, c, model, at):
+        tried.append(tau)
         if tau > 0.6 * c.tau:
             raise SolverError("synthetic failure above threshold")
         return real(state, tau, c, model, at)
 
     monkeypatch.setattr(ts, "step_chi", flaky)
-    stepper = Stepper(m, cfg)
-    s1, _ = stepper.advance(s, 1)
-    assert stepper.tau_cur == cfg.tau / 2.0
-    assert s1.t == pytest.approx(cfg.tau / 2.0)
-    for k in range(9):
-        s1, _ = stepper.advance(s1, k + 2)
-    assert stepper.tau_cur == cfg.tau  # ten successes re-double up to the cap
-    s1, _ = stepper.advance(s1, 11)
-    assert stepper.tau_cur == cfg.tau / 2.0  # probing the cap fails and halves again
+    half = cfg.tau / 2.0
+    rows, _ = run(m, cfg, s, 12.5 * half)
+    assert rows[1].t == pytest.approx(half)
+    # step 1 halves; ten successes re-double up to the cap; probing the cap at step 11
+    # fails and halves again; the last step is cut to end at t_end
+    assert tried == pytest.approx([cfg.tau, half] + [half] * 9 + [cfg.tau, half, half, half / 2])
+
+
+def test_failed_heat_step_retries_from_the_state(monkeypatch):
+    """A heat step that fails after its phase step succeeded retries at tau/2 from
+    the values of the state it steps from: the step's row is that of a run at tau/2."""
+    m = make_model(nx=8, ny=4)
+    s = constant_state(m, 1.0, 0.2)
+    cfg = StepperConfig(tau=0.02)
+    want = run(m, StepperConfig(tau=cfg.tau / 2.0), s, cfg.tau / 2.0)[0][1]
+    real = ts.step_theta
+
+    def flaky(state, g, source_vec, tau, c, model, ku):
+        if tau > 0.6 * c.tau:
+            raise SolverError("synthetic failure above threshold")
+        return real(state, g, source_vec, tau, c, model, ku)
+
+    monkeypatch.setattr(ts, "step_theta", flaky)
+    assert run(m, cfg, s, cfg.tau)[0][1] == want
 
 
 def test_adaptive_floor_raises_fatal(monkeypatch):
@@ -221,9 +224,8 @@ def test_adaptive_floor_raises_fatal(monkeypatch):
         raise SolverError("synthetic hard failure")
 
     monkeypatch.setattr(ts, "step_chi", always_fail)
-    stepper = Stepper(m, StepperConfig(tau=0.02))
     with pytest.raises(FatalSolverError):
-        stepper.advance(s, 1)
+        run(m, StepperConfig(tau=0.02), s, 0.02)
 
 
 def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
@@ -287,22 +289,28 @@ def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch)
                 monkeypatch.setattr(module, name, counting(name, real))
     monkeypatch.setattr(StiffnessOp, "apply", counting("apply", StiffnessOp.apply))
     log, lat = Potential("logarithmic", 1.8628), LatentHeat(0.2, 0.0, 0.0)
+    per_step = []   # the calls made since the row before, read at each row
+
+    def on_row(row):
+        per_step.append(dict(calls))
+        calls.update(dict.fromkeys(calls, 0))
+
     for surf, want in (({}, {"evaluate": 1, "latent_eval": 1}),
                        ({"p_bulk": Potential("quartic", 1.8628), "p_surf": log},
                         {"evaluate": 2, "latent_eval": 1}),
                        ({"l_surf": LatentHeat(0.2, 0.1, 0.0)}, {"evaluate": 1, "latent_eval": 2})):
         m = make_model(**{"p_bulk": log, "l_bulk": lat, **surf})
-        stepper = Stepper(m, StepperConfig(tau=1.0e-4, cg_tol=1.0e-12))
-        s = constant_state(m, 2.0, 0.3)
-        stepper.initial_row(s)
-        for k in range(3):
-            calls.update(dict.fromkeys(calls, 0))
-            s, row = stepper.advance(s, k + 1)
+        per_step.clear()
+        rows, _ = run(m, StepperConfig(tau=1.0e-4, cg_tol=1.0e-12), constant_state(m, 2.0, 0.3),
+                      3.0e-4, on_row=on_row)
+        assert len(rows) == 4, surf
+        for k, (row, step_calls) in enumerate(zip(rows[1:], per_step[1:])):
             iterates = row.newton_iters_chi
-            assert {name: calls[name] / iterates for name in want} == want, (surf, k, calls)
+            assert {name: step_calls[name] / iterates for name in want} == want, \
+                (surf, k, step_calls)
             if not surf:
                 assert iterates == 1 and row.newton_iters_theta == 1, k
-                assert calls == {**want, "apply": 4}, (k, calls)
+                assert step_calls == {**want, "apply": 4}, (k, step_calls)
 
 
 def test_carried_values_match_a_recomputation_bitwise():
@@ -317,12 +325,13 @@ def test_carried_values_match_a_recomputation_bitwise():
     source = make_source(m, "sinusoid", amplitude=0.5, kx=1, omega=20.0)
     chi0 = preset_field(g, "tanh_stripe", amplitude=0.6, width=0.15) \
         + 0.05 * np.cos(2.0 * math.pi * g.x) * np.sin(math.pi * g.y)
-    s = State(0.0, -1.0 / preset_field(g, "random", value=1.0, amplitude=0.2, seed=3), chi0)
-    stepper = Stepper(m, cfg, source)
-    stepper.initial_row(s)
+    s0 = State(0.0, -1.0 / preset_field(g, "random", value=1.0, amplitude=0.2, seed=3), chi0)
+    states = []
+    rows, _ = run(m, cfg, s0, 20.5 * cfg.tau, source, snapshot_every=1,
+                  on_snapshot=lambda step, s: states.append(s))   # 20 full steps, then a cut one
+    assert len(rows) == len(states) == 22
     dissipation = 0.0
-    for k in range(20):
-        new, row = stepper.advance(s, k + 1)
+    for k, (s, new, row) in enumerate(zip(states[:20], states[1:], rows[1:])):
         assert new.t == s.t + cfg.tau
         chi, _, _, g = ts.step_chi(s, cfg.tau, cfg, m, m.phase_values(s.chi))
         u = ts.step_theta(s, g, m.masses.m_comb * source.value(new.t), cfg.tau, cfg, m,
@@ -331,7 +340,6 @@ def test_carried_values_match_a_recomputation_bitwise():
         dissipation += fn.dissipation_increment(new.u, s.chi, new.chi, cfg.tau, m)
         assert (row.mu, row.energy, row.entropy) == fn.row_functionals(new, m), k
         assert row.dissipation_cum == dissipation, k
-        s = new
 
 
 def bits(*values) -> list:

@@ -129,12 +129,17 @@ def run_case(cli_main, argv: list, text, work: str) -> dict:
             "stderr": err.getvalue().replace(work, "<work>"), "files": files}
 
 
-if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"   # argparse wraps its help to the terminal width
-    sys.path.insert(0, os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else "src"))
-    from pfstrip.io_cli import cli_main
+def digest(cli_main) -> dict:
+    """Every case's result, keyed by case name."""
     result = {}
     for name, (argv, text) in cases().items():
         with tempfile.TemporaryDirectory() as work:
             result[name] = run_case(cli_main, argv, text, work)
-    print(json.dumps(result, indent=1, sort_keys=True))
+    return result
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"   # argparse wraps its help to the terminal width
+    sys.path.insert(0, os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else "src"))
+    from pfstrip.io_cli import cli_main
+    print(json.dumps(digest(cli_main), indent=1, sort_keys=True))
