@@ -47,11 +47,11 @@ class State:
 
     @cached_property
     def theta(self) -> np.ndarray:
-        """-1/u, formed once per state: the row, the next heat step and a snapshot share it."""
-        return -1.0 / self.u
-
-    def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.chi.copy())
+        """-1/u, formed once per state: the row, the next heat step and a snapshot share it,
+        so it is read-only."""
+        theta = -1.0 / self.u
+        theta.flags.writeable = False
+        return theta
 
     def validate(self, model: Model) -> None:
         """Raise DomainError unless everything is finite, u < 0, chi lies in the

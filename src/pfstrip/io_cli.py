@@ -26,14 +26,15 @@ from .grid_ops import Grid, build_grid
 from .potentials import (DOMAINS, LatentHeat, Potential, check_compatibility,
                          integrate_homogeneous, latent_range, separating_slope_margin)
 from .stationary import StationaryResult, solve_stationary
-from .timestepper import (EPS, MIN_TAU_FRACTION, PRESET_KINDS, SOURCE_KINDS, HeatSource,
-                          Model, StepperConfig, make_source, preset_field, run)
+from .timestepper import (EPS, PRESET_KINDS, SOURCE_KINDS, HeatSource, Model, make_source,
+                          preset_field, run)
 
 LOCK_NAME = ".lock"
 
 
 _REQUIRED = object()
-_DT_FRACTION = object()
+_DT_FRACTION = object()   # default step floor: time.min_dt = MIN_DT_FRACTION time.dt
+MIN_DT_FRACTION = 1.0 / 1024.0
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 
@@ -42,10 +43,10 @@ def _one_of(kinds) -> tuple:
     return (lambda v: v in kinds), "must be one of " + "/".join(kinds)
 
 
-# name, type, default, bound check, bound message; the order fixes the attribute
-# order of each parsed section and lets the time.min_dt default read time.dt.
-# A section's keys are the parameter names of the object it builds, and the
-# solver defaults are StepperConfig's.
+# name, type, default, bound check, bound message: the one list of config keys and
+# their defaults.  The order fixes the attribute order of each parsed section and
+# lets the time.min_dt default read time.dt.  A section's keys are the parameter
+# names of what it builds; time and solver become the stepper's settings.
 _SCHEMA = (
     ("domain.lx", float, _REQUIRED, *_POSITIVE),
     ("domain.ly", float, _REQUIRED, *_POSITIVE),
@@ -81,12 +82,12 @@ _SCHEMA = (
     ("init.chi_kx", int, 1, None, ""),
     ("init.chi_width", float, 0.1, *_POSITIVE),
     ("init.seed", int, 0, *_NONNEGATIVE),
-    ("solver.newton_tol", float, StepperConfig.newton_tol, *_POSITIVE),
-    ("solver.newton_max_iter", int, StepperConfig.newton_max_iter,
-     lambda v: v >= 1, "must be at least 1"),
-    ("solver.cg_tol", float, StepperConfig.cg_tol, *_POSITIVE),
-    ("solver.guard_eps", float, StepperConfig.guard_eps,
-     lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    # newton_tol bounds the residual's L^2(dm) norm relative to the initial one,
+    # floored at an absolute 1e-12; cg_tol is relative, per inner PCG solve
+    ("solver.newton_tol", float, 1.0e-10, *_POSITIVE),
+    ("solver.newton_max_iter", int, 50, lambda v: v >= 1, "must be at least 1"),
+    ("solver.cg_tol", float, 1.0e-10, *_POSITIVE),
+    ("solver.guard_eps", float, 1.0e-12, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     ("output.dir", str, "out", None, ""),
     ("output.write_pgm", bool, False, None, ""),
 )
@@ -139,7 +140,7 @@ def parse_config(text: str) -> SimpleNamespace:
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key '{name}'")
         elif default is _DT_FRACTION:
-            values[name] = values["time.dt"] * MIN_TAU_FRACTION
+            values[name] = values["time.dt"] * MIN_DT_FRACTION
         else:
             values[name] = default
 
@@ -164,8 +165,9 @@ def build_model(c: SimpleNamespace) -> Model:
                  l_surf=LatentHeat(**vars(c.latent_surf)))
 
 
-def build_stepper_config(c: SimpleNamespace) -> StepperConfig:
-    return StepperConfig(tau=c.time.dt, min_tau=c.time.min_dt, **vars(c.solver))
+def build_stepper_config(c: SimpleNamespace) -> SimpleNamespace:
+    """The settings run reads: tau, min_tau and the solver keys."""
+    return SimpleNamespace(tau=c.time.dt, min_tau=c.time.min_dt, **vars(c.solver))
 
 
 def build_initial_state(c: SimpleNamespace, model: Model) -> State:

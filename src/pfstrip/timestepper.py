@@ -28,6 +28,7 @@ import ctypes
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ NEWTON_ABS_FLOOR = 1.0e-12
 NEWTON_NOISE_FACTOR = 8.0
 EPS = float(np.finfo(float).eps)
 MIN_BACKTRACK = 2.0 ** -60
-MIN_TAU_FRACTION = 1.0 / 1024.0   # default adaptive floor, min_tau = MIN_TAU_FRACTION tau
 
 
 def _keep_freed_heap() -> None:
@@ -158,29 +158,6 @@ class Model:
         return box
 
 
-@dataclass
-class StepperConfig:
-    """Time step, Newton controls, and the adaptive floor.
-
-    newton_tol applies to the residual 2-norm weighted by the combined
-    measure (the discrete L^2(dm) norm of the residual density), relative to
-    the initial residual and floored at an absolute 1e-12; _newton also stops
-    at the residual's round-off level, which the m/tau mass term raises as
-    tau shrinks.  cg_tol is the relative tolerance of each inner PCG solve.
-    """
-
-    tau: float
-    newton_tol: float = 1.0e-10
-    newton_max_iter: int = 50
-    guard_eps: float = 1.0e-12
-    min_tau: float | None = None
-    cg_tol: float = 1.0e-10
-
-    def __post_init__(self):
-        if self.min_tau is None:
-            self.min_tau = self.tau * MIN_TAU_FRACTION
-
-
 def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
     """sqrt(sum r_i^2 / m_i): the L^2(dm) norm of the residual density."""
     return math.sqrt(r @ (r / m_comb))
@@ -237,7 +214,7 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
     return (x, iters, norm, *values)
 
 
-def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model,
+def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model,
              at: PhaseValues) -> tuple[np.ndarray, int, PhaseValues, np.ndarray]:
     """Convex-split backward-Euler phase step with the temperature lagged at t_n.
 
@@ -267,7 +244,7 @@ def step_chi(s: State, tau: float, cfg: StepperConfig, model: Model,
 
 
 def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: float,
-               cfg: StepperConfig, model: Model, ku: np.ndarray
+               cfg: SimpleNamespace, model: Model, ku: np.ndarray
                ) -> tuple[np.ndarray, int, np.ndarray]:
     """Backward-Euler heat step in the entropy variable u.
 
@@ -317,7 +294,7 @@ def make_source(model: Model, kind: str, amplitude: float = 0.0, kx: int = 1,
     return HeatSource(profile=profile - mean, omega=omega, projected_mean=abs(mean))
 
 
-def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
+def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
         source: HeatSource | None = None, snapshot_every: int = 0,
         on_row=None, on_snapshot=None) -> tuple[list[DiagnosticsRow], State]:
     """Integrate from t = 0 to t_end, emitting one diagnostics row per step.
@@ -331,10 +308,12 @@ def run(model: Model, cfg: StepperConfig, state0: State, t_end: float,
     row 0, the row of state0.
 
     Snapshots fire at step 0, every snapshot_every accepted steps, and at the
-    final step (when snapshot_every > 0).  Deterministic for fixed inputs.
+    final step (when snapshot_every > 0).  Every state emitted, the copy of state0
+    included, holds read-only arrays.  Deterministic for fixed inputs.
     """
     state0.validate(model)
-    s = state0.copy()
+    s = State(state0.t, state0.u.copy(), state0.chi.copy())
+    s.u.flags.writeable = s.chi.flags.writeable = False
     at, ku = model.phase_values(s.chi), model.stiffness.apply(s.u)
     dissipation_cum = source_cum = 0.0
     tau_cur, successes, step, eps_t = cfg.tau, 0, 0, 1.0e-9 * cfg.tau

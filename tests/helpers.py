@@ -1,11 +1,13 @@
 """Shared builders and checks for the test suite."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from pfstrip.functionals import State, dm_mean, dm_std, mass_mu
 from pfstrip.grid_ops import build_grid
+from pfstrip.io_cli import _SCHEMA, MIN_DT_FRACTION
 from pfstrip.potentials import LatentHeat, Potential
 from pfstrip.timestepper import Model, measure_norm
 
@@ -18,6 +20,17 @@ def make_model(lx=1.0, ly=1.0, nx=8, ny=4, p_bulk=None, p_surf=None,
     l_surf = l_surf if l_surf is not None else l_bulk
     return Model(grid=build_grid(lx, ly, nx, ny), p_bulk=p_bulk, p_surf=p_surf,
                  l_bulk=l_bulk, l_surf=l_surf)
+
+
+_SOLVER_DEFAULTS = {name.partition(".")[2]: default for name, _, default, _, _ in _SCHEMA
+                    if name.startswith("solver.")}
+
+
+def stepper(tau, **keys):
+    """The settings build_stepper_config makes of a config with time.dt = tau, the
+    default step floor and the solver defaults; keys override any of them."""
+    return SimpleNamespace(**{"tau": tau, "min_tau": tau * MIN_DT_FRACTION,
+                              **_SOLVER_DEFAULTS, **keys})
 
 
 def constant_state(model, theta, chi):

@@ -14,14 +14,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import constant_state, make_model, omega_limit_report
+from helpers import constant_state, make_model, omega_limit_report, stepper
 from pfstrip.functionals import State, dm_mean
 from pfstrip.grid_ops import assemble_masses, assemble_stiffness, build_grid
 from pfstrip.io_cli import cli_main
 from pfstrip.potentials import (LatentHeat, Potential, integrate_homogeneous,
                                 separating_slope_margin)
 from pfstrip.stationary import solve_stationary
-from pfstrip.timestepper import StepperConfig, preset_field, run
+from pfstrip.timestepper import preset_field, run
 
 
 def report(num, name, ok, detail):
@@ -37,7 +37,7 @@ def stripe_run(nx, ny, tau):
     chi0 = preset_field(g, "tanh_stripe", value=0.0, amplitude=0.3, kx=1,
                         width=0.2, seed=0)
     s0 = State(0.0, np.full(g.n_nodes, -1.0), chi0)
-    cfg = StepperConfig(tau=tau)
+    cfg = stepper(tau)
     t0 = time.perf_counter()
     rows, final = run(model, cfg, s0, 1.0)
     wall = time.perf_counter() - t0
@@ -96,7 +96,7 @@ def test_criterion_4_homogeneous_ode_oracle():
     lat = LatentHeat(0.2, 0.0, 0.0)
     model = make_model(p_bulk=pot, l_bulk=lat)
     s0 = constant_state(model, 2.0, 0.3)
-    cfg = StepperConfig(tau=1.0e-4, cg_tol=1.0e-12)
+    cfg = stepper(1.0e-4, cg_tol=1.0e-12)
     t0 = time.perf_counter()
     rows, final = run(model, cfg, s0, 1.0)
     wall = time.perf_counter() - t0
@@ -144,7 +144,7 @@ def test_criterion_6_omega_limit():
     chi0 = preset_field(g, "tanh_stripe", value=0.0, amplitude=0.3, kx=1,
                         width=0.2, seed=0)
     s0 = State(0.0, np.full(g.n_nodes, -1.0), chi0)
-    cfg = StepperConfig(tau=0.02, newton_tol=1.0e-12, cg_tol=1.0e-12)
+    cfg = stepper(0.02, newton_tol=1.0e-12, cg_tol=1.0e-12)
     rows, final = run(model, cfg, s0, 50.0)
 
     # residual-based: bounds u_std 1e-6, phase residual 1e-6, mass drift 1e-8
@@ -157,7 +157,7 @@ def test_criterion_6_omega_limit():
     theta0 = preset_field(model_d.grid, "sinusoid", value=1.0, amplitude=0.3,
                           kx=1, width=0.1, seed=0)
     s0_d = State(0.0, -1.0 / theta0, np.zeros(model_d.grid.n_nodes))
-    rows_d, final_d = run(model_d, StepperConfig(tau=0.02), s0_d, 50.0)
+    rows_d, final_d = run(model_d, stepper(0.02), s0_d, 50.0)
     target = rows_d[0].mu / 3.0  # total measure LxLy + 2Lx = 3
     err_d = float(np.max(np.abs(final_d.theta - target)))
     decoupled_ok = err_d <= 1.0e-6
@@ -175,7 +175,7 @@ def test_criterion_7_stationary_cross_check():
     result = solve_stationary(3.12, 1.0, np.zeros(n), model, tol=1.0e-12)
     s_inf = State(0.0, np.full(n, result.u_inf), result.chi_inf)
 
-    cfg = StepperConfig(tau=0.05, newton_tol=1.0e-12, cg_tol=1.0e-13)
+    cfg = stepper(0.05, newton_tol=1.0e-12, cg_tol=1.0e-13)
     s_next = run(model, cfg, s_inf, cfg.tau)[1]
     du = float(np.max(np.abs(s_next.u - s_inf.u)))
     dchi = float(np.max(np.abs(s_next.chi - s_inf.chi)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import constant_state, make_model, roll_x
+from helpers import constant_state, make_model, roll_x, stepper
 import pfstrip.functionals as fn
 from pfstrip.errors import DomainError
 from pfstrip.functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean,
@@ -16,7 +16,7 @@ from pfstrip.functionals import (DiagnosticsRow, State, dissipation_increment, d
 from pfstrip.io_cli import build_stepper_config, load_config, validate_config
 from pfstrip.potentials import LatentHeat, Potential
 from pfstrip.stationary import mass_gap
-from pfstrip.timestepper import StepperConfig, preset_field, run
+from pfstrip.timestepper import preset_field, run
 
 
 def random_state(model, rng, theta_span=(0.5, 2.0), chi_span=(-0.8, 0.8)):
@@ -232,7 +232,7 @@ def test_energy_identity_residual_is_first_order_in_tau():
     s0 = State(0.0, -1.0 / theta0, chi0)
     resid = {}
     for tau, nsteps in ((2e-3, 100), (1e-3, 200)):
-        rows, _ = run(m, StepperConfig(tau=tau), s0, tau * nsteps)
+        rows, _ = run(m, stepper(tau), s0, tau * nsteps)
         resid[tau] = rows[-1].energy_id_residual
     assert 1.5 <= resid[2e-3] / resid[1e-3] <= 2.7
 

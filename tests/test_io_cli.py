@@ -12,6 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from helpers import stepper
 import pfstrip.io_cli as io_cli
 from pfstrip.errors import ConfigError
 from pfstrip.functionals import DiagnosticsRow
@@ -20,7 +21,6 @@ from pfstrip.io_cli import (CSV_HEADER, build_stepper_config, cli_main,
                             format_diagnostics_row, parse_config, validate_config,
                             write_pgm, write_snapshot)
 from pfstrip.potentials import LatentHeat, Potential
-from pfstrip.timestepper import StepperConfig
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -136,9 +136,15 @@ def test_parse_min_dt_above_dt():
         parse_config(with_lines("time.min_dt = 0.02"))
 
 
+def test_stepper_helper_is_the_cli_settings():
+    """The tests' stepper(tau) is what the CLI runs with at time.dt = tau and no
+    solver keys: the same solver defaults and the same default step floor."""
+    assert stepper(0.01) == build_stepper_config(parse_config(MINIMAL))
+
+
 def test_config_sections_reach_objects():
     """Every non-default solver, time, source, potential and latent value
-    reaches the StepperConfig, the HeatSource and the Model built from it."""
+    reaches the stepper settings, the HeatSource and the Model built from it."""
     c = parse_config(with_lines(
         "time.min_dt = 0.004",
         "solver.newton_tol = 3e-9", "solver.newton_max_iter = 17",
@@ -149,9 +155,9 @@ def test_config_sections_reach_objects():
         "potential_surf.delta = 0.4",
         "latent_bulk.a = 0.11", "latent_bulk.b = 0.22", "latent_bulk.c = 0.33",
         "latent_surf.a = 0.44", "latent_surf.b = 0.55", "latent_surf.c = 0.66"))
-    expected = StepperConfig(tau=0.01, newton_tol=3e-9, newton_max_iter=17, guard_eps=2e-9,
-                             min_tau=0.004, cg_tol=4e-11)
-    defaults = StepperConfig(tau=0.01)
+    expected = stepper(0.01, newton_tol=3e-9, newton_max_iter=17, guard_eps=2e-9,
+                       min_tau=0.004, cg_tol=4e-11)
+    defaults = stepper(0.01)
     assert build_stepper_config(c) == expected
     for name in ("newton_tol", "newton_max_iter", "guard_eps", "min_tau", "cg_tol"):
         assert getattr(expected, name) != getattr(defaults, name), name

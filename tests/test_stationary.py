@@ -9,13 +9,13 @@ import oracles
 import pfstrip.grid_ops as grid_ops
 import pfstrip.io_cli as io_cli
 import pfstrip.timestepper as ts
-from helpers import constant_state, make_model, omega_limit_report, roll_x
+from helpers import constant_state, make_model, omega_limit_report, roll_x, stepper
 import pfstrip.stationary as st
 from pfstrip.errors import SolverError
 from pfstrip.functionals import State, dm_mean, mass_mu
 from pfstrip.potentials import LatentHeat, Potential, scalar_f
 from pfstrip.stationary import mass_gap, solve_chi_given_u, solve_stationary
-from pfstrip.timestepper import StepperConfig, measure_norm, preset_field, run
+from pfstrip.timestepper import measure_norm, preset_field, run
 
 
 def test_solve_chi_trivial_roots():
@@ -127,7 +127,7 @@ def test_solve_stationary_coupled_is_advance_fixed_point():
     res = solve_stationary(mu_t, 1.0, s0.chi, m)
     assert res.theta_inf > 0.0 and res.separation > 0.0
 
-    cfg = StepperConfig(tau=0.01)
+    cfg = stepper(0.01)
     s_inf = State(0.0, np.full(m.grid.n_nodes, res.u_inf), res.chi_inf.copy())
     s_new = run(m, cfg, s_inf, cfg.tau)[1]
     assert np.max(np.abs(s_new.u - s_inf.u)) <= 10.0 * cfg.newton_tol
@@ -196,14 +196,14 @@ def test_omega_limit_report_exact_and_negative():
     theta0 = preset_field(m.grid, "sinusoid", value=1.0, amplitude=0.3, kx=1)
     far = State(0.0, -1.0 / theta0, preset_field(m.grid, "tanh_stripe",
                                                  amplitude=0.5, width=0.2))
-    _, s_short = run(m, StepperConfig(tau=1e-3), far, 3e-3)
+    _, s_short = run(m, stepper(1e-3), far, 3e-3)
     rep2 = omega_limit_report(s_short, res.mu_target, m)
     assert not rep2.converged and rep2.u_spatial_std > 1e-6
 
 
 def assert_step_fixed_point(res, m, tol):
     """Criterion 7's check: one step of run moves the steady state by at most 10 tol."""
-    cfg = StepperConfig(tau=0.05, newton_tol=1.0e-12, cg_tol=1.0e-13)
+    cfg = stepper(0.05, newton_tol=1.0e-12, cg_tol=1.0e-13)
     s_inf = State(0.0, np.full(m.grid.n_nodes, res.u_inf), res.chi_inf)
     s_new = run(m, cfg, s_inf, cfg.tau)[1]
     assert np.max(np.abs(s_new.u - s_inf.u)) <= 10.0 * tol

@@ -12,12 +12,12 @@ import oracles
 import pfstrip.functionals as fn
 import pfstrip.stationary as stationary
 import pfstrip.timestepper as ts
-from helpers import constant_state, make_model
+from helpers import constant_state, make_model, stepper
 from pfstrip.errors import DomainError, FatalSolverError, SolverError
 from pfstrip.functionals import State, mass_mu
 from pfstrip.grid_ops import StiffnessOp
 from pfstrip.potentials import LatentHeat, Potential, integrate_homogeneous, scalar_f
-from pfstrip.timestepper import StepperConfig, make_source, preset_field, run
+from pfstrip.timestepper import make_source, preset_field, run
 
 
 def latent_quotient(m, chi_old, chi_new, tau):
@@ -25,16 +25,10 @@ def latent_quotient(m, chi_old, chi_new, tau):
     return (m.phase_values(chi_new).latent - m.phase_values(chi_old).latent) / tau
 
 
-def test_config_defaults_and_bounds():
-    cfg = StepperConfig(tau=0.01)
-    assert cfg.newton_tol == 1e-10 and cfg.newton_max_iter == 50
-    assert cfg.min_tau == 0.01 / 1024.0
-
-
 def test_step_chi_zero_fixed_point():
     m = make_model(p_bulk=Potential("quartic", 0.0))
     s = constant_state(m, 1.0, 0.0)
-    chi_new, iters = ts.step_chi(s, 0.01, StepperConfig(tau=0.01), m, m.phase_values(s.chi))[:2]
+    chi_new, iters = ts.step_chi(s, 0.01, stepper(0.01), m, m.phase_values(s.chi))[:2]
     assert np.all(chi_new == 0.0) and iters == 0
 
 
@@ -43,7 +37,7 @@ def test_step_chi_matches_scalar_bisection_oracle():
     m = make_model(p_bulk=Potential("logarithmic", 1.0), l_bulk=lat)
     theta_n, chi_n, tau = 1.5, 0.2, 0.05
     s = constant_state(m, theta_n, chi_n)
-    chi_new = ts.step_chi(s, tau, StepperConfig(tau=tau), m, m.phase_values(s.chi))[0]
+    chi_new = ts.step_chi(s, tau, stepper(tau), m, m.phase_values(s.chi))[0]
     f = scalar_f(m.p_bulk)
     lamp = -2.0 * lat.a * chi_n + lat.b
     rhs = m.p_bulk.delta * chi_n + lamp * (-1.0 / theta_n)
@@ -58,7 +52,7 @@ def test_step_chi_respects_domain_guard():
     chi0 = preset_field(g, "tanh_stripe", amplitude=0.999, width=0.15)
     assert np.max(np.abs(chi0)) > 0.99
     s = State(0.0, np.full(g.n_nodes, -1.0), chi0)
-    chi_new = ts.step_chi(s, 0.01, StepperConfig(tau=0.01), m, m.phase_values(chi0))[0]
+    chi_new = ts.step_chi(s, 0.01, stepper(0.01), m, m.phase_values(chi0))[0]
     assert np.max(np.abs(chi_new)) < 1.0
 
 
@@ -66,7 +60,7 @@ def test_step_theta_constant_fixed_point():
     m = make_model(l_bulk=LatentHeat(0.5, 0.0, 0.0))
     s = constant_state(m, 1.7, 0.3)
     u_new, iters = ts.step_theta(s, latent_quotient(m, s.chi, s.chi, 0.01), None, 0.01,
-                                 StepperConfig(tau=0.01), m, m.stiffness.apply(s.u))[:2]
+                                 stepper(0.01), m, m.stiffness.apply(s.u))[:2]
     assert np.array_equal(u_new, s.u) and iters == 0
 
 
@@ -76,7 +70,7 @@ def test_step_theta_homogeneous_closed_form():
     s = constant_state(m, 2.0, 0.1)
     chi_new = np.full(m.grid.n_nodes, 0.15)
     u_new = ts.step_theta(s, latent_quotient(m, s.chi, chi_new, 0.01), None, 0.01,
-                          StepperConfig(tau=0.01), m, m.stiffness.apply(s.u))[0]
+                          stepper(0.01), m, m.stiffness.apply(s.u))[0]
     dlam = oracles.latent(lat, 0.15) - oracles.latent(lat, 0.1)
     theta_ref = 2.0 - dlam
     assert np.max(np.abs(-1.0 / u_new - theta_ref)) <= 1e-10 * theta_ref
@@ -89,7 +83,7 @@ def test_step_theta_conserves_mass(rng):
     s = State(0.0, -1.0 / rng.uniform(0.5, 2.0, size=n),
               rng.uniform(-0.6, 0.6, size=n))
     chi_new = np.clip(s.chi + 0.05 * rng.standard_normal(n), -0.9, 0.9)
-    cfg = StepperConfig(tau=0.02)
+    cfg = stepper(0.02)
     u_new = ts.step_theta(s, latent_quotient(m, s.chi, chi_new, 0.02), None, 0.02, cfg, m,
                           m.stiffness.apply(s.u))[0]
     mu_old = mass_mu(s, m)
@@ -100,7 +94,7 @@ def test_step_theta_conserves_mass(rng):
 def test_advance_keeps_stationary_state():
     m = make_model(p_bulk=Potential("quartic", 0.0), l_bulk=LatentHeat(0.0, 0.0, 0.8))
     s = constant_state(m, 1.4, 0.0)
-    rows, s_new = run(m, StepperConfig(tau=0.05), s, 0.05)
+    rows, s_new = run(m, stepper(0.05), s, 0.05)
     assert len(rows) == 2
     assert np.max(np.abs(s_new.u - s.u)) <= 1e-12
     assert np.max(np.abs(s_new.chi - s.chi)) <= 1e-12
@@ -113,7 +107,7 @@ def test_advance_emits_positive_bounds(rng):
     theta0 = preset_field(g, "random", value=1.0, amplitude=0.4, seed=7)
     chi0 = preset_field(g, "random", amplitude=0.6, seed=8)
     states = []
-    rows, _ = run(m, StepperConfig(tau=0.01), State(0.0, -1.0 / theta0, chi0), 0.05,
+    rows, _ = run(m, stepper(0.01), State(0.0, -1.0 / theta0, chi0), 0.05,
                   snapshot_every=1, on_snapshot=lambda step, s: states.append(s))
     assert len(rows) == len(states) >= 6
     for row, s in zip(rows[1:], states[1:]):
@@ -127,7 +121,7 @@ def test_u_spatial_std_decays_without_coupling():
     g = m.grid
     theta0 = preset_field(g, "sinusoid", value=1.0, amplitude=0.3, kx=1)
     s = State(0.0, -1.0 / theta0, np.zeros(g.n_nodes))
-    rows, _ = run(m, StepperConfig(tau=0.01), s, 0.5)
+    rows, _ = run(m, stepper(0.01), s, 0.5)
     stds = [r.u_spatial_std for r in rows]
     assert all(b <= a + 1e-10 for a, b in zip(stds, stds[1:]))
     assert stds[-1] < 0.1 * stds[0]
@@ -138,7 +132,7 @@ def test_x_constant_data_stay_x_constant():
     g = m.grid
     theta0 = 1.0 + 0.3 * g.y * g.y
     chi0 = 0.2 - 0.1 * g.y
-    _, final = run(m, StepperConfig(tau=0.01), State(0.0, -1.0 / theta0, chi0), 0.1)
+    _, final = run(m, stepper(0.01), State(0.0, -1.0 / theta0, chi0), 0.1)
     for z in (final.u, final.chi):
         rows2d = z.reshape(g.ny + 1, g.nx)
         assert np.max(rows2d.max(axis=1) - rows2d.min(axis=1)) <= 1e-10
@@ -147,9 +141,24 @@ def test_x_constant_data_stay_x_constant():
 def test_run_zero_horizon_emits_initial_row_only():
     m = make_model()
     s = constant_state(m, 1.0, 0.1)
-    rows, final = run(m, StepperConfig(tau=0.01), s, 0.0)
+    rows, final = run(m, stepper(0.01), s, 0.0)
     assert len(rows) == 1 and rows[0].step == 0
     assert final.t == 0.0 and np.array_equal(final.chi, s.chi)
+
+
+def test_emitted_states_hold_read_only_arrays_from_step_0():
+    """run emits read-only arrays, theta's too, at step 0, as at every later step and
+    after a t_end = 0 run, so no caller can make the carried values stale; state0 stays
+    writable."""
+    m = make_model()
+    s = constant_state(m, 1.0, 0.1)
+    seen = []
+    run(m, stepper(0.01), s, 0.02, snapshot_every=1, on_snapshot=lambda step, state: seen.append(
+        (step, *(z.flags.writeable for z in (state.u, state.chi, state.theta)))))
+    _, final = run(m, stepper(0.01), s, 0.0)
+    assert seen == [(step, False, False, False) for step in range(3)]
+    assert not any(z.flags.writeable for z in (final.u, final.chi, final.theta))
+    assert s.u.flags.writeable and s.chi.flags.writeable
 
 
 def test_run_mass_conservation_bound():
@@ -157,7 +166,7 @@ def test_run_mass_conservation_bound():
     g = m.grid
     chi0 = preset_field(g, "tanh_stripe", amplitude=0.5, width=0.2)
     s0 = State(0.0, np.full(g.n_nodes, -1.0), chi0)
-    cfg = StepperConfig(tau=1e-3)
+    cfg = stepper(1e-3)
     rows, final = run(m, cfg, s0, 0.1)
     mu0 = mass_mu(s0, m)
     mu_t = mass_mu(final, m)
@@ -171,7 +180,7 @@ def test_snapshot_callback_cadence():
     m = make_model()
     s = constant_state(m, 1.0, 0.1)
     seen = []
-    run(m, StepperConfig(tau=0.01), s, 0.1, snapshot_every=4,
+    run(m, stepper(0.01), s, 0.1, snapshot_every=4,
         on_snapshot=lambda step, state: seen.append(step))
     assert seen == [0, 4, 8, 10]
 
@@ -179,7 +188,7 @@ def test_snapshot_callback_cadence():
 def test_adaptive_halving_and_redoubling(monkeypatch):
     m = make_model(nx=8, ny=4)
     s = constant_state(m, 1.0, 0.2)
-    cfg = StepperConfig(tau=0.02)
+    cfg = stepper(0.02)
     real = ts.step_chi
     tried = []
 
@@ -203,8 +212,8 @@ def test_failed_heat_step_retries_from_the_state(monkeypatch):
     the values of the state it steps from: the step's row is that of a run at tau/2."""
     m = make_model(nx=8, ny=4)
     s = constant_state(m, 1.0, 0.2)
-    cfg = StepperConfig(tau=0.02)
-    want = run(m, StepperConfig(tau=cfg.tau / 2.0), s, cfg.tau / 2.0)[0][1]
+    cfg = stepper(0.02)
+    want = run(m, stepper(cfg.tau / 2.0), s, cfg.tau / 2.0)[0][1]
     real = ts.step_theta
 
     def flaky(state, g, source_vec, tau, c, model, ku):
@@ -225,7 +234,7 @@ def test_adaptive_floor_raises_fatal(monkeypatch):
 
     monkeypatch.setattr(ts, "step_chi", always_fail)
     with pytest.raises(FatalSolverError):
-        run(m, StepperConfig(tau=0.02), s, 0.02)
+        run(m, stepper(0.02), s, 0.02)
 
 
 def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
@@ -260,7 +269,7 @@ def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
             + 0.05 * np.cos(2.0 * math.pi * g.x) * np.sin(math.pi * g.y)
         counts.clear()
         precond_counts.clear()
-        run(m, StepperConfig(tau=1e-3), State(0.0, np.full(g.n_nodes, -1.0), chi0), 3e-3)
+        run(m, stepper(1e-3), State(0.0, np.full(g.n_nodes, -1.0), chi0), 3e-3)
         assert len(counts) >= 12 and max(counts) <= 8, (n, counts)
         assert max(precond_counts) <= 8, (n, precond_counts)
 
@@ -301,7 +310,7 @@ def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch)
                        ({"l_surf": LatentHeat(0.2, 0.1, 0.0)}, {"evaluate": 1, "latent_eval": 2})):
         m = make_model(**{"p_bulk": log, "l_bulk": lat, **surf})
         per_step.clear()
-        rows, _ = run(m, StepperConfig(tau=1.0e-4, cg_tol=1.0e-12), constant_state(m, 2.0, 0.3),
+        rows, _ = run(m, stepper(1.0e-4, cg_tol=1.0e-12), constant_state(m, 2.0, 0.3),
                       3.0e-4, on_row=on_row)
         assert len(rows) == 4, surf
         for k, (row, step_calls) in enumerate(zip(rows[1:], per_step[1:])):
@@ -321,7 +330,7 @@ def test_carried_values_match_a_recomputation_bitwise():
     m = make_model(nx=16, ny=8, p_bulk=Potential("logarithmic", 1.5),
                    l_bulk=LatentHeat(0.4, 0.1, 0.0), l_surf=LatentHeat(-0.3, 0.2, 0.1))
     g = m.grid
-    cfg = StepperConfig(tau=2.0e-3)
+    cfg = stepper(2.0e-3)
     source = make_source(m, "sinusoid", amplitude=0.5, kx=1, omega=20.0)
     chi0 = preset_field(g, "tanh_stripe", amplitude=0.6, width=0.15) \
         + 0.05 * np.cos(2.0 * math.pi * g.x) * np.sin(math.pi * g.y)
