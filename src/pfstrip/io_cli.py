@@ -15,12 +15,14 @@ import contextlib
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, FatalSolverError, IoError, SolverError
+from .floatfmt import csv_rows
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, build_grid
 from .potentials import (DOMAINS, LatentHeat, Potential, check_compatibility,
@@ -292,11 +294,11 @@ def format_diagnostics_row(row: DiagnosticsRow) -> str:
     return _ROW_FORMAT % vars(row)
 
 
-def _write(path: str, data: str | bytes) -> None:
-    """Write ASCII text or bytes to path as they are; OSError becomes IoError."""
+def _write(path: str, data: str | Iterable[bytes]) -> None:
+    """Write ASCII text, or byte chunks in order, to path as they are; OSError becomes IoError."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data.encode("ascii") if isinstance(data, str) else data)
+            fh.writelines([data.encode("ascii")] if isinstance(data, str) else data)
     except OSError as exc:
         raise IoError(f"cannot write '{path}': {exc}") from exc
 
@@ -309,9 +311,7 @@ def write_diagnostics(rows, path: str) -> None:
 
 def write_snapshot(field: np.ndarray, grid: Grid, path: str) -> None:
     """One CSV matrix, ny+1 rows of nx values, top boundary row (j = ny) first."""
-    z = grid.reshape(np.asarray(field, dtype=float))
-    row_fmt = ",".join(["%.16e"] * grid.nx) + "\n"
-    _write(path, "".join([row_fmt % tuple(row) for row in z[::-1].tolist()]))
+    _write(path, csv_rows(grid.reshape(np.asarray(field, dtype=float))[::-1]))
 
 
 def write_pgm(field: np.ndarray, grid: Grid, path: str) -> None:
@@ -325,7 +325,7 @@ def write_pgm(field: np.ndarray, grid: Grid, path: str) -> None:
     else:
         samples = np.zeros(z.shape, dtype=">u2")
     header = f"P5\n{grid.nx} {grid.ny + 1}\n65535\n".encode("ascii")
-    _write(path, header + samples.tobytes())
+    _write(path, (header, samples.tobytes()))
     _write(os.path.splitext(path)[0] + ".range.txt", f"{lo:.16e} {hi:.16e}\n")
 
 

@@ -28,6 +28,7 @@ import ctypes
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,11 +64,16 @@ def _keep_freed_heap() -> None:
 
 
 Laws = namedtuple("Laws", "big_f lam lamp lampp")   # F, lambda, lambda', lambda''
-# Model.phase_values: bulk Laws at chi, surface Laws at its boundary rows chi_b, the
-# implicit terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve,
-# and m lambda(chi), the latent part of the internal energy
-PhaseValues = namedtuple("PhaseValues", "chi chi_b bulk surf implicit latent")
 Shared = namedtuple("Shared", "kind delta latent")   # which surface laws equal the bulk ones
+
+
+# Model.phase_values: bulk Laws at chi, surface Laws at its boundary rows chi_b, the implicit
+# terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve, and the model;
+# latent, m lambda(chi), the latent part of the internal energy, is composed on first read
+class PhaseValues(namedtuple("PhaseValues", "chi chi_b bulk surf implicit model")):
+    @cached_property
+    def latent(self) -> np.ndarray:
+        return self.model._compose(self.bulk.lam, self.surf.lam)
 
 
 @dataclass(eq=False)
@@ -118,7 +124,7 @@ class Model:
         lat_s = (lat[0][bnd], lat[1][bnd], lat[2]) if same_lat else latent_eval(self.l_surf, chi_b)
         return PhaseValues(chi, chi_b, Laws(F, *lat), Laws(F_s, *lat_s),
                            (self.stiffness.apply(chi) + self._compose(f, f_s),
-                            self._compose(fp, fp_s)), self._compose(lat[0], lat_s[0]))
+                            self._compose(fp, fp_s)), self)
 
     def lagged_rhs(self, v: PhaseValues, u) -> np.ndarray:
         """m (delta chi + lambda'(chi) u), explicit in the phase step; u nodal or scalar."""

@@ -39,6 +39,22 @@ def to_2d(g, z):
     return np.asarray(z, dtype=float).reshape(g.ny + 1, g.nx)
 
 
+def percent_csv(z):
+    """The CSV text of a matrix with every value through '%.16e', ',' between values
+    and '\\n' after each row."""
+    return "".join(",".join("%.16e" % x for x in row) + "\n"
+                   for row in np.asarray(z, dtype=float).tolist()).encode("ascii")
+
+
+def write_snapshot_percent(field, g, path):
+    """The snapshot writer that the vectorized one replaced: each row through one
+    '%.16e' format string, top row first, written in one piece."""
+    row_fmt = ",".join(["%.16e"] * g.nx) + "\n"
+    with open(path, "wb") as fh:
+        fh.write("".join([row_fmt % tuple(row) for row in to_2d(g, field)[::-1].tolist()])
+                 .encode("ascii"))
+
+
 def stiffness_apply(g, z):
     """Bulk+surface operator via rolls on the (ny+1, nx) layout."""
     z2 = to_2d(g, z)

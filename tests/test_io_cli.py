@@ -8,11 +8,13 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import stepper
+import oracles
 import pfstrip.io_cli as io_cli
 from pfstrip.errors import ConfigError
 from pfstrip.functionals import DiagnosticsRow
@@ -290,6 +292,26 @@ def test_snapshot_matches_golden(tmp_path):
     write_snapshot(field, g, str(path))
     with open(os.path.join(GOLDEN, "snapshot_4x2.csv"), "rb") as fh:
         assert path.read_bytes() == fh.read()
+
+
+def test_snapshot_write_peak_memory_not_above_percent_writer(tmp_path):
+    """One 96x97 write_snapshot peaks no higher in traced allocations than the per-value
+    '%.16e' writer it replaced, measured here on the same field, and writes its bytes."""
+    g = build_grid(1.0, 1.0, 96, 96)
+    field = np.random.default_rng(3).standard_normal(g.n_nodes)
+    peaks = []
+    for write in (oracles.write_snapshot_percent, write_snapshot):
+        path = str(tmp_path / write.__name__)
+        write(field, g, path)   # a first call may allocate once for good
+        tracemalloc.start()
+        try:
+            write(field, g, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "write_snapshot").read_bytes() == \
+        (tmp_path / "write_snapshot_percent").read_bytes()
+    assert peaks[1] <= peaks[0], peaks
 
 
 def test_snapshot_top_row_first(tmp_path):

@@ -1,4 +1,4 @@
-"""Run 36 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 37 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
@@ -12,7 +12,9 @@ surface (the one compatibility constant other than 1), checks that fail
 compatibility or the initial state and one that reports a nonzero projected
 source mean, a simulate with a sinusoid source, two simulates whose surface
 laws differ from the bulk ones (a quartic bulk potential; a surface delta and
-latent heat of their own), nine rejected configs and the help texts.  Per
+latent heat of their own), a two-step simulate whose snapshots hold exact
+zeros and values below 1e-6 (the snapshot writer's per-value path), nine
+rejected configs and the help texts.  Per
 case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip
 comes from SRC_DIR and the inputs from this repository, so the diff of two
 trees' digests shows any output byte a change moved.
@@ -98,6 +100,11 @@ def cases() -> dict:
     surface_laws = example("potential_surf.delta = 3.0", "potential_surf.delta = 2.0")
     out["simulate_surface_laws"] = (["simulate"], surface_laws.replace("latent_surf.b = 0.0",
                                                                        "latent_surf.b = 0.3"))
+    tiny = example("init.chi_kind = tanh_stripe",   # chi_0 = 1e-7 (cos 2 pi x - 1)
+                   "init.chi_kind = sinusoid\ninit.chi_value = -1e-7")
+    tiny = tiny.replace("chi_amplitude = 0.8", "chi_amplitude = 1e-7")
+    out["simulate_tiny_values"] = (["simulate"], tiny.replace("t_end = 0.05", "t_end = 0.002")
+                                   .replace("snapshot_every = 25", "snapshot_every = 1"))
     for i, edit in enumerate((("domain.nx = 32", "domain.nx = 3"),
                               ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
                               ("", "time.min_dt = 0.01"),
