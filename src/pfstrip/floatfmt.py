@@ -14,7 +14,7 @@ SLOT = 32     # 8 words: NUL, sign lead-digit point, 16 digits in 4, exponent, s
 BLOCK = 2048  # values formatted at once; bounds the temporaries of one write
 _POW10 = np.array([float(10 ** s) for s in range(23)])
 _SPLIT = 134217729.0   # 2^27 + 1
-_D = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)   # "%04d" % i as one word, no temporaries:
+_D = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)   # _DIGITS4[i]: "%04d" % i, one word
 _DIGITS4 = np.stack(np.broadcast_arrays(*np.ix_(_D, _D, _D, _D)), -1).view(np.uint32).ravel()
 _LEAD = np.array([b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)])
 _EXP = np.array([b"e%+03d" % (16 - s) for s in range(23)])
