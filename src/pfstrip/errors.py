@@ -10,16 +10,7 @@ class ConfigError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """An iterative solver failed to converge. Recoverable by step halving."""
-
-
-class FatalSolverError(RuntimeError):
-    """Step halving reached the minimum step size without convergence."""
-
-    def __init__(self, message, step=None, t=None):
-        super().__init__(message)
-        self.step = step
-        self.t = t
+    """A solver failed to converge: run halves tau on one, and raises one at min_tau."""
 
 
 class IoError(OSError):

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FatalSolverError, IoError, SolverError
+from .errors import ConfigError, DomainError, IoError, SolverError
 from .floatfmt import csv_rows
 from .functionals import DiagnosticsRow, State, dm_mean, mass_mu
 from .grid_ops import Grid, build_grid
@@ -429,10 +429,9 @@ def _cmd_ode(c: SimpleNamespace) -> int:
     t, theta, chi = integrate_homogeneous(
         c.init.theta_value, c.init.chi_value, Potential(**vars(c.potential_bulk)),
         LatentHeat(**vars(c.latent_bulk)), tau_ref=c.time.dt, t_end=c.time.t_end)
-    lines = ["t,theta,chi"]
-    lines += [f"{ti:.16e},{th:.16e},{ch:.16e}" for ti, th, ch in zip(t, theta, chi)]
     with _output_lock(c.output.dir) as out_dir:
-        _write(os.path.join(out_dir, "ode.csv"), "\n".join(lines) + "\n")
+        _write(os.path.join(out_dir, "ode.csv"),
+               [b"t,theta,chi\n", *csv_rows(np.column_stack((t, theta, chi)))])
     print(f"ode: {len(t)} samples to t = {t[-1]:.6g}")
     return 0
 
@@ -472,7 +471,7 @@ def cli_main(argv=None) -> int:
         if args.output is not None:
             c.output.dir = args.output
         return _COMMANDS[args.command][0](c)
-    except (ConfigError, SolverError, FatalSolverError, IoError, DomainError) as exc:
+    except (ConfigError, SolverError, IoError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, DomainError) else 2
 

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import FatalSolverError, SolverError
+from .errors import SolverError
 from .functionals import (DiagnosticsRow, State, dissipation_increment, dm_mean, dm_std,
                           energy_identity_residual, row_functionals)
 from .grid_ops import (Grid, MassVectors, ShiftedInverse, StiffnessOp, assemble_masses,
@@ -306,12 +306,12 @@ def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
     """Integrate from t = 0 to t_end, emitting one diagnostics row per step.
 
     Each accepted step is step_chi, then step_theta.  A SolverError halves tau
-    down to cfg.min_tau, below which the run raises FatalSolverError; ten
-    successes in a row double it back towards cfg.tau, and the last step is
-    cut to end at t_end.  The PhaseValues and K u of the current state come
-    from the step that made it, and are evaluated again after a failed
-    attempt.  The energy-identity residual of every row is measured from
-    row 0, the row of state0.
+    down to cfg.min_tau, below which the run raises a SolverError naming the
+    step and t; ten successes in a row double tau back towards cfg.tau, and the
+    last step is cut to end at t_end.  The PhaseValues and K u of the current
+    state come from the step that made it, and are evaluated again after a
+    failed attempt.  The energy-identity residual of every row is measured
+    from row 0, the row of state0.
 
     Snapshots fire at step 0, every snapshot_every accepted steps, and at the
     final step (when snapshot_every > 0).  Every state emitted, the copy of state0
@@ -360,9 +360,8 @@ def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
             except SolverError as exc:
                 successes = 0
                 if 0.5 * tau < cfg.min_tau:
-                    raise FatalSolverError(
-                        f"step {step} failed at the minimum step size "
-                        f"(t = {s.t:.6g}): {exc}", step=step, t=s.t) from exc
+                    raise SolverError(f"step {step} failed at the minimum step size "
+                                      f"(t = {s.t:.6g}): {exc}") from exc
                 tau *= 0.5
                 tau_cur = min(tau_cur, tau)
                 at, ku = model.phase_values(s.chi), model.stiffness.apply(s.u)

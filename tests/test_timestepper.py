@@ -13,7 +13,7 @@ import pfstrip.functionals as fn
 import pfstrip.stationary as stationary
 import pfstrip.timestepper as ts
 from helpers import constant_state, make_model, stepper
-from pfstrip.errors import DomainError, FatalSolverError, SolverError
+from pfstrip.errors import DomainError, SolverError
 from pfstrip.functionals import State, mass_mu
 from pfstrip.grid_ops import StiffnessOp
 from pfstrip.potentials import LatentHeat, Potential, integrate_homogeneous, scalar_f
@@ -233,7 +233,7 @@ def test_adaptive_floor_raises_fatal(monkeypatch):
         raise SolverError("synthetic hard failure")
 
     monkeypatch.setattr(ts, "step_chi", always_fail)
-    with pytest.raises(FatalSolverError):
+    with pytest.raises(SolverError, match=r"step 1 failed at the minimum step size \(t = 0\)"):
         run(m, stepper(0.02), s, 0.02)
 
 

@@ -1,4 +1,4 @@
-"""Run 37 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 39 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
@@ -13,8 +13,10 @@ compatibility or the initial state and one that reports a nonzero projected
 source mean, a simulate with a sinusoid source, two simulates whose surface
 laws differ from the bulk ones (a quartic bulk potential; a surface delta and
 latent heat of their own), a two-step simulate whose snapshots hold exact
-zeros and values below 1e-6 (the snapshot writer's per-value path), nine
-rejected configs and the help texts.  Per
+zeros and values below 1e-6 (the snapshot writer's per-value path), a
+simulate whose first step is halved and whose step size doubles back after ten
+successes, one that fails at the minimum step size (exit 2), nine rejected
+configs and the help texts.  Per
 case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip
 comes from SRC_DIR and the inputs from this repository, so the diff of two
 trees' digests shows any output byte a change moved.
@@ -105,6 +107,9 @@ def cases() -> dict:
     tiny = tiny.replace("chi_amplitude = 0.8", "chi_amplitude = 1e-7")
     out["simulate_tiny_values"] = (["simulate"], tiny.replace("t_end = 0.05", "t_end = 0.002")
                                    .replace("snapshot_every = 25", "snapshot_every = 1"))
+    out["simulate_halving"] = (["simulate"], example("time.dt = 0.001", "time.dt = 0.005")
+                               + "solver.newton_max_iter = 3\n")
+    out["simulate_step_floor"] = (["simulate"], example("", "solver.newton_max_iter = 1"))
     for i, edit in enumerate((("domain.nx = 32", "domain.nx = 3"),
                               ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
                               ("", "time.min_dt = 0.01"),
