@@ -1,4 +1,4 @@
-"""Run 39 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 42 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
 
@@ -15,7 +15,10 @@ laws differ from the bulk ones (a quartic bulk potential; a surface delta and
 latent heat of their own), a two-step simulate whose snapshots hold exact
 zeros and values below 1e-6 (the snapshot writer's per-value path), a
 simulate whose first step is halved and whose step size doubles back after ten
-successes, one that fails at the minimum step size (exit 2), nine rejected
+successes, one that fails at the minimum step size (exit 2), a simulate whose
+Newton steps are halved into the guard box and backtracked on their residual,
+a stationary solve whose steps are halved into the guard box, a stationary
+solve with quartic potentials that does not converge (exit 2), nine rejected
 configs and the help texts.  Per
 case: exit code, stdout, stderr and the sha256 of every output file.  pfstrip
 comes from SRC_DIR and the inputs from this repository, so the diff of two
@@ -110,6 +113,12 @@ def cases() -> dict:
     out["simulate_halving"] = (["simulate"], example("time.dt = 0.001", "time.dt = 0.005")
                                + "solver.newton_max_iter = 3\n")
     out["simulate_step_floor"] = (["simulate"], example("", "solver.newton_max_iter = 1"))
+    backtracking = example("time.dt = 0.001\ntime.t_end = 0.05",
+                           "time.dt = 0.05\ntime.t_end = 0.2")
+    out["simulate_backtracking"] = (["simulate"], backtracking.replace(
+        "init.theta_value = 1.0", "init.theta_value = 0.05"))
+    out["stationary_guard_box"] = (["stationary"], example().replace(".b = 0.0", ".b = -3.0"))
+    out["stationary_quartic"] = (["stationary"], quartic)
     for i, edit in enumerate((("domain.nx = 32", "domain.nx = 3"),
                               ("potential_bulk.kind = logarithmic", "potential_bulk.kind = cubic"),
                               ("", "time.min_dt = 0.01"),
