@@ -190,7 +190,7 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
     """Split preconditioned conjugate gradients for the SPD operator P + diag(split).
 
     rhs is a float vector, precond a callable r -> P^-1 r applying the exact
-    inverse of P (a new array, or r itself) and apply(z) the full operator
+    inverse of P (a new array) and apply(z) the full operator
     product (P + diag(split)) z.  P p follows the recurrence P p <- r + beta
     P p, so each iteration forms the operator product as P p + split p, and
     apply runs only for the true-residual checks (after Eisenstat's trick).
@@ -223,7 +223,7 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
         z = precond(r)
         rz_new = float(r @ z)
         if p is None:
-            p, pp = z.copy() if z is r else z, r.copy()   # p and P p
+            p, pp = z, r.copy()   # p and P p
         else:
             beta = rz_new / rz
             p *= beta

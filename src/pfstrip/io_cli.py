@@ -204,7 +204,7 @@ class ValidationReport:
     source: HeatSource | None
     c_s: float | None   # compatibility constant; C_s = 0 for every admissible pair
     compatibility_error: str | None
-    initial_state: State | None   # built from the init presets; None if that failed
+    initial_state: State   # built from the init presets; may fail State.validate
     initial_state_error: str | None
     mu0: float | None
     mass_lower_bound: float
@@ -263,10 +263,9 @@ def validate_config(c: SimpleNamespace) -> ValidationReport:
 
     source = make_source(model, **vars(c.source))
 
-    state_err = None
-    mu0 = s0 = None
+    s0 = build_initial_state(c, model)
+    state_err = mu0 = None
     try:
-        s0 = build_initial_state(c, model)
         s0.validate(model)
         mu0 = mass_mu(s0, model)
     except DomainError as exc:

@@ -37,7 +37,7 @@ lambda - s0 = F - delta r^2 / 2 + lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,31 +52,21 @@ DOMAINS = {"logarithmic": (-1.0, 1.0), "quartic": (-math.inf, math.inf)}
 
 @dataclass(frozen=True)
 class Potential:
-    """One member of a potential family plus its concave coefficient delta.
-
-    The open domain (domain_lo, domain_hi) is fixed by the family (DOMAINS)."""
+    """One member of a potential family plus its concave coefficient delta."""
 
     kind: str
     delta: float = 0.0
-    domain_lo: float = field(init=False)
-    domain_hi: float = field(init=False)
 
-    def __post_init__(self):
-        lo, hi = DOMAINS[self.kind]
-        object.__setattr__(self, "domain_lo", lo)
-        object.__setattr__(self, "domain_hi", hi)
+    @property
+    def domain(self) -> tuple[float, float]:
+        """The open domain (lo, hi) the family fixes (DOMAINS)."""
+        return DOMAINS[self.kind]
 
     def contains(self, r) -> bool:
-        """True when every entry lies in the open domain; NaN never does, and an
-        empty array trivially does."""
+        """True when every entry of the non-empty r lies in the open domain; NaN never does."""
         r = np.asarray(r)
-        return r.size == 0 or bool(self.domain_lo < r.min() and
-                                   r.max() < self.domain_hi)
-
-    def guarded_bounds(self, guard_eps: float) -> tuple[float, float]:
-        """Closed box kept by Newton iterates: singular endpoints shrunk by guard_eps
-        (an infinite end stays infinite)."""
-        return self.domain_lo + guard_eps, self.domain_hi - guard_eps
+        lo, hi = self.domain
+        return bool(lo < r.min() and r.max() < hi)
 
 
 def evaluate(p: Potential, r):
@@ -84,8 +74,7 @@ def evaluate(p: Potential, r):
     arr = np.asarray(r, dtype=float)
     if not p.contains(arr):
         raise DomainError(
-            f"argument outside the open domain ({p.domain_lo}, {p.domain_hi}) "
-            f"of the {p.kind} potential"
+            f"argument outside the open domain {p.domain} of the {p.kind} potential"
         )
     if p.kind == "logarithmic":
         log_p, log_m = np.log1p(arr), np.log1p(-arr)
@@ -136,7 +125,7 @@ def integrate_homogeneous(theta0: float, chi0: float, pot: Potential, lat: Laten
     e0 = theta0 + lam0
     f = scalar_f(pot)
     delta = pot.delta
-    lo, hi = pot.domain_lo, pot.domain_hi
+    lo, hi = pot.domain
 
     def rhs(c: float) -> float:
         if not lo < c < hi:
@@ -195,10 +184,10 @@ def check_compatibility(f_bulk: Potential, f_surf: Potential) -> float:
     """Return c_s > 0 with f * f_surf >= c_s f^2 (C_s = 0) on the surface domain,
     as the module docstring proves; DomainError if that domain is not inside
     the bulk one."""
-    if f_surf.domain_lo < f_bulk.domain_lo or f_surf.domain_hi > f_bulk.domain_hi:
+    (lo_s, hi_s), (lo_b, hi_b) = f_surf.domain, f_bulk.domain
+    if lo_s < lo_b or hi_s > hi_b:
         raise DomainError(
             "surface potential domain must be contained in the bulk potential domain: "
-            f"({f_surf.domain_lo}, {f_surf.domain_hi}) is not inside "
-            f"({f_bulk.domain_lo}, {f_bulk.domain_hi})"
+            f"{f_surf.domain} is not inside {f_bulk.domain}"
         )
     return 1.0 if f_bulk.kind == f_surf.kind else QUARTIC_LOG_C_S

@@ -63,9 +63,10 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     return chi, residual, v
 
 
-def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model, at=None) -> float:
+def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model,
+             at: PhaseValues) -> float:
     """Mass of the candidate steady state minus the target mass; at is
-    Model.phase_values(chi_inf), computed if not given."""
+    Model.phase_values(chi_inf)."""
     steady = State(0.0, np.full(chi_inf.shape, u_inf), chi_inf)
     return mass_mu(steady, model, at) - mu_target
 

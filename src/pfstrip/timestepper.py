@@ -148,17 +148,17 @@ class Model:
                          d - c * mc, tol=tol)
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node guard box for the phase field (surface domain on boundary rows),
-        built once per guard_eps and returned as read-only arrays."""
+        """Per-node guard box for the phase field: the bulk domain, cut to the surface one on
+        the boundary rows, with each finite end moved guard_eps inwards (an infinite end
+        stays infinite); built once per guard_eps and returned as read-only arrays."""
         box = self._chi_boxes.get(guard_eps)
         if box is None:
-            lo_b, hi_b = self.p_bulk.guarded_bounds(guard_eps)
-            lo_s, hi_s = self.p_surf.guarded_bounds(guard_eps)
-            lo = np.full(self.grid.n_nodes, lo_b)
-            hi = np.full(self.grid.n_nodes, hi_b)
+            (lo_b, hi_b), (lo_s, hi_s) = self.p_bulk.domain, self.p_surf.domain
+            lo = np.full(self.grid.n_nodes, lo_b + guard_eps)
+            hi = np.full(self.grid.n_nodes, hi_b - guard_eps)
             bnd = self.grid.boundary
-            lo[bnd] = max(lo_b, lo_s)
-            hi[bnd] = min(hi_b, hi_s)
+            lo[bnd] = max(lo_b, lo_s) + guard_eps
+            hi[bnd] = min(hi_b, hi_s) - guard_eps
             lo.flags.writeable = hi.flags.writeable = False
             box = self._chi_boxes[guard_eps] = (lo, hi)
         return box

@@ -198,6 +198,34 @@ def dissipation_oracle(g, u_new, chi_old, chi_new, tau):
     return tau * total
 
 
+def energy_remainder_oracle(g, u_n, chi_n, u, chi, p_bulk, p_surf, l_bulk, l_surf):
+    """Closed form of R = E(n+1) + D(n+1) - E(n) for one source-free step from
+    (u_n, chi_n) to (u, chi): the phase step tested with dchi = chi - chi_n and the
+    heat step with 1 + u leave, with K 1 = 0,
+
+      R = -sum m B_g(theta_n, theta) - sum m B_F(chi_n, chi) - dchi^T K dchi / 2
+          - sum m (delta/2) dchi^2 - sum m (u - u_n) lambda'(chi_n) dchi + sum m a u dchi^2
+
+    where g(theta) = theta - ln theta and B_h(p, q) = h(p) - h(q) - h'(q)(p - q).  Each
+    law weighs with its own measure, node by node: the bulk one on every row, the
+    surface one on the boundary circles."""
+    mb, ms = mass_weights(g)
+    dchi = chi - chi_n
+    total = -0.5 * full_form(g, dchi, dchi)
+    for i in range(g.n_nodes):
+        th_n, th, d = -1.0 / u_n[i], -1.0 / u[i], dchi[i]
+        b_g = th_n - math.log(th_n) - (th - math.log(th)) - (1.0 + u[i]) * (th_n - th)
+        for w, p, l in ((mb[i], p_bulk, l_bulk), (ms[i], p_surf, l_surf)):
+            if w == 0.0:
+                continue
+            big_f = big_f_of(p)
+            b_f = big_f(chi_n[i]) - big_f(chi[i]) + small_f_pair(p, chi[i])[0] * d
+            lamp_n = -2.0 * l.a * chi_n[i] + l.b
+            total += w * (-b_g - b_f - 0.5 * p.delta * d * d
+                          - (u[i] - u_n[i]) * lamp_n * d + l.a * u[i] * d * d)
+    return total
+
+
 def rk4_pair(theta0, chi0, f, delta, a, b, tau, t_end):
     """Classical RK4 on the full (theta, chi) pair; no invariant shortcut."""
     def rhs(y):

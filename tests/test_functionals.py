@@ -2,6 +2,7 @@
 
 import math
 import os
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -237,6 +238,33 @@ def test_energy_identity_residual_is_first_order_in_tau():
     assert 1.5 <= resid[2e-3] / resid[1e-3] <= 2.7
 
 
+@pytest.mark.parametrize("p_bulk,p_surf,l_bulk,l_surf", [
+    (Potential("logarithmic", 1.0), None, LatentHeat(1.0, 0.0, 0.0), None),
+    (Potential("quartic", 2.0), None, LatentHeat(0.3, 0.2, 0.0), None),
+    (Potential("quartic", 2.0), Potential("logarithmic", 0.5),
+     LatentHeat(0.3, 0.2, 0.1), LatentHeat(-0.5, 0.3, 0.0)),
+])
+def test_energy_identity_closes_at_every_step(p_bulk, p_surf, l_bulk, l_surf):
+    """Without a source, each step's R_n = E(n+1) + D(n+1) - E(n) from run's rows equals
+    the closed form of oracles.energy_remainder_oracle, at a small and a large step.  The
+    closed form holds for the exact discrete solution, so both solves go to 1e-12: at the
+    default 1e-10 the Newton stop alone leaves up to 3.4e-10 of R_n."""
+    m = make_model(nx=16, ny=8, p_bulk=p_bulk, p_surf=p_surf, l_bulk=l_bulk, l_surf=l_surf)
+    g = m.grid
+    theta0 = preset_field(g, "random", value=1.0, amplitude=0.3, seed=3)
+    s0 = State(0.0, -1.0 / theta0, preset_field(g, "random", amplitude=0.6, seed=4))
+    for tau in (1e-3, 0.1):
+        states = []
+        rows, _ = run(m, stepper(tau, newton_tol=1e-12, cg_tol=1e-12), s0, 10 * tau,
+                      snapshot_every=1, on_snapshot=lambda step, s: states.append(s))
+        for (a, s_a), (b, s_b) in pairwise(zip(rows, states, strict=True)):
+            r_n = b.energy + (b.dissipation_cum - a.dissipation_cum) - a.energy
+            r_dec = oracles.energy_remainder_oracle(g, s_a.u, s_a.chi, s_b.u, s_b.chi,
+                                                    m.p_bulk, m.p_surf, m.l_bulk, m.l_surf)
+            assert abs(r_n - r_dec) <= 1e-10 * abs(r_n) + 1e-14 * (1.0 + abs(b.energy)), \
+                (tau, b.step, r_n, r_dec)
+
+
 def test_boundary_index_split_matches_surface_mask_bitwise(monkeypatch):
     """The functionals split off the boundary rows through the model's
     grid.boundary and ms_bnd; on configs/example.cfg every diagnostics row and
@@ -250,7 +278,8 @@ def test_boundary_index_split_matches_surface_mask_bitwise(monkeypatch):
     def diagnostics():
         rows, final = run(m, build_stepper_config(c), report.initial_state, c.time.t_end,
                           source=report.source)
-        gaps = [mass_gap(u, final.chi, rows[0].mu, m) for u in (-2.0, -1.0, -0.5)]
+        at = m.phase_values(final.chi)
+        gaps = [mass_gap(u, final.chi, rows[0].mu, m, at) for u in (-2.0, -1.0, -0.5)]
         return rows, gaps
 
     by_index = diagnostics()

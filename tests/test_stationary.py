@@ -84,8 +84,8 @@ def test_solve_chi_linearizes_each_trial_point_once(monkeypatch):
 def test_mass_gap_closed_forms():
     m = make_model(p_bulk=Potential("quartic", 0.0))
     zero = np.zeros(m.grid.n_nodes)
-    assert mass_gap(-1.0, zero, 3.0, m) == pytest.approx(0.0, abs=1e-13)
-    assert mass_gap(-0.5, zero, 3.0, m) == pytest.approx(3.0, rel=1e-13)
+    assert mass_gap(-1.0, zero, 3.0, m, m.phase_values(zero)) == pytest.approx(0.0, abs=1e-13)
+    assert mass_gap(-0.5, zero, 3.0, m, m.phase_values(zero)) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_mass_gap_matches_summation_oracle(rng):
@@ -95,7 +95,7 @@ def test_mass_gap_matches_summation_oracle(rng):
     u_inf, mu_t = -0.8, 2.5
     theta = np.full(m.grid.n_nodes, -1.0 / u_inf)
     ref = oracles.mass_oracle(m.grid, theta, chi, lat_b, lat_s) - mu_t
-    assert mass_gap(u_inf, chi, mu_t, m) == pytest.approx(ref, rel=1e-12)
+    assert mass_gap(u_inf, chi, mu_t, m, m.phase_values(chi)) == pytest.approx(ref, rel=1e-12)
 
 
 def test_solve_stationary_decoupled_closed_form():
@@ -141,7 +141,7 @@ def test_stationary_result_residuals_are_reproducible():
     res = solve_stationary(mu_t, 1.0, s0.chi, m)
     v = m.phase_values(res.chi_inf)
     re_resid = measure_norm(v.implicit[0] - m.lagged_rhs(v, res.u_inf), m.masses.m_comb)
-    re_gap = mass_gap(res.u_inf, res.chi_inf, mu_t, m)
+    re_gap = mass_gap(res.u_inf, res.chi_inf, mu_t, m, v)
     assert re_resid == pytest.approx(res.phase_residual, abs=1e-12)
     assert re_gap == pytest.approx(res.mass_gap, abs=1e-12)
 

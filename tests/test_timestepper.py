@@ -451,6 +451,26 @@ def test_newton_solves_with_the_accepted_iterates_diagonal():
         assert len(points) == len(set(points))   # no point is linearized twice
 
 
+def test_newton_raises_when_no_step_enters_the_guard_box():
+    """The constant residual m_comb has the Newton step -1 from x = 0, so with the box
+    floor at 0 every halved step stays outside the box."""
+    m = make_model()
+    mc, x0 = m.masses.m_comb, np.zeros(m.grid.n_nodes)
+    with pytest.raises(SolverError, match="cannot enter the domain guard box"):
+        ts._newton(x0, lambda x: (mc, mc), m, x0, np.full(x0.size, np.inf), 1.0e-10, 50,
+                   1.0e-10, ts.NEWTON_ABS_FLOOR)
+
+
+def test_newton_raises_when_backtracking_stalls():
+    """The residual m_comb (1 + sum |x|) grows along every step from x = 0: a halved step
+    passes only while 1 + sum |x| rounds to 1, and once it does not, backtracking stalls."""
+    m = make_model()
+    mc, x0 = m.masses.m_comb, np.zeros(m.grid.n_nodes)
+    with pytest.raises(SolverError, match="Newton backtracking stalled"):
+        ts._newton(x0, lambda x: (mc * (1.0 + np.abs(x).sum()), mc), m, None,
+                   np.full(x0.size, np.inf), 1.0e-10, 50, 1.0e-10, ts.NEWTON_ABS_FLOOR)
+
+
 def test_newton_step_refuses_a_zero_shift():
     """At c = mean(d / m_comb) = 0 the preconditioner K + c M is singular in its
     constant mode: newton_step raises before any division."""
