@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import SolverError
 from .grid_ops import MAX_RESTARTS
-from .stationary import (MAX_ATTEMPTS, STATIONARY_GUARD_EPS, StationaryResult, _into_box,
-                         _point, _result)
-from .timestepper import MIN_BACKTRACK, Model
+from .stationary import MAX_ATTEMPTS, STATIONARY_GUARD_EPS, StationaryResult, _point, _result
+from .timestepper import Model, _newton
 
 
 def solve_minres(apply, precond, rhs: np.ndarray, split, tol: float = 1.0e-10,
@@ -72,32 +71,30 @@ def solve_minres(apply, precond, rhs: np.ndarray, split, tol: float = 1.0e-10,
 
 def bordered_newton(guess: np.ndarray, u: float, mu_target: float, model: Model,
                     tol: float) -> StationaryResult:
-    """Plain Newton from (guess clipped to the guard box, u), one MINRES solve per
-    iteration of the symmetric bordered system [[J, -b], [-b^T, -c]] (dchi, du) = (-R, g),
-    the mass-gap row negated, preconditioned by the SPD blkdiag(K + sM, c) at
-    s = max(|mean(d/m)|, 1e-3).  Each step is halved into the guard box and into
-    u < 0, then backtracked as in timestepper._newton, with the Armijo factor on ||F||."""
-    mc, total, k = model.masses.m_comb, model.masses.total, model.stiffness
+    """timestepper._newton on x = (chi, u) from (guess clipped to the guard box, u), with
+    the residual F = (R, -g), the mass-gap row negated, in the weights (m_comb, 1), so that
+    ||F|| = hypot(||R||, |g|), and the box (lo, -inf) ... (hi, -5e-324), that is u < 0.
+    Each iteration makes one MINRES solve of the symmetric bordered system
+    [[J, -b], [-b^T, -c]] (dchi, du) = -F, preconditioned by the SPD blkdiag(K + sM, c)
+    at s = max(|mean(d/m)|, 1e-3)."""
+    mc, total, k, n = model.masses.m_comb, model.masses.total, model.stiffness, guess.size
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    point, n = _point(np.clip(guess, lo, hi), u, mu_target, model), guess.size
-    for _ in range(MAX_ATTEMPTS):
-        result = _result(point, mu_target, model, tol)
-        if result is not None:
-            return result
-        chi, u, r, d, b, norm, gap, f_norm = point
+    point = None
+
+    def linearize(x):
+        nonlocal point
+        point = _point(x[:n], x[n], mu_target, model)
+        return np.append(point[2], -point[6]), np.append(point[3], 0.0)   # (R, -g), (d, 0)
+
+    def solve(d, f, cg_tol):   # b and u of the point last linearized, the one _newton steps from
+        d, u, b = d[:n], point[1], point[4]
         c, s = total / (u * u), max(abs(float(d @ model.inv_m_comb)) / n, 1.0e-3)
         e, p_inv = d - s * mc, model.shifted_inverse.solver(s)
-        step = solve_minres(
+        return solve_minres(
             lambda z: np.append(k.apply(z[:n]) + d * z[:n] - b * z[n], -b @ z[:n] - c * z[n]),
-            lambda w: np.append(p_inv(w[:n]), w[n] / c), np.append(-r, gap),
-            lambda v: np.append(e * v[:n] - b * v[n], -b @ v[:n] - 2.0 * c * v[n]), 1.0e-12)
-        dchi, du = step[:n], step[n]
-        alpha, chi_t = _into_box(chi, u, dchi, du, lo, hi)
-        point = _point(chi_t, u + alpha * du, mu_target, model)
-        while not point[-1] <= (1.0 - 1.0e-4 * alpha) * f_norm:   # a NaN backtracks too
-            alpha *= 0.5
-            if alpha < MIN_BACKTRACK:
-                raise SolverError(f"stationary backtracking stalled at ||F|| {f_norm:.3e}")
-            point = _point(chi + alpha * dchi, u + alpha * du, mu_target, model)
-    raise SolverError(f"bordered Newton did not converge in {MAX_ATTEMPTS} iterations "
-                      f"(residual {point[5]:.3e}, mass gap {point[6]:.3e}, target {tol:.3e})")
+            lambda w: np.append(p_inv(w[:n]), w[n] / c), -f,
+            lambda v: np.append(e * v[:n] - b * v[n], -b @ v[:n] - 2.0 * c * v[n]), cg_tol)
+
+    _newton(np.append(guess, u), linearize, solve, np.append(mc, 1.0), np.append(lo, -np.inf),
+            np.append(hi, -5.0e-324), 1.0e-12, MAX_ATTEMPTS, 0.0, tol)
+    return _result(point, mu_target, model, math.inf)   # _newton has applied its stop rule

@@ -59,8 +59,9 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     loses positivity the inner CG can fail; solve_stationary does not call this.
     """
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    chi, _, residual, v = _newton(guess, lambda chi: _linearization(chi, u_inf, model), model,
-                                  lo, hi, 1.0e-12, max_iter, 0.0, tol)
+    chi, _, residual, v = _newton(guess, lambda chi: _linearization(chi, u_inf, model),
+                                  model.newton_step, model.masses.m_comb, lo, hi, 1.0e-12,
+                                  max_iter, 0.0, tol)
     return chi, residual, v
 
 
@@ -157,11 +158,11 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
     b = m lambda'(chi) and c = |Omega + Gamma| / u^2.  _pseudo_transient runs
     first.  Its CG solves need J + M/Delta positive definite on their Krylov
     space, so it fails at saddles whose unstable mode the residual excites.
-    Where it raises, bordered_newton.bordered_newton starts again from the same
-    point.  It reaches saddles, but from far starts it stalls where ||F|| has a
-    non-root minimum, so it does not replace the first loop.  Both halve each
-    step into the guard box and into u < 0, and both stop at ||R|| <= tol or at
-    its round-off level 8 eps ||d chi||, once |g| <= tol too.
+    Where it raises, bordered_newton.bordered_newton, a timestepper._newton call, starts
+    again from the same point.  It reaches saddles, but from far starts it stalls where ||F||
+    has a non-root minimum.  Both halve each step into the guard box and into u < 0.  The
+    first stops at ||R|| <= tol or its round-off level 8 eps ||d chi||, once |g| <= tol; the
+    second at ||F|| = hypot(||R||, |g|) <= tol, slightly stricter, or ||F|| <= 8 eps ||d chi||.
     """
     try:
         return _pseudo_transient(guess, -1.0 / theta0, mu_target, model, tol)

@@ -169,36 +169,36 @@ def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
     return math.sqrt(r @ (r / m_comb))
 
 
-def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
+def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
             rel_tol: float, abs_tol: float) -> tuple:
-    """Damped Newton with Model.newton_step inner solves and a convex domain guard.
+    """Damped Newton with a convex domain guard.
 
-    linearize(x) returns the residual and the Jacobian diagonal at x from one
-    evaluation of the nonlinear terms, then any values of it the caller wants
-    back.  Every trial point is linearized once; the accepted trial's diagonal
-    is the one the next step solves with.  A step is halved until it lies in
-    the box [lo, hi] (lo None: unbounded below), then until the residual
-    decreases.  Returns (x, iterations, residual norm, *values) of the last
-    point linearized; a point's values are dropped before the solve that steps away from it.
+    linearize(x) returns the residual and the Jacobian diagonal at x from one evaluation of
+    the nonlinear terms, then any values of it the caller wants back.  solve(d, r, cg_tol)
+    returns the step from the point last linearized, whose diagonal is d (Model.newton_step
+    for K + diag(d)).  Every trial point is linearized once; the accepted trial's diagonal
+    is the one the next step solves with.  A step is halved until it lies in the box
+    [lo, hi] (lo None: unbounded below), then until the residual decreases, which a NaN
+    residual never does.  Returns (x, iterations, residual norm, *values) of the last point
+    linearized; a point's values are dropped before the solve that steps away from it.
 
-    The iteration stops when the L^2(dm) residual norm is at most
-    max(rel_tol * initial norm, abs_tol), or at most its round-off level at
-    x: NEWTON_NOISE_FACTOR * eps * ||d x||, the size of the diagonal terms
-    that cancel in the residual (the m/tau mass term in a time step, m f'(x)
-    next to a singular wall).  No iterate can do better than that.
+    The iteration stops when the residual norm sqrt(sum r_i^2 / weight_i) (the L^2(dm)
+    norm at weight m_comb) is at most max(rel_tol * initial norm, abs_tol), or at most its
+    round-off level at x: NEWTON_NOISE_FACTOR * eps * ||d x||, the size of the diagonal
+    terms that cancel in the residual (the m/tau mass term in a time step, m f'(x) next to
+    a singular wall).  No iterate can do better than that.
     """
-    m_comb = model.masses.m_comb
     x = np.minimum(x0 if lo is None else np.maximum(x0, lo), hi)
     r, d, *values = linearize(x)
-    norm = measure_norm(r, m_comb)
+    norm = measure_norm(r, weight)
     target = max(rel_tol * norm, abs_tol)
     iters = 0
-    while norm > target and norm > NEWTON_NOISE_FACTOR * EPS * measure_norm(d * x, m_comb):
+    while norm > target and norm > NEWTON_NOISE_FACTOR * EPS * measure_norm(d * x, weight):
         if iters >= max_iter:
             raise SolverError(f"Newton did not reach tolerance in {max_iter} iterations "
                               f"(residual {norm:.3e}, target {target:.3e})")
         values = step = None
-        step = model.newton_step(d, r, cg_tol)
+        step = solve(d, r, cg_tol)
         alpha = 1.0
         xt = x + step
         while not ((lo is None or (xt >= lo).all()) and (xt <= hi).all()):
@@ -207,14 +207,14 @@ def _newton(x0, linearize, model: Model, lo, hi, cg_tol: float, max_iter: int,
                 raise SolverError("Newton step cannot enter the domain guard box")
             xt = x + alpha * step
         rt, dt, *values = linearize(xt)
-        nt = measure_norm(rt, m_comb)
-        while nt > (1.0 - 1.0e-4 * alpha) * norm:
+        nt = measure_norm(rt, weight)
+        while not nt <= (1.0 - 1.0e-4 * alpha) * norm:
             alpha *= 0.5
             if alpha < MIN_BACKTRACK:
                 raise SolverError(f"Newton backtracking stalled at residual {norm:.3e}")
             xt = x + alpha * step
             rt, dt, *values = linearize(xt)
-            nt = measure_norm(rt, m_comb)
+            nt = measure_norm(rt, weight)
         x, r, d, norm = xt, rt, dt, nt
         iters += 1
     return (x, iters, norm, *values)
@@ -244,8 +244,8 @@ def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model,
         return r + mc * (chi - chi_n) / tau - rhs, d + mc_tau, v
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
-    chi, iters, _, v = _newton(chi_n, linearize, model, lo, hi, cfg.cg_tol, cfg.newton_max_iter,
-                               cfg.newton_tol, NEWTON_ABS_FLOOR)
+    chi, iters, _, v = _newton(chi_n, linearize, model.newton_step, mc, lo, hi, cfg.cg_tol,
+                               cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
     return chi, iters, v, (v.latent - lat) / tau
 
 
@@ -268,8 +268,8 @@ def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: floa
         ku = None
         return mc * (-1.0 / u - theta_n) / tau + k_u + shift, mc / (tau * u * u), k_u
 
-    u, iters, _, k_u = _newton(u_n, linearize, model, None, -cfg.guard_eps, cfg.cg_tol,
-                               cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
+    u, iters, _, k_u = _newton(u_n, linearize, model.newton_step, mc, None, -cfg.guard_eps,
+                               cfg.cg_tol, cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
     return u, iters, k_u
 
 

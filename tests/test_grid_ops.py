@@ -385,6 +385,17 @@ def test_minres_iteration_cap(rng):
         solve_minres(apply_fn, precond, rhs, split, tol=1e-12, max_iter=2)
 
 
+def test_minres_returns_a_solution_found_at_its_iteration_cap(rng):
+    """With A = P the preconditioned operator is the identity, so one iteration solves the
+    system: at max_iter = 1 the true-residual check after the loop returns it."""
+    g = build_grid(1.0, 1.0, 8, 4)
+    k, m = assemble_stiffness(g), assemble_masses(g)
+    p_inv, rhs = assemble_shifted_inverse(g, m).solver(2.0), rng.standard_normal(g.n_nodes)
+    x = solve_minres(lambda z: k.apply(z) + 2.0 * m.m_comb * z, p_inv, rhs, lambda v: 0.0 * v,
+                     tol=1e-12, max_iter=1)
+    assert np.max(np.abs(x - p_inv(rhs))) <= 1e-12 * np.max(np.abs(x))
+
+
 def test_minres_caps_its_restarts(rng):
     # a wrong split: the recurrence converges, the true residual does not
     apply_fn, precond, e = split_system(16, 16)

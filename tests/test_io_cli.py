@@ -546,6 +546,30 @@ def test_cli_locked_output_dir(tmp_path, capsys):
     assert (out_dir / ".lock").exists()  # a foreign lock is never removed
 
 
+def test_python_m_pfstrip_help_exits_0():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-m", "pfstrip", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and "stationary" in out.stdout, out.stdout + out.stderr
+
+
+def test_cli_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    (tmp_path / "taken").write_text("")
+    assert cli_main(["simulate", "--config", cfg, "--output", str(tmp_path / "taken")]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
+def test_cli_unwritable_snapshot_exits_2_and_unlocks(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, with_lines("time.snapshot_every = 1"))
+    out_dir = tmp_path / "out"
+    (out_dir / "theta_0.csv").mkdir(parents=True)
+    assert cli_main(["simulate", "--config", cfg, "--output", str(out_dir)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not (out_dir / ".lock").exists()
+
+
 def test_cli_ode_command(tmp_path, capsys):
     text = with_lines("time.t_end = 0.1", "init.theta_value = 2.0",
                       "init.chi_value = 0.3")

@@ -1,5 +1,6 @@
 """Steady-state solver, admissibility checks, and omega-limit reports."""
 
+import importlib.util
 import os
 
 import numpy as np
@@ -207,8 +208,26 @@ def test_solve_stationary_names_both_loops_when_both_fail(monkeypatch):
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     with pytest.raises(SolverError, match=r"did not converge in 1 attempts .*; bordered Newton "
-                                          r"from the start: bordered Newton did not converge"):
+                                          r"from the start: Newton did not reach tolerance in 1 "
+                                          r"iterations"):
         solve_stationary(mass_mu(s0, m), 1.0, s0.chi, m)
+
+
+def test_solve_stationary_reaches_the_saddle_a_stripe_run_lingers_at():
+    """The acceptance stripe physics on 8x8 decays to chi near 0, a saddle, and at t = 30
+    lingers there (chi = 0.00254 to 1.6e-7).  From that end state the pseudo-transient
+    loop fails and the bordered Newton fallback reaches chi = 0 (to 1e-22)."""
+    m = make_model(nx=8, ny=8, p_bulk=Potential("logarithmic", 1.0),
+                   l_bulk=LatentHeat(1.0, 0.0, 0.0))
+    chi0 = preset_field(m.grid, "tanh_stripe", amplitude=0.3, width=0.2)
+    s0 = State(0.0, np.full(m.grid.n_nodes, -1.0), chi0)
+    _, end = run(m, stepper(0.02, newton_tol=1.0e-12, cg_tol=1.0e-12), s0, 30.0)
+    mu_t, theta0 = mass_mu(end, m), dm_mean(end.theta, m.masses)
+    with pytest.raises(SolverError, match="stationary Newton did not converge"):
+        st._pseudo_transient(end.chi, -1.0 / theta0, mu_t, m, 1.0e-12)
+    res = solve_stationary(mu_t, theta0, end.chi, m)
+    assert np.max(np.abs(res.chi_inf)) <= 1e-12
+    assert res.theta_inf == pytest.approx(0.923415, abs=1e-6)
 
 
 def test_omega_limit_report_exact_and_negative():
@@ -352,3 +371,24 @@ def test_cli_stationary_far_starts_still_solve(tmp_path, monkeypatch, kind, delt
     code, solves = stationary_cli(tmp_path, monkeypatch, "\n".join(lines) + "\n")
     assert code == 0
     assert solves[0][0].theta_inf == pytest.approx(theta_inf, abs=1e-9)
+
+
+def test_stationary_sweep_lists_2160_configs_with_the_far_starts():
+    """tools/stationary_sweep.py, whose full run (28-37 s) stays out of this suite, lists
+    2160 distinct configs, the four far starts above among them, written as that test
+    writes them."""
+    spec = importlib.util.spec_from_file_location("stationary_sweep", os.path.join(
+        os.path.dirname(__file__), "..", "tools", "stationary_sweep.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    texts = set(tool.configs().values())
+    assert len(tool.configs()) == len(texts) == 2160
+    for kind, delta, a, b, init, theta0, _ in FAR_STARTS:
+        lines = ["domain.lx = 1.0", "domain.ly = 1.0", "domain.nx = 8", "domain.ny = 4",
+                 "time.dt = 0.001", "time.t_end = 0.05", "init.theta_kind = constant",
+                 f"init.theta_value = {theta0}"] + INITS[init]
+        for part in ("bulk", "surf"):
+            lines += [f"potential_{part}.kind = {kind}", f"potential_{part}.delta = {delta}",
+                      f"latent_{part}.a = {a}", f"latent_{part}.b = {b}",
+                      f"latent_{part}.c = 0.0"]
+        assert "\n".join(lines) + "\n" in texts

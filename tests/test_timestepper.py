@@ -430,8 +430,9 @@ def test_newton_solves_with_the_accepted_iterates_diagonal():
 
         model = SimpleNamespace(masses=SimpleNamespace(m_comb=np.ones(n)),
                                 newton_step=newton_step)
-        x, iters, norm = ts._newton(np.full(n, 3.0), linearize, model, np.full(n, -10.0),
-                                    np.full(n, 10.0), 1.0e-10, 50, rel_tol, abs_tol)
+        x, iters, norm = ts._newton(np.full(n, 3.0), linearize, model.newton_step,
+                                    model.masses.m_comb, np.full(n, -10.0), np.full(n, 10.0),
+                                    1.0e-10, 50, rel_tol, abs_tol)
         assert np.max(np.abs(x - 0.3)) <= 1e-10
         assert norm == ts.measure_norm(np.arctan(x - 0.3), np.ones(n))
         kinds = [e[0] for e in events]
@@ -451,14 +452,29 @@ def test_newton_solves_with_the_accepted_iterates_diagonal():
         assert len(points) == len(set(points))   # no point is linearized twice
 
 
+def test_newton_backtracks_from_a_nan_residual():
+    """The toy residual m atan(x - 0.3), NaN below x = -1: the full first step from
+    x = 3 lands at x = -7.08, where the residual is NaN.  A NaN trial counts as no
+    decrease, so the step is halved back into the finite region and Newton reaches 0.3."""
+    m = make_model()
+    mc = m.masses.m_comb
+
+    def linearize(x):
+        return np.where(x < -1.0, np.nan, mc * np.arctan(x - 0.3)), mc / (1.0 + (x - 0.3) ** 2)
+
+    x, iters, norm = ts._newton(np.full(mc.size, 3.0), linearize, lambda d, r, tol: -r / d, mc,
+                                None, np.full(mc.size, np.inf), 1.0e-10, 50, 0.0, 1.0e-12)
+    assert np.max(np.abs(x - 0.3)) <= 1e-10 and norm <= 1e-12 and iters > 1
+
+
 def test_newton_raises_when_no_step_enters_the_guard_box():
     """The constant residual m_comb has the Newton step -1 from x = 0, so with the box
     floor at 0 every halved step stays outside the box."""
     m = make_model()
     mc, x0 = m.masses.m_comb, np.zeros(m.grid.n_nodes)
     with pytest.raises(SolverError, match="cannot enter the domain guard box"):
-        ts._newton(x0, lambda x: (mc, mc), m, x0, np.full(x0.size, np.inf), 1.0e-10, 50,
-                   1.0e-10, ts.NEWTON_ABS_FLOOR)
+        ts._newton(x0, lambda x: (mc, mc), m.newton_step, mc, x0, np.full(x0.size, np.inf),
+                   1.0e-10, 50, 1.0e-10, ts.NEWTON_ABS_FLOOR)
 
 
 def test_newton_raises_when_backtracking_stalls():
@@ -467,7 +483,7 @@ def test_newton_raises_when_backtracking_stalls():
     m = make_model()
     mc, x0 = m.masses.m_comb, np.zeros(m.grid.n_nodes)
     with pytest.raises(SolverError, match="Newton backtracking stalled"):
-        ts._newton(x0, lambda x: (mc * (1.0 + np.abs(x).sum()), mc), m, None,
+        ts._newton(x0, lambda x: (mc * (1.0 + np.abs(x).sum()), mc), m.newton_step, mc, None,
                    np.full(x0.size, np.inf), 1.0e-10, 50, 1.0e-10, ts.NEWTON_ABS_FLOOR)
 
 
