@@ -31,15 +31,15 @@ def solve_minres(apply, precond, rhs: np.ndarray, split, tol: float = 1.0e-10,
     Stops, restarts (at most MAX_RESTARTS times) and raises as solve_spd does.
     """
     max_iter = 10 * rhs.size if max_iter is None else max_iter
-    bnorm = math.sqrt(rhs @ rhs)
+    bnorm = math.sqrt(rhs.dot(rhs))
     x = np.zeros(rhs.size)
     if bnorm == 0.0:
         return x
     r, w, restarts = rhs.copy(), None, 0
     for it in range(max_iter):
-        if math.sqrt(r @ r) <= tol * bnorm:
+        if math.sqrt(r.dot(r)) <= tol * bnorm:
             r_true = rhs - apply(x)
-            if math.sqrt(r_true @ r_true) <= tol * bnorm:
+            if math.sqrt(r_true.dot(r_true)) <= tol * bnorm:
                 return x
             restarts += 1
             if restarts > MAX_RESTARTS:
@@ -47,14 +47,14 @@ def solve_minres(apply, precond, rhs: np.ndarray, split, tol: float = 1.0e-10,
             r, w = r_true, None
         if w is None:   # (re)start the Lanczos process and its rotations at r
             w, w_old, z = r.copy(), 0.0, precond(r)
-            beta = beta_old = phibar = math.sqrt(r @ z)
+            beta = beta_old = phibar = math.sqrt(r.dot(z))
             cs, sn, dbar, eps, d, d_old = -1.0, 0.0, 0.0, 0.0, 0.0, 0.0
         v = z / beta
         y = w / beta + split(v) - (beta / beta_old) * w_old
-        alpha = float(v @ y)
+        alpha = float(v.dot(y))
         y -= (alpha / beta) * w
         w_old, w, z = w, y, precond(y)
-        beta_old, beta = beta, math.sqrt(y @ z)
+        beta_old, beta = beta, math.sqrt(y.dot(z))
         eps_old, delta = eps, cs * dbar + sn * alpha
         gbar, eps, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
         gamma = math.hypot(gbar, beta)
@@ -64,7 +64,7 @@ def solve_minres(apply, precond, rhs: np.ndarray, split, tol: float = 1.0e-10,
         r = (sn * sn) * r - (cs * phibar / gamma) * w
         phibar *= sn
     r = rhs - apply(x)
-    if math.sqrt(r @ r) <= tol * bnorm:
+    if math.sqrt(r.dot(r)) <= tol * bnorm:
         return x
     raise SolverError(f"MINRES did not converge in {max_iter} iterations")
 
@@ -88,12 +88,12 @@ def bordered_newton(guess: np.ndarray, u: float, mu_target: float, model: Model,
 
     def solve(d, f, cg_tol):   # b and u of the point last linearized, the one _newton steps from
         d, u, b = d[:n], point[1], point[4]
-        c, s = total / (u * u), max(abs(float(d @ model.inv_m_comb)) / n, 1.0e-3)
+        c, s = total / (u * u), max(abs(float(d.dot(model.inv_m_comb))) / n, 1.0e-3)
         e, p_inv = d - s * mc, model.shifted_inverse.solver(s)
         return solve_minres(
-            lambda z: np.append(k.apply(z[:n]) + d * z[:n] - b * z[n], -b @ z[:n] - c * z[n]),
+            lambda z: np.append(k.apply(z[:n]) + d * z[:n] - b * z[n], -b.dot(z[:n]) - c * z[n]),
             lambda w: np.append(p_inv(w[:n]), w[n] / c), -f,
-            lambda v: np.append(e * v[:n] - b * v[n], -b @ v[:n] - 2.0 * c * v[n]), cg_tol)
+            lambda v: np.append(e * v[:n] - b * v[n], -b.dot(v[:n]) - 2.0 * c * v[n]), cg_tol)
 
     _newton(np.append(guess, u), linearize, solve, np.append(mc, 1.0), np.append(lo, -np.inf),
             np.append(hi, -5.0e-324), 1.0e-12, MAX_ATTEMPTS, 0.0, tol)

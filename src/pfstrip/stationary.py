@@ -82,8 +82,8 @@ def _point(chi: np.ndarray, u: float, mu_target: float, model: Model):
 
 
 def _result(point, mu_target: float, model: Model, tol: float) -> StationaryResult | None:
-    """The StationaryResult at point if it meets the stop rule of timestepper._newton,
-    ||R|| <= tol or ||R|| <= 8 eps ||d chi||, and |g| <= tol; else None."""
+    """The StationaryResult at point if |g| <= tol, and ||R|| <= tol or ||R|| <= 8 eps ||d chi||,
+    its round-off floor; else None.  Not _newton's rule, which bounds hypot(||R||, |g|)."""
     chi, u, _, d, _, norm, gap, _ = point
     if abs(gap) <= tol and (norm <= tol or norm <= NEWTON_NOISE_FACTOR * EPS
                             * measure_norm(d * chi, model.masses.m_comb)):
@@ -132,7 +132,7 @@ def _pseudo_transient(guess: np.ndarray, u: float, mu_target: float, model: Mode
         except SolverError:
             delta = delta_max = 0.5 * delta
             continue
-        du = (-gap - b @ x1) / (total / (u * u) + b @ x2)
+        du = (-gap - b.dot(x1)) / (total / (u * u) + b.dot(x2))
         dchi = x1 + x2 * du
         alpha, chi_t = _into_box(chi, u, dchi, du, lo, hi)
         trial = _point(chi_t, u + alpha * du, mu_target, model)

@@ -141,7 +141,7 @@ class Model:
         At c < 0, P is indefinite and CG runs while it meets no nonpositive
         curvature; c = 0 makes P singular in its constant mode and raises SolverError."""
         k, inv, mc = self.stiffness, self.shifted_inverse, self.masses.m_comb
-        c = float(d @ self.inv_m_comb) / d.size
+        c = float(d.dot(self.inv_m_comb)) / d.size
         if c == 0.0:
             raise SolverError("Newton system has no shift: mean(d / m_comb) = 0")
         return solve_spd(lambda z: k.apply(z) + d * z, inv.solver(c), -r,
@@ -166,7 +166,7 @@ class Model:
 
 def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
     """sqrt(sum r_i^2 / m_i): the L^2(dm) norm of the residual density."""
-    return math.sqrt(r @ (r / m_comb))
+    return math.sqrt(r.dot(r / m_comb))
 
 
 def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
@@ -371,7 +371,7 @@ def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
         u.flags.writeable = chi.flags.writeable = False
         dissipation_cum += dissipation_increment(u, s.chi, chi, tau, model)
         if source_vec is not None:
-            source_cum += tau * float(source_vec @ u)
+            source_cum += tau * float(source_vec.dot(u))
         s = State(s.t + tau, u, chi)
         emit(iters_chi, iters_theta)
     return rows, s

@@ -1,12 +1,16 @@
 """Grid geometry, measures, the coupled stiffness operator, PCG, and the MINRES of
 the stationary fallback, which shares PCG's split-operator test systems."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
+import pfstrip
 from pfstrip.bordered_newton import solve_minres
 from pfstrip.errors import SolverError
 from pfstrip.grid_ops import (MAX_RESTARTS, assemble_masses, assemble_shifted_inverse,
@@ -403,3 +407,29 @@ def test_minres_caps_its_restarts(rng):
     with pytest.raises(SolverError, match="MINRES stagnated"):
         solve_minres(apply_fn, precond, rhs, lambda v: -20.0 * e * v, tol=1e-10)
     assert apply_fn.calls <= MAX_RESTARTS + 1, apply_fn.calls
+
+
+MATMUL_OWNERS = {"StiffnessOp.apply", "ShiftedInverse.solver", "assemble_stiffness",
+                 "assemble_shifted_inverse"}
+
+
+def test_matmul_only_multiplies_matrices():
+    """`@` appears in src/pfstrip only inside the four functions that multiply matrices.
+    A product of two vectors is written a.dot(b): the same ddot at about half the call
+    cost of `@`'s generalized-ufunc dispatch, and a time step makes about 30 of them."""
+    owners = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            prefixes = (".".join(scope[:i]) for i in range(1, len(scope) + 1))
+            owner = next((name for name in prefixes if name in MATMUL_OWNERS), None)
+            assert owner, f"{path.name}:{node.lineno}: `@` in {'.'.join(scope)}"
+            owners.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(pathlib.Path(pfstrip.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert owners == MATMUL_OWNERS   # each allowance is still used

@@ -546,6 +546,21 @@ def test_cli_locked_output_dir(tmp_path, capsys):
     assert (out_dir / ".lock").exists()  # a foreign lock is never removed
 
 
+def test_cli_lock_file_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch):
+    # permission bits do not stop root, so os.open refuses the lock file instead
+    real_open = os.open
+
+    def refuse_lock(path, *args, **kwargs):
+        if os.path.basename(path) == io_cli.LOCK_NAME:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_lock)
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert cli_main(["simulate", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "cannot lock output directory" in capsys.readouterr().err
+
+
 def test_python_m_pfstrip_help_exits_0():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))

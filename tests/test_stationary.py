@@ -230,6 +230,13 @@ def test_solve_stationary_reaches_the_saddle_a_stripe_run_lingers_at():
     assert res.theta_inf == pytest.approx(0.923415, abs=1e-6)
 
 
+def test_into_box_raises_for_a_step_out_of_the_guard_box():
+    # chi at hi and dchi > 0: every halving down to MIN_BACKTRACK stays above hi
+    lo, hi = np.full(3, -1.0), np.zeros(3)
+    with pytest.raises(SolverError, match="cannot enter the domain guard box"):
+        st._into_box(hi.copy(), -1.0, np.ones(3), 0.0, lo, hi)
+
+
 def test_omega_limit_report_exact_and_negative():
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)

@@ -1,5 +1,6 @@
 """Implicit steps, adaptive control, presets, sources, and the ODE oracle."""
 
+import ctypes
 import math
 import sys
 import warnings
@@ -532,6 +533,38 @@ def test_integrate_homogeneous_rejects_bad_data():
         integrate_homogeneous(-1.0, 0.0, p, lz, 1e-3, 1.0)
     with pytest.raises(DomainError):
         integrate_homogeneous(1.0, 1.5, p, lz, 1e-3, 1.0)
+
+
+def test_integrate_homogeneous_raises_where_a_stage_reaches_zero_temperature():
+    # the third RK4 stage of tau_ref = 0.5 lands at chi = 0.19, where the invariant
+    # theta + lambda(chi) leaves theta = -0.07
+    with pytest.raises(DomainError, match="temperature reached zero"):
+        integrate_homogeneous(1.0, 0.6, Potential("logarithmic", 0.5),
+                              LatentHeat(-0.5, -3.0, 0.0), 0.5, 0.5)
+
+
+def test_integrate_homogeneous_raises_where_a_step_leaves_the_domain():
+    # every RK4 stage of tau_ref = 0.1 from chi = 0 stays inside (-1, 1), the
+    # last at -0.89, but their combination lands at chi = -1.13
+    with pytest.raises(DomainError, match="left the potential domain") as info:
+        integrate_homogeneous(1.0, 0.0, Potential("logarithmic", 50.0),
+                              LatentHeat(0.0, 1.0, 0.0), 0.1, 0.1)
+    assert info.traceback[-1].name == "integrate_homogeneous"   # not a stage inside rhs
+
+
+def test_keep_freed_heap_sets_glibc_thresholds_and_skips_other_c_libraries(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+    ts._keep_freed_heap()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def no_c_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_c_library)
+    ts._keep_freed_heap()
+    assert len(calls) == 2
 
 
 def test_make_source_zero_and_projection():
