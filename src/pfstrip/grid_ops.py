@@ -1,4 +1,4 @@
-"""Periodic-strip geometry, bulk/surface measures, and the coupled stiffness operator.
+"""Periodic-strip geometry, bulk/surface measures, the coupled stiffness operator, CG and MINRES.
 
 The domain is the strip (0,Lx) x (0,Ly), periodic in x, with the two boundary
 circles y = 0 and y = Ly carrying their own surface unknowns.  Nodes are
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SolverError
 
-MAX_RESTARTS = 32   # failed true-residual checks per CG solve; a healthy solve has <= 1
+MAX_RESTARTS = 32   # failed true-residual checks per CG or MINRES solve; a healthy one has <= 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,3 +242,53 @@ def solve_spd(apply, precond, rhs: np.ndarray, split: np.ndarray,
     if math.sqrt(r.dot(r)) <= tol * bnorm:
         return x
     raise SolverError(f"conjugate gradients did not converge in {max_iter} iterations")
+
+
+def solve_minres(apply, precond, rhs: np.ndarray, split, tol: float = 1.0e-10,
+                 max_iter: int | None = None) -> np.ndarray:
+    """Preconditioned MINRES (Paige and Saunders 1975) for a symmetric, possibly
+    indefinite A = P + S with P SPD: precond is the exact P^-1 (a new array) and
+    apply(z) the full A z, as in solve_spd, but split is a callable v -> S v,
+    not solve_spd's diagonal array, since S may couple entries (a bordered system).
+    The Lanczos vector is v = P^-1 w / beta, so A v = w / beta + S v, and apply
+    runs only for the true-residual checks.  The residual rhs - A x follows the
+    recurrence r <- s^2 r - (c phibar / gamma) w of the Givens rotation (c, s).
+    Stops, restarts (at most MAX_RESTARTS times) and raises as solve_spd does.
+    """
+    max_iter = 10 * rhs.size if max_iter is None else max_iter
+    bnorm = math.sqrt(rhs.dot(rhs))
+    x = np.zeros(rhs.size)
+    if bnorm == 0.0:
+        return x
+    r, w, restarts = rhs.copy(), None, 0
+    for it in range(max_iter):
+        if math.sqrt(r.dot(r)) <= tol * bnorm:
+            r_true = rhs - apply(x)
+            if math.sqrt(r_true.dot(r_true)) <= tol * bnorm:
+                return x
+            restarts += 1
+            if restarts > MAX_RESTARTS:
+                raise SolverError(f"MINRES stagnated: {MAX_RESTARTS} restarts in {it} iterations")
+            r, w = r_true, None
+        if w is None:   # (re)start the Lanczos process and its rotations at r
+            w, w_old, z = r.copy(), 0.0, precond(r)
+            beta = beta_old = phibar = math.sqrt(r.dot(z))
+            cs, sn, dbar, eps, d, d_old = -1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+        v = z / beta
+        y = w / beta + split(v) - (beta / beta_old) * w_old
+        alpha = float(v.dot(y))
+        y -= (alpha / beta) * w
+        w_old, w, z = w, y, precond(y)
+        beta_old, beta = beta, math.sqrt(y.dot(z))
+        eps_old, delta = eps, cs * dbar + sn * alpha
+        gbar, eps, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
+        gamma = math.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        d_old, d = d, (v - eps_old * d_old - delta * d) / gamma
+        x += (cs * phibar) * d
+        r = (sn * sn) * r - (cs * phibar / gamma) * w
+        phibar *= sn
+    r = rhs - apply(x)
+    if math.sqrt(r.dot(r)) <= tol * bnorm:
+        return x
+    raise SolverError(f"MINRES did not converge in {max_iter} iterations")

@@ -9,7 +9,8 @@ a phase field chi_inf solving the semilinear elliptic system
 subject to the mass constraint that theta_inf + lambda(chi_inf) integrates
 to the prescribed mass.  solve_stationary finds chi_inf and u_inf together,
 by pseudo-transient Newton on the phase residual bordered by the mass gap and,
-where that fails, by plain bordered Newton.
+where that fails, by plain bordered Newton, whose MINRES solves
+(grid_ops.solve_minres) need no definiteness and so reach saddles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .errors import SolverError
 from .functionals import State, mass_mu
-from .timestepper import (EPS, MIN_BACKTRACK, NEWTON_NOISE_FACTOR, Model, PhaseValues, _newton,
+from .grid_ops import solve_minres
+from .timestepper import (EPS, NEWTON_NOISE_FACTOR, Model, PhaseValues, _into_box, _newton,
                           measure_norm)
 
 STATIONARY_GUARD_EPS = 1.0e-12
@@ -93,17 +95,11 @@ def _result(point, mu_target: float, model: Model, tol: float) -> StationaryResu
     return None
 
 
-def _into_box(chi: np.ndarray, u: float, dchi: np.ndarray, du: float, lo: np.ndarray,
-              hi: np.ndarray) -> tuple[float, np.ndarray]:
-    """The first alpha = 2^-j with chi + alpha dchi in [lo, hi] and u + alpha du < 0,
-    and that chi."""
-    alpha, chi_t = 1.0, chi + dchi
-    while not ((chi_t >= lo).all() and (chi_t <= hi).all() and u + alpha * du < 0.0):
-        alpha *= 0.5
-        if alpha < MIN_BACKTRACK:
-            raise SolverError("stationary step cannot enter the domain guard box")
-        chi_t = chi + alpha * dchi
-    return alpha, chi_t
+def _box(model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """The guard box of x = (chi, u): chi_bounds(STATIONARY_GUARD_EPS) for chi and
+    (-inf, -5e-324] for u, which is exactly u < 0."""
+    lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
+    return np.append(lo, -np.inf), np.append(hi, -5.0e-324)
 
 
 def _pseudo_transient(guess: np.ndarray, u: float, mu_target: float, model: Model,
@@ -116,9 +112,8 @@ def _pseudo_transient(guess: np.ndarray, u: float, mu_target: float, model: Mode
     (Kelley and Keyes), Delta <- Delta ||F_prev|| / ||F||.  A step whose ||F||
     grows is rejected and Delta halved; a failed CG solve, where J + M/Delta
     shows a nonpositive curvature, also caps Delta at half its value."""
-    mc, total = model.masses.m_comb, model.masses.total
-    lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    point = _point(np.clip(guess, lo, hi), u, mu_target, model)
+    mc, total, n = model.masses.m_comb, model.masses.total, guess.size
+    point = _point(np.clip(guess, *model.chi_bounds(STATIONARY_GUARD_EPS)), u, mu_target, model)
     delta, delta_max = PSEUDO_TIME_STEP, math.inf
     for _ in range(MAX_ATTEMPTS):
         result = _result(point, mu_target, model, tol)
@@ -133,9 +128,9 @@ def _pseudo_transient(guess: np.ndarray, u: float, mu_target: float, model: Mode
             delta = delta_max = 0.5 * delta
             continue
         du = (-gap - b.dot(x1)) / (total / (u * u) + b.dot(x2))
-        dchi = x1 + x2 * du
-        alpha, chi_t = _into_box(chi, u, dchi, du, lo, hi)
-        trial = _point(chi_t, u + alpha * du, mu_target, model)
+        # the box per attempt: held across the loop, its two (n+1) copies raise the peak memory
+        _, xt = _into_box(np.append(chi, u), np.append(x1 + x2 * du, du), *_box(model))
+        trial = _point(xt[:n], xt[n], mu_target, model)
         if not trial[-1] <= f_norm:
             delta *= 0.5
             continue
@@ -144,6 +139,36 @@ def _pseudo_transient(guess: np.ndarray, u: float, mu_target: float, model: Mode
         point = trial
     raise SolverError(f"stationary Newton did not converge in {MAX_ATTEMPTS} attempts "
                       f"(residual {point[5]:.3e}, mass gap {point[6]:.3e}, target {tol:.3e})")
+
+
+def bordered_newton(guess: np.ndarray, u: float, mu_target: float, model: Model,
+                    tol: float) -> StationaryResult:
+    """timestepper._newton on x = (chi, u) from (guess clipped to the guard box, u), with
+    the residual F = (R, -g), the mass-gap row negated, in the weights (m_comb, 1), so that
+    ||F|| = hypot(||R||, |g|), and the box _box(model).
+    Each iteration makes one MINRES solve of the symmetric bordered system
+    [[J, -b], [-b^T, -c]] (dchi, du) = -F, preconditioned by the SPD blkdiag(K + sM, c)
+    at s = max(|mean(d/m)|, 1e-3)."""
+    mc, total, k, n = model.masses.m_comb, model.masses.total, model.stiffness, guess.size
+    point = None
+
+    def linearize(x):
+        nonlocal point
+        point = _point(x[:n], x[n], mu_target, model)
+        return np.append(point[2], -point[6]), np.append(point[3], 0.0)   # (R, -g), (d, 0)
+
+    def solve(d, f, cg_tol):   # b and u of the point last linearized, the one _newton steps from
+        d, u, b = d[:n], point[1], point[4]
+        c, s = total / (u * u), max(abs(float(d.dot(model.inv_m_comb))) / n, 1.0e-3)
+        e, p_inv = d - s * mc, model.shifted_inverse.solver(s)
+        return solve_minres(
+            lambda z: np.append(k.apply(z[:n]) + d * z[:n] - b * z[n], -b.dot(z[:n]) - c * z[n]),
+            lambda w: np.append(p_inv(w[:n]), w[n] / c), -f,
+            lambda v: np.append(e * v[:n] - b * v[n], -b.dot(v[:n]) - 2.0 * c * v[n]), cg_tol)
+
+    _newton(np.append(guess, u), linearize, solve, np.append(mc, 1.0), *_box(model), 1.0e-12,
+            MAX_ATTEMPTS, 0.0, tol)
+    return _result(point, mu_target, model, math.inf)   # _newton has applied its stop rule
 
 
 def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: Model,
@@ -158,9 +183,9 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
     b = m lambda'(chi) and c = |Omega + Gamma| / u^2.  _pseudo_transient runs
     first.  Its CG solves need J + M/Delta positive definite on their Krylov
     space, so it fails at saddles whose unstable mode the residual excites.
-    Where it raises, bordered_newton.bordered_newton, a timestepper._newton call, starts
-    again from the same point.  It reaches saddles, but from far starts it stalls where ||F||
-    has a non-root minimum.  Both halve each step into the guard box and into u < 0.  The
+    Where it raises, bordered_newton, a timestepper._newton call, starts again from the
+    same point.  It reaches saddles, but from far starts it stalls where ||F|| has a non-root
+    minimum.  Both halve each step into _box, the guard box and u < 0, by _into_box.  The
     first stops at ||R|| <= tol or its round-off level 8 eps ||d chi||, once |g| <= tol; the
     second at ||F|| = hypot(||R||, |g|) <= tol, slightly stricter, or ||F|| <= 8 eps ||d chi||.
     """
@@ -168,8 +193,7 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
         return _pseudo_transient(guess, -1.0 / theta0, mu_target, model, tol)
     except SolverError as err:
         first = err
-    try:   # imported here, since bordered_newton imports this module
-        from .bordered_newton import bordered_newton
+    try:
         return bordered_newton(guess, -1.0 / theta0, mu_target, model, tol)
     except SolverError as err:
         raise SolverError(f"{first}; bordered Newton from the start: {err}") from None

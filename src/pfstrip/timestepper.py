@@ -169,6 +169,18 @@ def measure_norm(r: np.ndarray, m_comb: np.ndarray) -> float:
     return math.sqrt(r.dot(r / m_comb))
 
 
+def _into_box(x: np.ndarray, step: np.ndarray, lo, hi) -> tuple[float, np.ndarray]:
+    """The first alpha = 2^-j with x + alpha step in the box [lo, hi] (lo None: unbounded
+    below), and that point."""
+    alpha, xt = 1.0, x + step
+    while not ((lo is None or (xt >= lo).all()) and (xt <= hi).all()):
+        alpha *= 0.5
+        if alpha < MIN_BACKTRACK:
+            raise SolverError("Newton step cannot enter the domain guard box")
+        xt = x + alpha * step
+    return alpha, xt
+
+
 def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
             rel_tol: float, abs_tol: float) -> tuple:
     """Damped Newton with a convex domain guard.
@@ -199,13 +211,7 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
                               f"(residual {norm:.3e}, target {target:.3e})")
         values = step = None
         step = solve(d, r, cg_tol)
-        alpha = 1.0
-        xt = x + step
-        while not ((lo is None or (xt >= lo).all()) and (xt <= hi).all()):
-            alpha *= 0.5
-            if alpha < MIN_BACKTRACK:
-                raise SolverError("Newton step cannot enter the domain guard box")
-            xt = x + alpha * step
+        alpha, xt = _into_box(x, step, lo, hi)
         rt, dt, *values = linearize(xt)
         nt = measure_norm(rt, weight)
         while not nt <= (1.0 - 1.0e-4 * alpha) * norm:

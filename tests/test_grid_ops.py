@@ -11,10 +11,9 @@ import scipy.sparse.linalg as spla
 
 import oracles
 import pfstrip
-from pfstrip.bordered_newton import solve_minres
 from pfstrip.errors import SolverError
 from pfstrip.grid_ops import (MAX_RESTARTS, assemble_masses, assemble_shifted_inverse,
-                              assemble_stiffness, build_grid, solve_spd)
+                              assemble_stiffness, build_grid, solve_minres, solve_spd)
 
 # First nonconstant eigenvalue of the x-independent reduction of the coupled
 # form: -z'' = lam z on (0,1) with flux condition z'(1) = lam z(1) and
@@ -433,3 +432,15 @@ def test_matmul_only_multiplies_matrices():
     for path in sorted(pathlib.Path(pfstrip.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), ())
     assert owners == MATMUL_OWNERS   # each allowance is still used
+
+
+def test_no_relative_import_inside_a_function():
+    """Every module imports its package siblings at its top, so no two modules import each
+    other and no function hides a circular import.  An absolute import inside a function
+    (StiffnessOp.matrix's scipy, loaded only on access) stays allowed."""
+    for path in sorted(pathlib.Path(pfstrip.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    assert not (isinstance(node, ast.ImportFrom) and node.level), \
+                        f"{path.name}:{node.lineno}: relative import in {func.name}"

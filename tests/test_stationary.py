@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import oracles
-import pfstrip.bordered_newton as bn
 import pfstrip.grid_ops as grid_ops
 import pfstrip.io_cli as io_cli
 import pfstrip.timestepper as ts
@@ -177,7 +176,7 @@ def test_solve_stationary_coupled_needs_few_inner_solves(monkeypatch):
     solves = []
     real = grid_ops.solve_spd
     monkeypatch.setattr(ts, "solve_spd", lambda *a, **k: solves.append(1) or real(*a, **k))
-    monkeypatch.setattr(bn, "solve_minres", None)
+    monkeypatch.setattr(st, "solve_minres", None)
     monkeypatch.setattr(st, "solve_chi_given_u", None)
     res = solve_stationary(mu_t, 1.0, s0.chi, m)
     assert abs(res.mass_gap) <= 1e-12 and res.phase_residual <= 1e-12
@@ -192,19 +191,18 @@ def test_bordered_newton_makes_one_minres_solve_per_iteration(monkeypatch):
     s0 = constant_state(m, 1.0, 0.2)
     mu_t = mass_mu(s0, m)
     solves, points = [], []
-    real_solve, real_point = bn.solve_minres, bn._point
-    monkeypatch.setattr(bn, "solve_minres",
+    real_solve, real_point = st.solve_minres, st._point
+    monkeypatch.setattr(st, "solve_minres",
                         lambda *a, **k: solves.append(1) or real_solve(*a, **k))
-    monkeypatch.setattr(bn, "_point", lambda *a: points.append(1) or real_point(*a))
+    monkeypatch.setattr(st, "_point", lambda *a: points.append(1) or real_point(*a))
     monkeypatch.setattr(ts, "solve_spd", None)
-    res = bn.bordered_newton(s0.chi, -1.0, mu_t, m, 1.0e-12)
+    res = st.bordered_newton(s0.chi, -1.0, mu_t, m, 1.0e-12)
     assert abs(res.mass_gap) <= 1e-12 and res.phase_residual <= 1e-12
     assert 2 <= len(solves) <= 6 and len(points) == len(solves) + 1
 
 
 def test_solve_stationary_names_both_loops_when_both_fail(monkeypatch):
     monkeypatch.setattr(st, "MAX_ATTEMPTS", 1)
-    monkeypatch.setattr(bn, "MAX_ATTEMPTS", 1)
     m = coupled_model()
     s0 = constant_state(m, 1.0, 0.2)
     with pytest.raises(SolverError, match=r"did not converge in 1 attempts .*; bordered Newton "
@@ -230,11 +228,14 @@ def test_solve_stationary_reaches_the_saddle_a_stripe_run_lingers_at():
     assert res.theta_inf == pytest.approx(0.923415, abs=1e-6)
 
 
-def test_into_box_raises_for_a_step_out_of_the_guard_box():
-    # chi at hi and dchi > 0: every halving down to MIN_BACKTRACK stays above hi
-    lo, hi = np.full(3, -1.0), np.zeros(3)
-    with pytest.raises(SolverError, match="cannot enter the domain guard box"):
-        st._into_box(hi.copy(), -1.0, np.ones(3), 0.0, lo, hi)
+def test_stationary_box_halves_a_step_onto_u_zero_to_u_below_zero():
+    """The u ceiling of the (chi, u) box, -5e-324, is exactly u < 0: a step from u = -1 by
+    du = +1 would land on u = 0, so it is halved once, to u = -0.5."""
+    m = make_model()
+    n = m.grid.n_nodes
+    x = np.append(np.zeros(n), -1.0)
+    alpha, xt = ts._into_box(x, np.append(np.zeros(n), 1.0), *st._box(m))
+    assert alpha == 0.5 and xt[n] == -0.5 and not xt[:n].any()
 
 
 def test_omega_limit_report_exact_and_negative():
@@ -383,13 +384,14 @@ def test_cli_stationary_far_starts_still_solve(tmp_path, monkeypatch, kind, delt
 def test_stationary_sweep_lists_2160_configs_with_the_far_starts():
     """tools/stationary_sweep.py, whose full run (28-37 s) stays out of this suite, lists
     2160 distinct configs, the four far starts above among them, written as that test
-    writes them."""
+    writes them, and finds the solver of each of its loops."""
     spec = importlib.util.spec_from_file_location("stationary_sweep", os.path.join(
         os.path.dirname(__file__), "..", "tools", "stationary_sweep.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     texts = set(tool.configs().values())
     assert len(tool.configs()) == len(texts) == 2160
+    assert all(callable(tool.loop_solver(loop)) for loop in tool.LOOPS)
     for kind, delta, a, b, init, theta0, _ in FAR_STARTS:
         lines = ["domain.lx = 1.0", "domain.ly = 1.0", "domain.nx = 8", "domain.ny = 4",
                  "time.dt = 0.001", "time.t_end = 0.05", "init.theta_kind = constant",

@@ -12,8 +12,9 @@ of amplitude 0.3 and width 0.2 (stripe3) and of amplitude 0.8 and width 0.1
 tolerance is 1e-10.
 
 --loop picks the solver behind the command: `both` is solve_stationary as it
-ships, `pseudo-transient` its first loop alone and `bordered` the bordered
-Newton fallback alone, each from the command's own start.  stdout gets one
+ships, `pseudo-transient` its first loop alone (stationary._pseudo_transient)
+and `bordered` its bordered Newton fallback alone (stationary.bordered_newton),
+each from the command's own start.  stdout gets one
 JSON object: per config theta_inf and the mass gap, or the exit code and the
 error; stderr gets the count of solved configs.  pfstrip comes from SRC_DIR
 (default src), so the diff of two trees' outputs shows each config a change
@@ -69,10 +70,8 @@ def loop_solver(loop: str):
     from pfstrip import stationary
     if loop == "both":
         return stationary.solve_stationary
-    if loop == "pseudo-transient":
-        inner = stationary._pseudo_transient
-    else:
-        from pfstrip.bordered_newton import bordered_newton as inner
+    inner = (stationary._pseudo_transient if loop == "pseudo-transient"
+             else stationary.bordered_newton)
 
     def solve(mu_target, theta0, guess, model, tol):
         return inner(guess, -1.0 / theta0, mu_target, model, tol)
