@@ -42,6 +42,7 @@ from .potentials import LatentHeat, Potential, evaluate, latent_eval
 
 NEWTON_ABS_FLOOR = 1.0e-12
 NEWTON_NOISE_FACTOR = 8.0
+NEWTON_LINEAR_SHARE = 0.1   # an inner solve need not beat this share of the Newton target
 EPS = float(np.finfo(float).eps)
 MIN_BACKTRACK = 2.0 ** -60
 
@@ -186,13 +187,16 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
     """Damped Newton with a convex domain guard.
 
     linearize(x) returns the residual and the Jacobian diagonal at x from one evaluation of
-    the nonlinear terms, then any values of it the caller wants back.  solve(d, r, cg_tol)
+    the nonlinear terms, then any values of it the caller wants back.  solve(d, r, tol)
     returns the step from the point last linearized, whose diagonal is d (Model.newton_step
-    for K + diag(d)).  Every trial point is linearized once; the accepted trial's diagonal
-    is the one the next step solves with.  A step is halved until it lies in the box
-    [lo, hi] (lo None: unbounded below), then until the residual decreases, which a NaN
-    residual never does.  Returns (x, iterations, residual norm, *values) of the last point
-    linearized; a point's values are dropped before the solve that steps away from it.
+    for K + diag(d)), to the relative tolerance max(cg_tol, NEWTON_LINEAR_SHARE * target /
+    norm) (Kelley's floor on the forcing term, below 0.1 as norm > target): a last solve
+    need not take its residual below a tenth of the Newton target.  Every trial point is
+    linearized once; the accepted trial's diagonal is the one the next step solves with.
+    A step is halved until it lies in the box [lo, hi] (lo None: unbounded below), then
+    until the residual decreases, which a NaN residual never does.  Returns (x, iterations,
+    residual norm, *values) of the last point linearized; a point's values are dropped
+    before the solve that steps away from it.
 
     The iteration stops when the residual norm sqrt(sum r_i^2 / weight_i) (the L^2(dm)
     norm at weight m_comb) is at most max(rel_tol * initial norm, abs_tol), or at most its
@@ -210,7 +214,7 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
             raise SolverError(f"Newton did not reach tolerance in {max_iter} iterations "
                               f"(residual {norm:.3e}, target {target:.3e})")
         values = step = None
-        step = solve(d, r, cg_tol)
+        step = solve(d, r, max(cg_tol, NEWTON_LINEAR_SHARE * target / norm))
         alpha, xt = _into_box(x, step, lo, hi)
         rt, dt, *values = linearize(xt)
         nt = measure_norm(rt, weight)

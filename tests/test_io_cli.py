@@ -709,19 +709,25 @@ def test_benchmark_patched_names_resolve():
     assert set(tracing.LAYERS) <= set(out.stdout.split()), out.stdout
 
 
-def test_output_digest_cases_keep_their_bytes(monkeypatch):
-    """The command-line cases of tools/output_digest.py, run in-process, keep the sha256
-    of each case's result (exit code, stdout, stderr and the sha256 of every output file)
-    recorded in golden/output_digest.json.  When a change moves output bytes on purpose,
-    diff the tool's JSON of both trees to see what moved, then record the values that
-    this test's failure lists."""
+def output_digest_tool(monkeypatch):
+    """tools/output_digest.py, loaded as a module."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    monkeypatch.setenv("COLUMNS", "80")   # as the tool sets it: argparse wraps its help to it
     monkeypatch.setattr(sys, "path", list(sys.path))   # the tool adds perfbench to it
     spec = importlib.util.spec_from_file_location(
         "output_digest", os.path.join(root, "tools", "output_digest.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_digest_cases_keep_their_bytes(monkeypatch):
+    """The command-line cases of tools/output_digest.py, run in-process, keep the sha256
+    of each case's result (exit code, stdout, stderr and the sha256 of every output file)
+    recorded in golden/output_digest.json.  When a change moves output bytes on purpose,
+    run the tool with --against the other tree to see how far each moved case moved,
+    then record the values that this test's failure lists."""
+    monkeypatch.setenv("COLUMNS", "80")   # as the tool sets it: argparse wraps its help to it
+    tool = output_digest_tool(monkeypatch)
     got = {name: hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
            for name, result in tool.digest(cli_main).items()}
     with open(os.path.join(GOLDEN, "output_digest.json"), encoding="ascii") as fh:
@@ -729,3 +735,33 @@ def test_output_digest_cases_keep_their_bytes(monkeypatch):
     moved = {name: got.get(name) for name in sorted(set(got) | set(want))
              if got.get(name) != want.get(name)}
     assert not moved, json.dumps(moved, indent=1)
+
+
+def test_output_digest_against_reports_how_far_each_output_moved(monkeypatch, tmp_path):
+    """The --against report of two case results: per moved output the largest absolute and
+    relative difference with its CSV column or summary key, relative to the largest
+    magnitude under that label, and the columns or keys that moved; numbered files are
+    grouped, a PGM counts its differing bytes, and a change of text is named as such."""
+    tool = output_digest_tool(monkeypatch)
+    texts = {"diagnostics.csv": ("step,mu,newton_iters_chi\n0,4.0,0\n1,2.0,3\n",
+                                 "step,mu,newton_iters_chi\n0,4.0,0\n1,2.5,3\n"),
+             "chi_1.csv": ("1.0,-2.0\n", "1.0,-2.5\n"), "chi_2.csv": ("1.0,-2.0\n", "1.0,-1.0\n"),
+             "chi_2.pgm": ("P5 ab", "P5 ba"), "log.txt": ("step 1 ok\n", "step 1 failed\n")}
+    results = []
+    for i in (0, 1):
+        out = tmp_path / str(i)
+        out.mkdir()
+        for name, pair in texts.items():
+            (out / name).write_text(pair[i], encoding="ascii")
+        results.append({"exit": 0, "stderr": "",
+                        "stdout": ("theta_inf = 1.0\nphase_residual = 4e-14\n",
+                                   "theta_inf = 1.0\nphase_residual = 2e-12\n")[i],
+                        "files": {name: pair[i] for name, pair in texts.items()}})
+    lines = tool.moved_outputs(*results, tmp_path / "0", tmp_path / "1")
+    assert lines == [
+        "  stdout: max abs 1.96e-12 (phase_residual), max rel 0.98 (phase_residual); "
+        "moved: phase_residual",
+        "  chi_#.csv (2 files): max abs 1 (chi_#.csv), max rel 0.5 (chi_#.csv)",
+        "  chi_#.pgm: 2 bytes differ",
+        "  diagnostics.csv: max abs 0.5 (mu), max rel 0.125 (mu); moved: mu",
+        "  log.txt: text other than numbers differs"]

@@ -1,7 +1,10 @@
 """Implicit steps, adaptive control, presets, sources, and the ODE oracle."""
 
 import ctypes
+import dataclasses
+import importlib.util
 import math
+import os
 import sys
 import warnings
 from types import SimpleNamespace
@@ -16,7 +19,7 @@ import pfstrip.timestepper as ts
 from helpers import constant_state, make_model, stepper
 from pfstrip.errors import DomainError, SolverError
 from pfstrip.functionals import State, mass_mu
-from pfstrip.grid_ops import StiffnessOp
+from pfstrip.grid_ops import ShiftedInverse, StiffnessOp
 from pfstrip.potentials import LatentHeat, Potential, integrate_homogeneous, scalar_f
 from pfstrip.timestepper import make_source, preset_field, run
 
@@ -273,6 +276,93 @@ def test_newton_solve_cost_is_flat_in_grid_size(monkeypatch):
         run(m, stepper(1e-3), State(0.0, np.full(g.n_nodes, -1.0), chi0), 3e-3)
         assert len(counts) >= 12 and max(counts) <= 8, (n, counts)
         assert max(precond_counts) <= 8, (n, precond_counts)
+
+
+def stripe_96_model(n):
+    """The physics of the stripe_96 benchmark workload on an n x n grid, its initial state
+    (theta 1, the stripe plus the workload's seed-1 perturbation) and its step settings."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    m = make_model(1.0, 1.0, n, n, p_bulk=Potential("logarithmic", 1.0),
+                   l_bulk=LatentHeat(1.0, 0.0, 0.0))
+    g = m.grid
+    chi0 = preset_field(g, "tanh_stripe", amplitude=0.3, width=0.2) \
+        + workloads.stripe_perturbation(g.x, g.y, g.lx, g.ly, 1)
+    return m, State(0.0, np.full(g.n_nodes, -1.0), chi0), stepper(1e-3)
+
+
+def test_newton_asks_each_inner_solve_for_a_tenth_of_the_remaining_target(monkeypatch):
+    """_newton hands each inner solve the relative tolerance max(cg_tol, 0.1 target / norm)
+    at the iterate it steps from: at least cg_tol, and at most 0.1, as norm > target inside
+    the loop.  Phase and heat steps of the stripe_96 physics at the default tolerances, where
+    every relative target lies above the 1e-12 floor, so each first solve keeps cg_tol."""
+    m, s0, cfg = stripe_96_model(16)
+    solves = []   # per _newton call, (tolerance, residual norm) of each inner solve
+    real_newton, real_step = ts._newton, m.newton_step
+
+    def newton(*args):
+        solves.append([])
+        return real_newton(*args)
+
+    def spy(d, r, tol):
+        solves[-1].append((tol, ts.measure_norm(r, m.masses.m_comb)))
+        return real_step(d, r, tol)
+
+    monkeypatch.setattr(ts, "_newton", newton)
+    m.newton_step = spy
+    run(m, cfg, s0, 5e-3)
+    assert len(solves) == 10 and all(solves)
+    for calls in solves:
+        target = max(cfg.newton_tol * calls[0][1], ts.NEWTON_ABS_FLOOR)
+        assert target > ts.NEWTON_ABS_FLOOR and calls[0][0] == cfg.cg_tol
+        for tol, norm in calls:
+            assert tol == max(cfg.cg_tol, ts.NEWTON_LINEAR_SHARE * target / norm)
+            assert cfg.cg_tol <= tol <= 0.1
+    assert max(tol for calls in solves for tol, _ in calls) > cfg.cg_tol   # the rule bites
+
+
+def test_newton_linear_share_moves_outputs_at_round_off_and_keeps_applies_flat(monkeypatch):
+    """20 steps of the stripe_96 physics at 16^2, 32^2 and 64^2, with the inner tolerances of
+    _newton and with every inner solve held at cg_tol: the same Newton counts in every row,
+    diagnostics within 1e-12 of each column's largest magnitude and final chi and u within
+    1e-12, while the preconditioner applies fall by at least 15% and applies per solve
+    grow by at most 0.25 from 16^2 to 64^2."""
+    counts = [0, 0]   # preconditioner applies, solves
+    real_solver, real_step = ShiftedInverse.solver, ts.Model.newton_step
+
+    def solver(self, c):
+        solve = real_solver(self, c)
+        counts[1] += 1
+
+        def counted(r):
+            counts[0] += 1
+            return solve(r)
+        return counted
+
+    monkeypatch.setattr(ShiftedInverse, "solver", solver)
+    per_solve = []
+    for n in (16, 32, 64):
+        runs = []
+        for fixed in (True, False):
+            m, s0, cfg = stripe_96_model(n)
+            if fixed:
+                m.newton_step = lambda d, r, tol, m=m: real_step(m, d, r, cfg.cg_tol)
+            counts[:] = [0, 0]
+            rows, final = run(m, cfg, s0, 20e-3)
+            runs.append((np.array([dataclasses.astuple(r) for r in rows]), final, *counts))
+        (rows_a, final_a, applies_a, solves_a), (rows_b, final_b, applies_b, solves_b) = runs
+        assert len(rows_a) == len(rows_b) == 21 and solves_a == solves_b
+        assert (rows_a[:, -2:] == rows_b[:, -2:]).all(), n   # newton_iters_chi, _theta
+        scale = np.abs(rows_a).max(axis=0)
+        assert (np.abs(rows_a - rows_b) <= 1e-12 * scale).all(), n
+        assert np.abs(final_a.chi - final_b.chi).max() <= 1e-12
+        assert np.abs(final_a.u - final_b.u).max() <= 1e-12
+        assert applies_b <= 0.85 * applies_a, (n, applies_a, applies_b)
+        per_solve.append(applies_b / solves_b)
+    assert per_solve[-1] - per_solve[0] <= 0.25, per_solve
 
 
 def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch):

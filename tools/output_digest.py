@@ -1,6 +1,7 @@
 """Run 42 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
+    python3 tools/output_digest.py SRC_DIR --against OTHER_SRC
 
 Cases: configs/example.cfg through all four commands, an ode whose trajectory
 leaves the potential domain (exit 3), the benchmark workload configs at seeds
@@ -22,13 +23,22 @@ and the help texts.  Per case: exit code, stdout, stderr and the sha256 of
 every output file.  pfstrip comes from SRC_DIR and the inputs from this
 repository, so the diff of two trees' digests shows any output byte a change
 moved.
+
+--against runs every case on both trees and prints, for each case whose
+result differs, the exit codes and per output (stdout and each file) the
+largest absolute and relative difference over its numbers, with the CSV
+column or `key = value` key of each and the columns or keys that moved; a
+PGM gets its count of differing bytes.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -158,8 +168,124 @@ def digest(cli_main) -> dict:
     return result
 
 
+def load_cli(src: str):
+    """io_cli.cli_main of the pfstrip package in src, imported afresh."""
+    for name in [m for m in sys.modules if m == "pfstrip" or m.startswith("pfstrip.")]:
+        del sys.modules[name]
+    sys.path.insert(0, os.path.abspath(src))
+    try:
+        from pfstrip.io_cli import cli_main
+    finally:
+        sys.path.pop(0)
+    return cli_main
+
+
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+KEY = re.compile(r"(\w+) = ")
+
+
+def labelled_numbers(text: str, default: str) -> tuple[list, list, str]:
+    """The labels and values of the numbers in text, and text with each number cut out.
+    A number is labelled by its CSV column when the first line is a header, by the key of
+    a `key = value` line, else by default."""
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines and "," in lines[0] and \
+        not NUMBER.search(lines[0]) else None
+    labels, values = [], []
+    for line in lines[1:] if header else lines:
+        key = KEY.match(line)
+        for i, tok in enumerate(NUMBER.findall(line)):
+            labels.append(header[i] if header else key.group(1) if key else default)
+            values.append(float(tok))
+    return labels, values, NUMBER.sub("#", text)
+
+
+def number_diff(a: str, b: str, label: str) -> tuple | None:
+    """(largest absolute difference, its label, largest relative difference, its label, the
+    labels that moved) between the numbers of texts a and b, or None if their other text
+    differs.  A difference is relative to the largest magnitude under its label."""
+    la, va, rest_a = labelled_numbers(a, label)
+    lb, vb, rest_b = labelled_numbers(b, label)
+    if rest_a != rest_b or la != lb:
+        return None
+    scale = {}
+    for name, x, y in zip(la, va, vb):
+        scale[name] = max(scale.get(name, 0.0), abs(x), abs(y))
+    worst_abs = worst_rel = (0.0, label)
+    moved = set()
+    for name, x, y in zip(la, va, vb):
+        if repr(x) != repr(y):
+            moved.add(name)
+            diff = abs(x - y) if math.isfinite(x - y) else math.inf
+            worst_abs = max(worst_abs, (diff, name))
+            worst_rel = max(worst_rel, (diff / scale[name] if scale[name] else math.inf, name))
+    return (*worst_abs, *worst_rel, moved)
+
+
+def moved_outputs(a: dict, b: dict, out_a: str, out_b: str) -> list:
+    """Report lines on each output, stdout and stderr included, that differs between the
+    run_case results a and b, whose files lie in out_a and out_b.  Numbered files such as
+    chi_25.csv are reported in groups (chi_#.csv)."""
+    groups, lines = {}, []
+    for key in ("stdout", "stderr"):
+        if a[key] != b[key]:
+            groups.setdefault(key, []).append((a[key], b[key]))
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(name) == b["files"].get(name):
+            continue
+        if name not in a["files"] or name not in b["files"]:
+            lines.append(f"  {name}: in one tree only")
+            continue
+        xa, xb = Path(out_a, name).read_bytes(), Path(out_b, name).read_bytes()
+        if name.endswith(".pgm"):
+            count = sum(p != q for p, q in zip(xa, xb)) + abs(len(xa) - len(xb))
+            groups.setdefault(re.sub(r"\d+", "#", name), []).append(count)
+        else:
+            groups.setdefault(re.sub(r"\d+", "#", name), []).append((xa.decode(), xb.decode()))
+    for group, items in groups.items():
+        files = f" ({len(items)} files)" if len(items) > 1 else ""
+        if group.endswith(".pgm"):
+            lines.append(f"  {group}{files}: {sum(items)} bytes differ")
+            continue
+        diffs = [number_diff(x, y, group) for x, y in items]
+        if None in diffs:
+            lines.append(f"  {group}{files}: text other than numbers differs")
+            continue
+        (d_abs, l_abs), (d_rel, l_rel) = max(d[:2] for d in diffs), max(d[2:4] for d in diffs)
+        named = sorted(set().union(*(d[4] for d in diffs)) - {group})
+        lines.append(f"  {group}{files}: max abs {d_abs:.3g} ({l_abs}), "
+                     f"max rel {d_rel:.3g} ({l_rel})"
+                     + (f"; moved: {', '.join(named)}" if named else ""))
+    return lines
+
+
+def against(src: str, other: str) -> list:
+    """Report lines on every case whose result differs between the trees other and src."""
+    with tempfile.TemporaryDirectory() as work:
+        results = []
+        for i, tree in enumerate((other, src)):
+            cli_main = load_cli(tree)
+            results.append({})
+            for name, (argv, text) in cases().items():
+                os.makedirs(os.path.join(work, str(i), name))
+                results[i][name] = run_case(cli_main, argv, text, os.path.join(work, str(i), name))
+        moved = [name for name in results[0] if results[0][name] != results[1][name]]
+        lines = [f"{len(moved)} of {len(results[0])} cases moved from {other} to {src}"]
+        for name in moved:
+            a, b = results[0][name], results[1][name]
+            lines.append(f"{name}: exit {a['exit']} -> {b['exit']}")
+            lines += moved_outputs(a, b, *(os.path.join(work, i, name, "out") for i in "01"))
+    return lines
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Digest the command-line cases of a tree.")
+    parser.add_argument("src", nargs="?", default="src", help="pfstrip source tree")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="print how far each moved case's numbers lie from OTHER_SRC's")
+    args = parser.parse_args()
     os.environ["COLUMNS"] = "80"   # argparse wraps its help to the terminal width
-    sys.path.insert(0, os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else "src"))
-    from pfstrip.io_cli import cli_main
-    print(json.dumps(digest(cli_main), indent=1, sort_keys=True))
+    if args.against:
+        print("\n".join(against(args.src, args.against)))
+    else:
+        print(json.dumps(digest(load_cli(args.src)), indent=1, sort_keys=True))
