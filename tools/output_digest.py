@@ -1,12 +1,13 @@
-"""Run 42 fixed command-line cases in-process and print a JSON digest of them.
+"""Run 43 fixed command-line cases in-process and print a JSON digest of them.
 
     python3 tools/output_digest.py SRC_DIR > digest.json
     python3 tools/output_digest.py SRC_DIR --against OTHER_SRC
 
 Cases: configs/example.cfg through all four commands, an ode whose trajectory
 leaves the potential domain (exit 3), the benchmark workload configs at seeds
-1 and 7, the perfbench stationary probe, two stationary solves (a steady state
-1.16e-7 from the singular wall, and a 16x8 stripe saddle), a check of quartic
+1 and 7, three steps of the full-size stripe_96 workload (96x96, 9312 nodes), the
+perfbench stationary probe, two stationary solves (a steady state 1.16e-7 from
+the singular wall, and a 16x8 stripe saddle), a check of quartic
 potentials with delta = 60, a check of a quartic bulk with a logarithmic
 surface (the one compatibility constant other than 1), checks that fail
 compatibility or the initial state and one that reports a nonzero projected
@@ -94,6 +95,9 @@ def cases() -> dict:
                                 ("homog_8x4", "simulate", "tiny"),
                                 ("stripe_96", "simulate", "tiny")):
             out[f"{name}_{seed}"] = ([cmd], workloads.config_text(name, seed, size, "out"))
+    stripe = workloads.config_text("stripe_96", 1, "full", "out")
+    assert "t_end = 0.04\n" in stripe
+    out["stripe_96_steps"] = (["simulate"], stripe.replace("t_end = 0.04\n", "t_end = 0.003\n"))
     out["probe"] = (["stationary"], workloads.probe_config_text("out"))
     out["near_wall"] = (["stationary"], NEAR_WALL)
     saddle = example("domain.nx = 32\ndomain.ny = 16", "domain.nx = 16\ndomain.ny = 8")
