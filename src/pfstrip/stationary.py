@@ -42,12 +42,12 @@ class StationaryResult:
     separation: float
 
 
-def _linearization(chi: np.ndarray, u_inf: float, model: Model):
-    """Stationary phase residual, its unclamped Jacobian diagonal and the PhaseValues at chi."""
-    v = model.phase_values(chi)
+def _linearization(chi: np.ndarray, u_inf: float, model: Model, kchi=None):
+    """Stationary phase residual, unclamped Jacobian diagonal, K chi and PhaseValues at chi."""
+    v = model.phase_values(chi, kchi)
     (r, d), pb, ps = v.implicit, model.p_bulk, model.p_surf
     d_lag = model._compose(pb.delta + v.bulk.lampp * u_inf, ps.delta + v.surf.lampp * u_inf)
-    return r - model.lagged_rhs(v, u_inf), d - d_lag, v
+    return r - model.lagged_rhs(v, u_inf), d - d_lag, v.kchi, v
 
 
 def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float = 1.0e-12,
@@ -61,9 +61,9 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     loses positivity the inner CG can fail; solve_stationary does not call this.
     """
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    chi, _, residual, v = _newton(guess, lambda chi: _linearization(chi, u_inf, model),
-                                  model.newton_step, model.masses.m_comb, lo, hi, 1.0e-12,
-                                  max_iter, 0.0, tol)
+    chi, _, residual, _, v = _newton(
+        guess, lambda chi, kchi: _linearization(chi, u_inf, model, kchi), model.newton_step,
+        model.masses.m_comb, lo, hi, 1.0e-12, max_iter, 0.0, tol)
     return chi, residual, v
 
 
@@ -75,10 +75,10 @@ def mass_gap(u_inf: float, chi_inf: np.ndarray, mu_target: float, model: Model,
     return mass_mu(steady, model, at) - mu_target
 
 
-def _point(chi: np.ndarray, u: float, mu_target: float, model: Model):
+def _point(chi: np.ndarray, u: float, mu_target: float, model: Model, kchi=None):
     """(chi, u, R, d, b, ||R||, g, ||F||) at (chi, u), with ||F|| = hypot(||R||, g).
     The PhaseValues are not kept: b = m lambda'(chi) is all a step needs of them."""
-    r, d, v = _linearization(chi, u, model)
+    r, d, _, v = _linearization(chi, u, model, kchi)
     norm, gap = measure_norm(r, model.masses.m_comb), mass_gap(u, chi, mu_target, model, v)
     return chi, u, r, d, model._compose(v.bulk.lamp, v.surf.lamp), norm, gap, math.hypot(norm, gap)
 
@@ -122,8 +122,8 @@ def _pseudo_transient(guess: np.ndarray, u: float, mu_target: float, model: Mode
         chi, u, r, d, b, norm, gap, f_norm = point
         shifted = d + mc / delta
         try:
-            x1 = model.newton_step(shifted, r, 1.0e-12)
-            x2 = model.newton_step(shifted, -b, 1.0e-12)
+            x1 = model.newton_step(shifted, r, 1.0e-12)[0]
+            x2 = model.newton_step(shifted, -b, 1.0e-12)[0]
         except SolverError:
             delta = delta_max = 0.5 * delta
             continue
@@ -152,19 +152,24 @@ def bordered_newton(guess: np.ndarray, u: float, mu_target: float, model: Model,
     mc, total, k, n = model.masses.m_comb, model.masses.total, model.stiffness, guess.size
     point = None
 
-    def linearize(x):
+    def linearize(x, kchi):
         nonlocal point
-        point = _point(x[:n], x[n], mu_target, model)
-        return np.append(point[2], -point[6]), np.append(point[3], 0.0)   # (R, -g), (d, 0)
+        kchi = k.apply(x[:n]) if kchi is None else kchi
+        point = _point(x[:n], x[n], mu_target, model, kchi)
+        return np.append(point[2], -point[6]), np.append(point[3], 0.0), kchi   # (R, -g), (d, 0)
 
     def solve(d, f, cg_tol):   # b and u of the point last linearized, the one _newton steps from
         d, u, b = d[:n], point[1], point[4]
         c, s = total / (u * u), max(abs(float(d.dot(model.inv_m_comb))) / n, 1.0e-3)
         e, p_inv = d - s * mc, model.shifted_inverse.solver(s)
+        kz = None   # K dchi of the last check, which solve_minres makes on the step it returns
+        def apply(z):
+            nonlocal kz
+            kz = k.apply(z[:n])
+            return np.append(kz + d * z[:n] - b * z[n], -b.dot(z[:n]) - c * z[n])
         return solve_minres(
-            lambda z: np.append(k.apply(z[:n]) + d * z[:n] - b * z[n], -b.dot(z[:n]) - c * z[n]),
-            lambda w: np.append(p_inv(w[:n]), w[n] / c), -f,
-            lambda v: np.append(e * v[:n] - b * v[n], -b.dot(v[:n]) - 2.0 * c * v[n]), cg_tol)
+            apply, lambda w: np.append(p_inv(w[:n]), w[n] / c), -f,
+            lambda v: np.append(e * v[:n] - b * v[n], -b.dot(v[:n]) - 2.0 * c * v[n]), cg_tol), kz
 
     _newton(np.append(guess, u), linearize, solve, np.append(mc, 1.0), *_box(model), 1.0e-12,
             MAX_ATTEMPTS, 0.0, tol)

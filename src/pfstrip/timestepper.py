@@ -16,10 +16,10 @@ a domain guard: u <= -guard_eps always, and for singular potentials the
 phase stays a guard_eps distance from the domain endpoints.  The guard box
 is convex, so once a damped step is feasible every shorter step is, too.
 
-Model.phase_values evaluates f, f', F, lambda, lambda' and K chi once per phase iterate: one
-evaluate and one latent_eval call per distinct law.  run carries them and K u from one step to
-the next, so a one-iteration step with shared laws makes 1 evaluate, 1 latent_eval and 4 K
-applies.
+Model.phase_values evaluates f, f', F, lambda and lambda' once per phase iterate: one
+evaluate and one latent_eval call per distinct law.  _newton carries K x by linearity, and run
+carries the phase values and K u from one step to the next, so a one-iteration step with
+shared laws makes 1 evaluate, 1 latent_eval and 2 K applies, the checks of its two solves.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ Shared = namedtuple("Shared", "kind delta latent")   # which surface laws equal 
 
 
 # Model.phase_values: bulk Laws at chi, surface Laws at its boundary rows chi_b, the implicit
-# terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve, and the model;
-# latent, m lambda(chi), the latent part of the internal energy, is composed on first read
-class PhaseValues(namedtuple("PhaseValues", "chi chi_b bulk surf implicit model")):
+# terms (K chi + m f(chi), m f'(chi)), the convex part, implicit in every solve, K chi and the
+# model; latent, m lambda(chi), the latent part of the internal energy, is composed on first read
+class PhaseValues(namedtuple("PhaseValues", "chi chi_b bulk surf implicit kchi model")):
     @cached_property
     def latent(self) -> np.ndarray:
         return self.model._compose(self.bulk.lam, self.surf.lam)
@@ -115,17 +115,18 @@ class Model:
         out[self.grid.boundary] += self.ms_bnd * surf
         return out
 
-    def phase_values(self, chi: np.ndarray) -> PhaseValues:
-        """PhaseValues at chi; a surface law equal to its bulk law is the bulk values read on
-        the boundary rows, bit for bit the same, as numpy's ufuncs work entry by entry."""
+    def phase_values(self, chi: np.ndarray, kchi: np.ndarray | None = None) -> PhaseValues:
+        """PhaseValues at chi, K chi applied unless given; a surface law equal to its bulk law
+        is the bulk values read on the boundary rows, bit for bit, as numpy's ufuncs work
+        entry by entry."""
         bnd, (same_kind, _, same_lat) = self.grid.boundary, self.shared
         chi_b = chi[bnd]
         (F, f, fp), lat = evaluate(self.p_bulk, chi), latent_eval(self.l_bulk, chi)
         F_s, f_s, fp_s = (F[bnd], f[bnd], fp[bnd]) if same_kind else evaluate(self.p_surf, chi_b)
         lat_s = (lat[0][bnd], lat[1][bnd], lat[2]) if same_lat else latent_eval(self.l_surf, chi_b)
+        kchi = self.stiffness.apply(chi) if kchi is None else kchi
         return PhaseValues(chi, chi_b, Laws(F, *lat), Laws(F_s, *lat_s),
-                           (self.stiffness.apply(chi) + self._compose(f, f_s),
-                            self._compose(fp, fp_s)), self)
+                           (kchi + self._compose(f, f_s), self._compose(fp, fp_s)), kchi, self)
 
     def lagged_rhs(self, v: PhaseValues, u) -> np.ndarray:
         """m (delta chi + lambda'(chi) u), explicit in the phase step; u nodal or scalar."""
@@ -135,18 +136,24 @@ class Model:
         u_b = u[self.grid.boundary] if np.ndim(u) else u
         return self._compose(bulk, self.p_surf.delta * v.chi_b + v.surf.lamp * u_b)
 
-    def newton_step(self, d: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
+    def newton_step(self, d: np.ndarray, r: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Solve (K + diag(d)) x = -r by PCG, preconditioned with the exact
         inverse of P = K + c m_comb at c = mean(d / m_comb); the operator is
         P + diag(d - c m_comb), so CG carries P p and applies K only to check.
+        Returns x and K x, the K part of solve_spd's last check, made on x (none at r = 0).
         At c < 0, P is indefinite and CG runs while it meets no nonpositive
         curvature; c = 0 makes P singular in its constant mode and raises SolverError."""
         k, inv, mc = self.stiffness, self.shifted_inverse, self.masses.m_comb
         c = float(d.dot(self.inv_m_comb)) / d.size
         if c == 0.0:
             raise SolverError("Newton system has no shift: mean(d / m_comb) = 0")
-        return solve_spd(lambda z: k.apply(z) + d * z, inv.solver(c), -r,
-                         d - c * mc, tol=tol)
+        kx = np.zeros(r.size)   # K z of the last check, which solve_spd makes on the x it returns
+        def apply(z):
+            nonlocal kx
+            kx = k.apply(z)
+            return kx + d * z
+        return solve_spd(apply, inv.solver(c), -r, d - c * mc, tol=tol), kx
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-node guard box for the phase field: the bulk domain, cut to the surface one on
@@ -186,16 +193,17 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
             rel_tol: float, abs_tol: float) -> tuple:
     """Damped Newton with a convex domain guard.
 
-    linearize(x) returns the residual and the Jacobian diagonal at x from one evaluation of
-    the nonlinear terms, then any values of it the caller wants back.  solve(d, r, tol)
-    returns the step from the point last linearized, whose diagonal is d (Model.newton_step
-    for K + diag(d)), to the relative tolerance max(cg_tol, NEWTON_LINEAR_SHARE * target /
-    norm) (Kelley's floor on the forcing term, below 0.1 as norm > target): a last solve
-    need not take its residual below a tenth of the Newton target.  Every trial point is
-    linearized once; the accepted trial's diagonal is the one the next step solves with.
+    linearize(x, kx) returns the residual, the Jacobian diagonal and K x at x from one
+    evaluation of the nonlinear terms, then any values of it the caller wants back; kx is K x,
+    None at the first point.  solve(d, r, tol) returns the step s from the point last
+    linearized, whose diagonal is d, and K s (Model.newton_step for K + diag(d)), to the
+    relative tolerance max(cg_tol, NEWTON_LINEAR_SHARE * target / norm) (Kelley's floor on
+    the forcing term, below 0.1 as norm > target): a last solve need not take its residual
+    below a tenth of the Newton target.  Every trial point x + alpha s is linearized once,
+    with K x + alpha K s; the accepted trial's diagonal is the one the next step solves with.
     A step is halved until it lies in the box [lo, hi] (lo None: unbounded below), then
     until the residual decreases, which a NaN residual never does.  Returns (x, iterations,
-    residual norm, *values) of the last point linearized; a point's values are dropped
+    residual norm, K x, *values) of the last point linearized; a point's values are dropped
     before the solve that steps away from it.
 
     The iteration stops when the residual norm sqrt(sum r_i^2 / weight_i) (the L^2(dm)
@@ -205,7 +213,7 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
     a singular wall).  No iterate can do better than that.
     """
     x = np.minimum(x0 if lo is None else np.maximum(x0, lo), hi)
-    r, d, *values = linearize(x)
+    r, d, kx, *values = linearize(x, None)
     norm = measure_norm(r, weight)
     target = max(rel_tol * norm, abs_tol)
     iters = 0
@@ -213,21 +221,21 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
         if iters >= max_iter:
             raise SolverError(f"Newton did not reach tolerance in {max_iter} iterations "
                               f"(residual {norm:.3e}, target {target:.3e})")
-        values = step = None
-        step = solve(d, r, max(cg_tol, NEWTON_LINEAR_SHARE * target / norm))
+        values = step = kstep = None
+        step, kstep = solve(d, r, max(cg_tol, NEWTON_LINEAR_SHARE * target / norm))
         alpha, xt = _into_box(x, step, lo, hi)
-        rt, dt, *values = linearize(xt)
+        rt, dt, kxt, *values = linearize(xt, kx + alpha * kstep)
         nt = measure_norm(rt, weight)
         while not nt <= (1.0 - 1.0e-4 * alpha) * norm:
             alpha *= 0.5
             if alpha < MIN_BACKTRACK:
                 raise SolverError(f"Newton backtracking stalled at residual {norm:.3e}")
             xt = x + alpha * step
-            rt, dt, *values = linearize(xt)
+            rt, dt, kxt, *values = linearize(xt, kx + alpha * kstep)
             nt = measure_norm(rt, weight)
-        x, r, d, norm = xt, rt, dt, nt
+        x, r, d, kx, norm = xt, rt, dt, kxt, nt
         iters += 1
-    return (x, iters, norm, *values)
+    return (x, iters, norm, kx, *values)
 
 
 def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model,
@@ -246,16 +254,16 @@ def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model,
     rhs, lat = model.lagged_rhs(at, s.u), at.latent
     mc_tau = mc / tau
 
-    def linearize(chi):
+    def linearize(chi, kchi):
         nonlocal at   # used at the first point when that is chi_n, then dropped
-        v = at if at is not None and (chi == chi_n).all() else model.phase_values(chi)
+        v = at if at is not None and (chi == chi_n).all() else model.phase_values(chi, kchi)
         at = None
         r, d = v.implicit
-        return r + mc * (chi - chi_n) / tau - rhs, d + mc_tau, v
+        return r + mc * (chi - chi_n) / tau - rhs, d + mc_tau, v.kchi, v
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
-    chi, iters, _, v = _newton(chi_n, linearize, model.newton_step, mc, lo, hi, cfg.cg_tol,
-                               cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
+    chi, iters, _, _, v = _newton(chi_n, linearize, model.newton_step, mc, lo, hi, cfg.cg_tol,
+                                  cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
     return chi, iters, v, (v.latent - lat) / tau
 
 
@@ -272,9 +280,10 @@ def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: floa
     k, mc, u_n, theta_n = model.stiffness, model.masses.m_comb, s.u, s.theta
     shift = g if source_vec is None else g - source_vec
 
-    def linearize(u):
+    def linearize(u, k_u):
         nonlocal ku   # used at the first point when that is u_n, then dropped
-        k_u = ku if ku is not None and (u == u_n).all() else k.apply(u)
+        if k_u is None:
+            k_u = ku if ku is not None and (u == u_n).all() else k.apply(u)
         ku = None
         return mc * (-1.0 / u - theta_n) / tau + k_u + shift, mc / (tau * u * u), k_u
 

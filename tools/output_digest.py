@@ -4,24 +4,25 @@
     python3 tools/output_digest.py SRC_DIR --against OTHER_SRC
 
 Cases: configs/example.cfg through all four commands, an ode whose trajectory
-leaves the potential domain (exit 3), the benchmark workload configs at seeds
-1 and 7, three steps of the full-size stripe_96 workload (96x96, 9312 nodes), the
-perfbench stationary probe, two stationary solves (a steady state 1.16e-7 from
-the singular wall, and a 16x8 stripe saddle), a check of quartic
-potentials with delta = 60, a check of a quartic bulk with a logarithmic
-surface (the one compatibility constant other than 1), checks that fail
-compatibility or the initial state and one that reports a nonzero projected
-source mean, a simulate with a sinusoid source, two simulates whose surface
-laws differ from the bulk ones (a quartic bulk potential; a surface delta and
-latent heat of their own), a two-step simulate whose snapshots hold exact
-zeros and values below 1e-6 (the snapshot writer's per-value path), a simulate
-whose first step is halved and whose step size doubles back after ten
-successes, one that fails at the minimum step size (exit 2), a simulate whose
-Newton steps are halved into the guard box and backtracked on their residual,
-a stationary solve whose steps are halved into the guard box, a stationary
-solve with quartic potentials that lands on a stripe, nine rejected configs
-and the help texts.  Per case: exit code, stdout, stderr and the sha256 of
-every output file.  pfstrip comes from SRC_DIR and the inputs from this
+leaves the potential domain (exit 3), the benchmark workload configs at seeds 1
+and 7, three steps of the full-size stripe_96 workload (96x96: 9312 nodes, and
+18528 edges in StiffnessOp.quad's dot, past the 10000 entries above which
+OpenBLAS splits a ddot over threads), the perfbench stationary probe, two
+stationary solves (a steady state 1.16e-7 from the singular wall, and a 16x8
+stripe saddle), a check of quartic potentials with delta = 60, a check of a
+quartic bulk with a logarithmic surface (the one compatibility constant other
+than 1), checks that fail compatibility or the initial state and one that
+reports a nonzero projected source mean, a simulate with a sinusoid source, two
+simulates whose surface laws differ from the bulk ones (a quartic bulk
+potential; a surface delta and latent heat of their own), a two-step simulate
+whose snapshots hold exact zeros and values below 1e-6 (the snapshot writer's
+per-value path), a simulate whose first step is halved and whose step size
+doubles back after ten successes, one that fails at the minimum step size (exit
+2), a simulate whose Newton steps are halved into the guard box and backtracked
+on their residual, a stationary solve whose steps are halved into the guard box,
+a stationary solve with quartic potentials that lands on a stripe, nine rejected
+configs and the help texts.  Per case: exit code, stdout, stderr and the sha256
+of every output file.  pfstrip comes from SRC_DIR and the inputs from this
 repository, so the diff of two trees' digests shows any output byte a change
 moved.
 
