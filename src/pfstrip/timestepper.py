@@ -148,12 +148,13 @@ class Model:
         c = float(d.dot(self.inv_m_comb)) / d.size
         if c == 0.0:
             raise SolverError("Newton system has no shift: mean(d / m_comb) = 0")
-        kx = np.zeros(r.size)   # K z of the last check, which solve_spd makes on the x it returns
+        kx = None   # K z of the last check, which solve_spd makes on the x it returns
         def apply(z):
             nonlocal kx
             kx = k.apply(z)
             return kx + d * z
-        return solve_spd(apply, inv.solver(c), -r, d - c * mc, tol=tol), kx
+        x = solve_spd(apply, inv.solver(c), -r, d - c * mc, tol=tol)
+        return x, np.zeros(x.size) if kx is None else kx
 
     def chi_bounds(self, guard_eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-node guard box for the phase field: the bulk domain, cut to the surface one on
