@@ -23,8 +23,7 @@ import numpy as np
 from .errors import SolverError
 from .functionals import State, mass_mu
 from .grid_ops import solve_minres
-from .timestepper import (EPS, NEWTON_NOISE_FACTOR, Model, PhaseValues, _into_box, _newton,
-                          measure_norm)
+from .timestepper import Model, PhaseValues, _converged, _into_box, _newton, measure_norm
 
 STATIONARY_GUARD_EPS = 1.0e-12
 PSEUDO_TIME_STEP = 1.0   # Delta_0 of the pseudo-transient continuation
@@ -83,16 +82,12 @@ def _point(chi: np.ndarray, u: float, mu_target: float, model: Model, kchi=None)
     return chi, u, r, d, model._compose(v.bulk.lamp, v.surf.lamp), norm, gap, math.hypot(norm, gap)
 
 
-def _result(point, mu_target: float, model: Model, tol: float) -> StationaryResult | None:
-    """The StationaryResult at point if |g| <= tol, and ||R|| <= tol or ||R|| <= 8 eps ||d chi||,
-    its round-off floor; else None.  Not _newton's rule, which bounds hypot(||R||, |g|)."""
-    chi, u, _, d, _, norm, gap, _ = point
-    if abs(gap) <= tol and (norm <= tol or norm <= NEWTON_NOISE_FACTOR * EPS
-                            * measure_norm(d * chi, model.masses.m_comb)):
-        return StationaryResult(
-            u_inf=float(u), theta_inf=float(-1.0 / u), chi_inf=chi, phase_residual=norm,
-            mass_gap=gap, mu_target=mu_target, separation=float(1.0 - np.max(np.abs(chi))))
-    return None
+def _result(point, mu_target: float) -> StationaryResult:
+    """The StationaryResult at point."""
+    chi, u, _, _, _, norm, gap, _ = point
+    return StationaryResult(
+        u_inf=float(u), theta_inf=float(-1.0 / u), chi_inf=chi, phase_residual=norm,
+        mass_gap=gap, mu_target=mu_target, separation=float(1.0 - np.max(np.abs(chi))))
 
 
 def _box(model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -116,10 +111,9 @@ def _pseudo_transient(guess: np.ndarray, u: float, mu_target: float, model: Mode
     point = _point(np.clip(guess, *model.chi_bounds(STATIONARY_GUARD_EPS)), u, mu_target, model)
     delta, delta_max = PSEUDO_TIME_STEP, math.inf
     for _ in range(MAX_ATTEMPTS):
-        result = _result(point, mu_target, model, tol)
-        if result is not None:
-            return result
         chi, u, r, d, b, norm, gap, f_norm = point
+        if _converged(f_norm, tol, d, chi, mc):
+            return _result(point, mu_target)
         shifted = d + mc / delta
         try:
             x1 = model.newton_step(shifted, r, 1.0e-12)[0]
@@ -173,7 +167,7 @@ def bordered_newton(guess: np.ndarray, u: float, mu_target: float, model: Model,
 
     _newton(np.append(guess, u), linearize, solve, np.append(mc, 1.0), *_box(model), 1.0e-12,
             MAX_ATTEMPTS, 0.0, tol)
-    return _result(point, mu_target, model, math.inf)   # _newton has applied its stop rule
+    return _result(point, mu_target)
 
 
 def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: Model,
@@ -190,9 +184,8 @@ def solve_stationary(mu_target: float, theta0: float, guess: np.ndarray, model: 
     space, so it fails at saddles whose unstable mode the residual excites.
     Where it raises, bordered_newton, a timestepper._newton call, starts again from the
     same point.  It reaches saddles, but from far starts it stalls where ||F|| has a non-root
-    minimum.  Both halve each step into _box, the guard box and u < 0, by _into_box.  The
-    first stops at ||R|| <= tol or its round-off level 8 eps ||d chi||, once |g| <= tol; the
-    second at ||F|| = hypot(||R||, |g|) <= tol, slightly stricter, or ||F|| <= 8 eps ||d chi||.
+    minimum.  Both halve each step into _box, the guard box and u < 0, by _into_box, and both
+    stop by timestepper._converged: ||F|| = hypot(||R||, |g|) <= tol or 8 eps ||d chi||.
     """
     try:
         return _pseudo_transient(guess, -1.0 / theta0, mu_target, model, tol)

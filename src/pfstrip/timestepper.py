@@ -190,6 +190,15 @@ def _into_box(x: np.ndarray, step: np.ndarray, lo, hi) -> tuple[float, np.ndarra
     return alpha, xt
 
 
+def _converged(norm: float, target: float, d: np.ndarray, x: np.ndarray, weight) -> bool:
+    """Newton's stop test: the residual norm is at most target or, tested second, at most its
+    round-off level at x, NEWTON_NOISE_FACTOR * eps * ||d x|| in the same weights: the size of
+    the diagonal terms that cancel in the residual (the m/tau mass term in a time step,
+    m f'(x) next to a singular wall).  No iterate can do better than that.  A NaN norm is
+    never converged."""
+    return norm <= target or norm <= NEWTON_NOISE_FACTOR * EPS * measure_norm(d * x, weight)
+
+
 def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
             rel_tol: float, abs_tol: float) -> tuple:
     """Damped Newton with a convex domain guard.
@@ -207,18 +216,15 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
     residual norm, K x, *values) of the last point linearized; a point's values are dropped
     before the solve that steps away from it.
 
-    The iteration stops when the residual norm sqrt(sum r_i^2 / weight_i) (the L^2(dm)
-    norm at weight m_comb) is at most max(rel_tol * initial norm, abs_tol), or at most its
-    round-off level at x: NEWTON_NOISE_FACTOR * eps * ||d x||, the size of the diagonal
-    terms that cancel in the residual (the m/tau mass term in a time step, m f'(x) next to
-    a singular wall).  No iterate can do better than that.
+    The iteration stops by _converged on the residual norm sqrt(sum r_i^2 / weight_i) (the
+    L^2(dm) norm at weight m_comb) and the target max(rel_tol * initial norm, abs_tol).
     """
     x = np.minimum(x0 if lo is None else np.maximum(x0, lo), hi)
     r, d, kx, *values = linearize(x, None)
     norm = measure_norm(r, weight)
     target = max(rel_tol * norm, abs_tol)
     iters = 0
-    while norm > target and norm > NEWTON_NOISE_FACTOR * EPS * measure_norm(d * x, weight):
+    while not _converged(norm, target, d, x, weight):
         if iters >= max_iter:
             raise SolverError(f"Newton did not reach tolerance in {max_iter} iterations "
                               f"(residual {norm:.3e}, target {target:.3e})")

@@ -1,6 +1,7 @@
 """Steady-state solver, admissibility checks, and omega-limit reports."""
 
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -361,43 +362,76 @@ FAR_STARTS = [
     ("quartic", 0.5, 0.0, 0.5, "rand", 3.0, 3.4459860433855272e+00),
     ("quartic", 3.0, -1.0, 2.0, "sin", 3.0, 3.8843766324599378e+00),
 ]
-INITS = {"stripe8": ["init.chi_kind = tanh_stripe", "init.chi_amplitude = 0.8",
+INITS = {"stripe3": ["init.chi_kind = tanh_stripe", "init.chi_amplitude = 0.3",
+                     "init.chi_width = 0.2"],
+         "stripe8": ["init.chi_kind = tanh_stripe", "init.chi_amplitude = 0.8",
                      "init.chi_width = 0.1"],
          "sin": ["init.chi_kind = sinusoid", "init.chi_amplitude = 0.5", "init.chi_value = 0.1"],
          "rand": ["init.chi_kind = random", "init.chi_amplitude = 0.5", "init.seed = 3"]}
 
 
-@pytest.mark.parametrize("kind,delta,a,b,init,theta0,theta_inf", FAR_STARTS)
-def test_cli_stationary_far_starts_still_solve(tmp_path, monkeypatch, kind, delta, a, b, init,
-                                               theta0, theta_inf):
-    lines = ["domain.lx = 1.0", "domain.ly = 1.0", "domain.nx = 8", "domain.ny = 4",
+def sweep_config(kind, delta, a, b, init, theta0, nx=8, ny=4):
+    """The text of one config of tools/stationary_sweep.py, written out here."""
+    lines = ["domain.lx = 1.0", "domain.ly = 1.0", f"domain.nx = {nx}", f"domain.ny = {ny}",
              "time.dt = 0.001", "time.t_end = 0.05", "init.theta_kind = constant",
              f"init.theta_value = {theta0}"] + INITS[init]
     for part in ("bulk", "surf"):
         lines += [f"potential_{part}.kind = {kind}", f"potential_{part}.delta = {delta}",
                   f"latent_{part}.a = {a}", f"latent_{part}.b = {b}", f"latent_{part}.c = 0.0"]
-    code, solves = stationary_cli(tmp_path, monkeypatch, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind,delta,a,b,init,theta0,theta_inf", FAR_STARTS)
+def test_cli_stationary_far_starts_still_solve(tmp_path, monkeypatch, kind, delta, a, b, init,
+                                               theta0, theta_inf):
+    code, solves = stationary_cli(tmp_path, monkeypatch,
+                                  sweep_config(kind, delta, a, b, init, theta0))
     assert code == 0
     assert solves[0][0].theta_inf == pytest.approx(theta_inf, abs=1e-9)
 
 
-def test_stationary_sweep_lists_2160_configs_with_the_far_starts():
-    """tools/stationary_sweep.py, whose full run (28-37 s) stays out of this suite, lists
-    2160 distinct configs, the four far starts above among them, written as that test
-    writes them, and finds the solver of each of its loops."""
+def test_cli_stationary_bounds_the_residual_and_gap_together(tmp_path, monkeypatch):
+    """Both loops stop by timestepper._converged on ||F|| = hypot(||R||, |g|), so
+    solver.newton_tol bounds ||F||.  On this sweep config the pseudo-transient loop once
+    stopped with ||R|| = 6.71e-11 and |g| = 9.14e-11 each within 1e-10, at ||F|| = 1.134e-10."""
+    code, solves = stationary_cli(tmp_path, monkeypatch, sweep_config(
+        "logarithmic", 1.0, 1.0, 2.0, "stripe3", 3.0, nx=16, ny=8))
+    assert code == 0
+    (res, _), = solves
+    assert math.hypot(res.phase_residual, res.mass_gap) <= stepper(1.0).newton_tol
+
+
+def sweep_tool():
     spec = importlib.util.spec_from_file_location("stationary_sweep", os.path.join(
         os.path.dirname(__file__), "..", "tools", "stationary_sweep.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_stationary_sweep_lists_2160_configs_with_the_far_starts():
+    """tools/stationary_sweep.py, whose full run (28-37 s) stays out of this suite, lists
+    2160 distinct configs, the four far starts above and the two grids among them, written
+    as sweep_config writes them, and finds the solver of each of its loops."""
+    tool = sweep_tool()
     texts = set(tool.configs().values())
     assert len(tool.configs()) == len(texts) == 2160
     assert all(callable(tool.loop_solver(loop)) for loop in tool.LOOPS)
     for kind, delta, a, b, init, theta0, _ in FAR_STARTS:
-        lines = ["domain.lx = 1.0", "domain.ly = 1.0", "domain.nx = 8", "domain.ny = 4",
-                 "time.dt = 0.001", "time.t_end = 0.05", "init.theta_kind = constant",
-                 f"init.theta_value = {theta0}"] + INITS[init]
-        for part in ("bulk", "surf"):
-            lines += [f"potential_{part}.kind = {kind}", f"potential_{part}.delta = {delta}",
-                      f"latent_{part}.a = {a}", f"latent_{part}.b = {b}",
-                      f"latent_{part}.c = 0.0"]
-        assert "\n".join(lines) + "\n" in texts
+        assert sweep_config(kind, delta, a, b, init, theta0) in texts
+    assert sweep_config("logarithmic", 1.0, 1.0, 2.0, "stripe3", 3.0, nx=16, ny=8) in texts
+
+
+def test_stationary_sweep_compares_two_sweeps():
+    """--against's report: the counts, the lost and gained configs, and each theta_inf that
+    moved among the configs both sweeps solve, with the largest relative move."""
+    before = {"p": {"theta_inf": 2.0, "mass_gap": 0.0}, "q": {"theta_inf": 1.0, "mass_gap": 0.0},
+              "r": {"exit": 2, "error": "failed"}, "s": {"theta_inf": 4.0, "mass_gap": 0.0}}
+    after = {"p": {"theta_inf": 2.0, "mass_gap": 1e-12}, "q": {"exit": 2, "error": "failed"},
+             "r": {"theta_inf": 3.0, "mass_gap": 0.0}, "s": {"theta_inf": 4.5, "mass_gap": 0.0}}
+    assert sweep_tool().compare(before, after) == [
+        "3 solved, 3 before: 1 lost, 1 gained", "lost: q", "gained: r",
+        "moved: s: theta_inf 4.0 -> 4.5, relative 1.25e-01",
+        "theta_inf moved in 1 configs, by at most 1.25e-01 relative"]
+    assert sweep_tool().compare(before, before)[-1] == \
+        "theta_inf moved in 0 configs, by at most 0.00e+00 relative"

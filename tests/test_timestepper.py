@@ -634,6 +634,21 @@ def test_newton_backtracks_from_a_nan_residual():
     assert np.max(np.abs(x - 0.3)) <= 1e-10 and norm <= 1e-12 and iters > 1
 
 
+def test_newton_never_stops_at_a_nan_residual():
+    """The same toy from x = -3, where the residual is NaN: _converged is false on a NaN
+    norm, so Newton does not return the start as solved; its NaN step enters no box."""
+    m = make_model()
+    mc = m.masses.m_comb
+    assert not ts._converged(math.nan, 1.0e-12, mc, np.ones(mc.size), mc)
+
+    def linearize(x, kx):
+        return np.where(x < -1.0, np.nan, mc * np.arctan(x - 0.3)), mc, x
+
+    with pytest.raises(SolverError, match="cannot enter the domain guard box"):
+        ts._newton(np.full(mc.size, -3.0), linearize, lambda d, r, tol: (-r / d, -r / d), mc,
+                   None, np.full(mc.size, np.inf), 1.0e-10, 50, 0.0, 1.0e-12)
+
+
 def test_newton_raises_when_no_step_enters_the_guard_box():
     """The constant residual m_comb has the Newton step -1 from x = 0, so with the box
     floor at 0 every halved step stays outside the box."""

@@ -1,6 +1,7 @@
 """Run `pfstrip stationary` in-process on 2160 configs and count the solves.
 
     python3 tools/stationary_sweep.py [--loop both|pseudo-transient|bordered] [SRC_DIR] > sweep.json
+    python3 tools/stationary_sweep.py --against before.json [SRC_DIR] > after.json
 
 The grid: 8x4 and 16x8 on the unit square; both potentials logarithmic or
 both quartic, delta in {0.5, 1, 3}; the same latent heat -a r^2 + b r + c on
@@ -17,8 +18,11 @@ and `bordered` its bordered Newton fallback alone (stationary.bordered_newton),
 each from the command's own start.  stdout gets one
 JSON object: per config theta_inf and the mass gap, or the exit code and the
 error; stderr gets the count of solved configs.  pfstrip comes from SRC_DIR
-(default src), so the diff of two trees' outputs shows each config a change
-moved.  One loop's sweep takes 28-37 s on a 2-vCPU Xeon VM.
+(default src).  --against compares the sweep with a saved one, the stdout of an
+earlier run: stderr also gets the counts solved, lost and gained, the names of
+the lost and gained configs, then each config solved by both whose theta_inf
+moved, with its relative move, and the largest move.  One loop's sweep takes
+28-37 s on a 2-vCPU Xeon VM.
 """
 
 import argparse
@@ -101,13 +105,39 @@ def sweep(loop: str) -> dict:
     return out
 
 
+def compare(before: dict, after: dict) -> list[str]:
+    """Report lines on the sweep result after against before, both keyed by config name."""
+    was, now = ({name for name, r in res.items() if "theta_inf" in r} for res in (before, after))
+    lines = [f"{len(now)} solved, {len(was)} before: {len(was - now)} lost, "
+             f"{len(now - was)} gained"]
+    lines += [f"lost: {name}" for name in sorted(was - now)]
+    lines += [f"gained: {name}" for name in sorted(now - was)]
+    moves = {}
+    for name in sorted(was & now):
+        old, new = before[name]["theta_inf"], after[name]["theta_inf"]
+        if new != old:
+            moves[name] = abs(new - old) / abs(old)
+            lines.append(f"moved: {name}: theta_inf {old!r} -> {new!r}, "
+                         f"relative {moves[name]:.2e}")
+    lines.append(f"theta_inf moved in {len(moves)} configs, "
+                 f"by at most {max(moves.values(), default=0.0):.2e} relative")
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--loop", choices=LOOPS, default="both")
+    parser.add_argument("--against", metavar="BEFORE.json",
+                        help="a saved sweep to compare this one with")
     parser.add_argument("src", nargs="?", default="src")
     args = parser.parse_args()
+    if args.against:
+        with open(args.against, encoding="ascii") as fh:
+            before = json.load(fh)
     sys.path.insert(0, os.path.abspath(args.src))
     result = sweep(args.loop)
     solved = sum("theta_inf" in r for r in result.values())
     print(f"{args.loop}: {solved} of {len(result)} configs solved", file=sys.stderr)
+    if args.against:
+        print("\n".join(compare(before, result)), file=sys.stderr)
     print(json.dumps(result, indent=1, sort_keys=True))
