@@ -86,7 +86,8 @@ _SCHEMA = (
     ("init.seed", int, 0, *_NONNEGATIVE),
     # newton_tol bounds the residual's L^2(dm) norm relative to the initial one,
     # floored at an absolute 1e-12; cg_tol is the tightest relative tolerance of an inner
-    # PCG solve, loosened to a tenth of the Newton target (timestepper._newton)
+    # PCG solve, loosened to a tenth of the Newton target and, in a first solve, to a tenth
+    # of the last step's first contraction (timestepper._newton)
     ("solver.newton_tol", float, 1.0e-10, *_POSITIVE),
     ("solver.newton_max_iter", int, 50, lambda v: v >= 1, "must be at least 1"),
     ("solver.cg_tol", float, 1.0e-10, *_POSITIVE),

@@ -60,7 +60,7 @@ def solve_chi_given_u(u_inf: float, guess: np.ndarray, model: Model, tol: float 
     loses positivity the inner CG can fail; solve_stationary does not call this.
     """
     lo, hi = model.chi_bounds(STATIONARY_GUARD_EPS)
-    chi, _, residual, _, v = _newton(
+    chi, _, residual, _, _, v = _newton(
         guess, lambda chi, kchi: _linearization(chi, u_inf, model, kchi), model.newton_step,
         model.masses.m_comb, lo, hi, 1.0e-12, max_iter, 0.0, tol)
     return chi, residual, v

@@ -200,7 +200,7 @@ def _converged(norm: float, target: float, d: np.ndarray, x: np.ndarray, weight)
 
 
 def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
-            rel_tol: float, abs_tol: float) -> tuple:
+            rel_tol: float, abs_tol: float, rho: float | None = None) -> tuple:
     """Damped Newton with a convex domain guard.
 
     linearize(x, kx) returns the residual, the Jacobian diagonal and K x at x from one
@@ -209,11 +209,14 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
     linearized, whose diagonal is d, and K s (Model.newton_step for K + diag(d)), to the
     relative tolerance max(cg_tol, NEWTON_LINEAR_SHARE * target / norm) (Kelley's floor on
     the forcing term, below 0.1 as norm > target): a last solve need not take its residual
-    below a tenth of the Newton target.  Every trial point x + alpha s is linearized once,
-    with K x + alpha K s; the accepted trial's diagonal is the one the next step solves with.
-    A step is halved until it lies in the box [lo, hi] (lo None: unbounded below), then
-    until the residual decreases, which a NaN residual never does.  Returns (x, iterations,
-    residual norm, K x, *values) of the last point linearized; a point's values are dropped
+    below a tenth of the Newton target.  The first solve also takes NEWTON_LINEAR_SHARE * rho:
+    rho (None: none), the first contraction ||F(x_1)|| / ||F(x_0)|| of the caller's last
+    solve, predicts the share of the residual the first iterate leaves.  Every trial point
+    x + alpha s is linearized once, with K x + alpha K s; the accepted trial's diagonal is the
+    one the next step solves with.  A step is halved until it lies in the box [lo, hi] (lo
+    None: unbounded below), then until the residual decreases, which a NaN residual never
+    does.  Returns (x, iterations, residual norm, first contraction (None without an
+    iteration), K x, *values) of the last point linearized; a point's values are dropped
     before the solve that steps away from it.
 
     The iteration stops by _converged on the residual norm sqrt(sum r_i^2 / weight_i) (the
@@ -223,13 +226,13 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
     r, d, kx, *values = linearize(x, None)
     norm = measure_norm(r, weight)
     target = max(rel_tol * norm, abs_tol)
-    iters = 0
+    iters, share, first = 0, NEWTON_LINEAR_SHARE * (rho or 0.0), None
     while not _converged(norm, target, d, x, weight):
         if iters >= max_iter:
             raise SolverError(f"Newton did not reach tolerance in {max_iter} iterations "
                               f"(residual {norm:.3e}, target {target:.3e})")
         values = step = kstep = None
-        step, kstep = solve(d, r, max(cg_tol, NEWTON_LINEAR_SHARE * target / norm))
+        step, kstep = solve(d, r, max(cg_tol, NEWTON_LINEAR_SHARE * target / norm, share))
         alpha, xt = _into_box(x, step, lo, hi)
         rt, dt, kxt, *values = linearize(xt, kx + alpha * kstep)
         nt = measure_norm(rt, weight)
@@ -240,13 +243,15 @@ def _newton(x0, linearize, solve, weight, lo, hi, cg_tol: float, max_iter: int,
             xt = x + alpha * step
             rt, dt, kxt, *values = linearize(xt, kx + alpha * kstep)
             nt = measure_norm(rt, weight)
+        first = nt / norm if first is None else first
         x, r, d, kx, norm = xt, rt, dt, kxt, nt
-        iters += 1
-    return (x, iters, norm, kx, *values)
+        iters, share = iters + 1, 0.0
+    return (x, iters, norm, first, kx, *values)
 
 
-def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model,
-             at: PhaseValues) -> tuple[np.ndarray, int, PhaseValues, np.ndarray]:
+def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model, at: PhaseValues,
+             rho: float | None = None
+             ) -> tuple[np.ndarray, int, PhaseValues, np.ndarray, float | None]:
     """Convex-split backward-Euler phase step with the temperature lagged at t_n.
 
     Solves m_comb (chi - chi_n)/tau plus the implicit terms at chi equal to
@@ -254,8 +259,9 @@ def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model,
       m_comb (chi - chi_n)/tau + K chi + m_bulk f(chi) + m_surf f_s(chi)
         = m_bulk (delta_b chi_n + lambda_b'(chi_n) u_n)
         + m_surf (delta_s chi_n + lambda_s'(chi_n) u_n).
-    at is Model.phase_values(chi_n).  Returns chi, the iterations, its
-    PhaseValues and G = m (lambda(chi) - lambda(chi_n)) / tau.
+    at is Model.phase_values(chi_n), rho the first contraction of the step before (_newton).
+    Returns chi, the iterations, its PhaseValues, G = m (lambda(chi) - lambda(chi_n)) / tau
+    and the first contraction of this step.
     """
     chi_n, mc = s.chi, model.masses.m_comb
     rhs, lat = model.lagged_rhs(at, s.u), at.latent
@@ -269,20 +275,21 @@ def step_chi(s: State, tau: float, cfg: SimpleNamespace, model: Model,
         return r + mc * (chi - chi_n) / tau - rhs, d + mc_tau, v.kchi, v
 
     lo, hi = model.chi_bounds(cfg.guard_eps)
-    chi, iters, _, _, v = _newton(chi_n, linearize, model.newton_step, mc, lo, hi, cfg.cg_tol,
-                                  cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
-    return chi, iters, v, (v.latent - lat) / tau
+    chi, iters, _, rho, _, v = _newton(chi_n, linearize, model.newton_step, mc, lo, hi,
+                                       cfg.cg_tol, cfg.newton_max_iter, cfg.newton_tol,
+                                       NEWTON_ABS_FLOOR, rho)
+    return chi, iters, v, (v.latent - lat) / tau, rho
 
 
 def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: float,
-               cfg: SimpleNamespace, model: Model, ku: np.ndarray
-               ) -> tuple[np.ndarray, int, np.ndarray]:
+               cfg: SimpleNamespace, model: Model, ku: np.ndarray, rho: float | None = None
+               ) -> tuple[np.ndarray, int, np.ndarray, float | None]:
     """Backward-Euler heat step in the entropy variable u.
 
     Solves m_comb (-1/u - theta_n)/tau + K u + G - H = 0 where G = g is the
     exact latent difference quotient that step_chi returns and H the
-    measure-weighted source; ku is K u_n.  The Jacobian m_comb/(tau u^2) + K
-    is SPD for any u < 0.  Returns (u, iterations, K u).
+    measure-weighted source; ku is K u_n, rho as in step_chi.  The Jacobian
+    m_comb/(tau u^2) + K is SPD for any u < 0.  Returns (u, iterations, K u, contraction).
     """
     k, mc, u_n, theta_n = model.stiffness, model.masses.m_comb, s.u, s.theta
     shift = g if source_vec is None else g - source_vec
@@ -294,9 +301,10 @@ def step_theta(s: State, g: np.ndarray, source_vec: np.ndarray | None, tau: floa
         ku = None
         return mc * (-1.0 / u - theta_n) / tau + k_u + shift, mc / (tau * u * u), k_u
 
-    u, iters, _, k_u = _newton(u_n, linearize, model.newton_step, mc, None, -cfg.guard_eps,
-                               cfg.cg_tol, cfg.newton_max_iter, cfg.newton_tol, NEWTON_ABS_FLOOR)
-    return u, iters, k_u
+    u, iters, _, rho, k_u = _newton(u_n, linearize, model.newton_step, mc, None,
+                                    -cfg.guard_eps, cfg.cg_tol, cfg.newton_max_iter,
+                                    cfg.newton_tol, NEWTON_ABS_FLOOR, rho)
+    return u, iters, k_u, rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,9 +343,10 @@ def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
     down to cfg.min_tau, below which the run raises a SolverError naming the
     step and t; ten successes in a row double tau back towards cfg.tau, and the
     last step is cut to end at t_end.  The PhaseValues and K u of the current
-    state come from the step that made it, and are evaluated again after a
-    failed attempt.  The energy-identity residual of every row is measured
-    from row 0, the row of state0.
+    state and the first Newton contraction of each solve (_newton's rho) come
+    from the step that made it; after a failed attempt the former are evaluated
+    again and the latter dropped.  The energy-identity residual of every row is
+    measured from row 0, the row of state0.
 
     Snapshots fire at step 0, every snapshot_every accepted steps, and at the
     final step (when snapshot_every > 0).  Every state emitted, the copy of state0
@@ -347,6 +356,7 @@ def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
     s = State(state0.t, state0.u.copy(), state0.chi.copy())
     s.u.flags.writeable = s.chi.flags.writeable = False
     at, ku = model.phase_values(s.chi), model.stiffness.apply(s.u)
+    rho_chi = rho_theta = None   # the first Newton contractions of the last accepted step
     dissipation_cum = source_cum = 0.0
     tau_cur, successes, step, eps_t = cfg.tau, 0, 0, 1.0e-9 * cfg.tau
     rows = []
@@ -377,11 +387,12 @@ def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
         tau = min(tau_cur, t_end - s.t)
         while True:
             try:   # the carried values are handed on, not kept: the step frees them after use
-                chi, iters_chi, at, g = step_chi(s, tau, cfg, model, (at, at := None)[0])
+                chi, iters_chi, at, g, rho_chi = step_chi(s, tau, cfg, model,
+                                                          (at, at := None)[0], rho_chi)
                 source_vec = None if source is None else \
                     model.masses.m_comb * source.value(s.t + tau)
-                u, iters_theta, ku = step_theta(s, g, source_vec, tau, cfg, model,
-                                                (ku, ku := None)[0])
+                u, iters_theta, ku, rho_theta = step_theta(s, g, source_vec, tau, cfg, model,
+                                                           (ku, ku := None)[0], rho_theta)
                 break
             except SolverError as exc:
                 successes = 0
@@ -391,6 +402,7 @@ def run(model: Model, cfg: SimpleNamespace, state0: State, t_end: float,
                 tau *= 0.5
                 tau_cur = min(tau_cur, tau)
                 at, ku = model.phase_values(s.chi), model.stiffness.apply(s.u)
+                rho_chi = rho_theta = None
         successes += 1
         if successes >= 10 and tau_cur < cfg.tau:
             tau_cur, successes = min(2.0 * tau_cur, cfg.tau), 0

@@ -196,11 +196,11 @@ def test_adaptive_halving_and_redoubling(monkeypatch):
     real = ts.step_chi
     tried = []
 
-    def flaky(state, tau, c, model, at):
+    def flaky(state, tau, c, model, at, rho):
         tried.append(tau)
         if tau > 0.6 * c.tau:
             raise SolverError("synthetic failure above threshold")
-        return real(state, tau, c, model, at)
+        return real(state, tau, c, model, at, rho)
 
     monkeypatch.setattr(ts, "step_chi", flaky)
     half = cfg.tau / 2.0
@@ -220,10 +220,10 @@ def test_failed_heat_step_retries_from_the_state(monkeypatch):
     want = run(m, stepper(cfg.tau / 2.0), s, cfg.tau / 2.0)[0][1]
     real = ts.step_theta
 
-    def flaky(state, g, source_vec, tau, c, model, ku):
+    def flaky(state, g, source_vec, tau, c, model, ku, rho):
         if tau > 0.6 * c.tau:
             raise SolverError("synthetic failure above threshold")
-        return real(state, g, source_vec, tau, c, model, ku)
+        return real(state, g, source_vec, tau, c, model, ku, rho)
 
     monkeypatch.setattr(ts, "step_theta", flaky)
     assert run(m, cfg, s, cfg.tau)[0][1] == want
@@ -233,7 +233,7 @@ def test_adaptive_floor_raises_fatal(monkeypatch):
     m = make_model(nx=8, ny=4)
     s = constant_state(m, 1.0, 0.2)
 
-    def always_fail(state, tau, c, model, at):
+    def always_fail(state, tau, c, model, at, rho):
         raise SolverError("synthetic hard failure")
 
     monkeypatch.setattr(ts, "step_chi", always_fail)
@@ -297,41 +297,80 @@ def stripe_96_model(n):
 def test_newton_asks_each_inner_solve_for_a_tenth_of_the_remaining_target(monkeypatch):
     """_newton hands each inner solve the relative tolerance max(cg_tol, 0.1 target / norm)
     at the iterate it steps from: at least cg_tol, and at most 0.1, as norm > target inside
-    the loop.  Phase and heat steps of the stripe_96 physics at the default tolerances, where
-    every relative target lies above the 1e-12 floor, so each first solve keeps cg_tol."""
+    the loop.  A first solve also takes 0.1 rho, where rho is the first contraction
+    ||F(x_1)|| / ||F(x_0)|| that the same solve (phase or heat) reached on the last accepted
+    step; there is none at step 1 and none after a rejected attempt, which drops both.
+    Phase and heat steps of the stripe_96 physics at the default tolerances, the heat step
+    of step 3 rejected once: every relative target lies above the 1e-12 floor, so each first
+    solve without a rho keeps cg_tol."""
     m, s0, cfg = stripe_96_model(16)
-    solves = []   # per _newton call, (tolerance, residual norm) of each inner solve
+    events = []   # per _newton call (kind, rho given, [(tolerance, residual norm)], result)
+    kind = ["chi"]   # the step running
     real_newton, real_step = ts._newton, m.newton_step
+    real_chi, real_theta = ts.step_chi, ts.step_theta
 
     def newton(*args):
-        solves.append([])
-        return real_newton(*args)
+        events.append((kind[0], args[-1], [], None))
+        out = real_newton(*args)
+        events[-1] = events[-1][:3] + (out,)
+        return out
 
     def spy(d, r, tol):
-        solves[-1].append((tol, ts.measure_norm(r, m.masses.m_comb)))
+        events[-1][2].append((tol, ts.measure_norm(r, m.masses.m_comb)))
         return real_step(d, r, tol)
 
+    def step_chi(*args):
+        kind[0] = "chi"
+        return real_chi(*args)
+
+    def step_theta(s, *args):
+        if math.isclose(s.t, 2e-3) and not any(e == "rejected" for e in events):
+            events.append("rejected")
+            raise SolverError("synthetic failure of step 3")
+        kind[0] = "theta"
+        return real_theta(s, *args)
+
     monkeypatch.setattr(ts, "_newton", newton)
+    monkeypatch.setattr(ts, "step_chi", step_chi)
+    monkeypatch.setattr(ts, "step_theta", step_theta)
     m.newton_step = spy
-    run(m, cfg, s0, 5e-3)
-    assert len(solves) == 10 and all(solves)
-    for calls in solves:
+    rows, _ = run(m, cfg, s0, 5e-3)
+    assert len(rows) == 9 and len(events) == 2 * 8 + 2
+    prev, pending, bitten = {"chi": None, "theta": None}, None, 0   # rho of the last step
+    for event in events:
+        if event == "rejected":
+            prev, pending = {"chi": None, "theta": None}, None
+            continue
+        kind, rho, calls, (x, iters, norm, first, *_) = event
+        assert rho == prev[kind] and len(calls) == iters > 0
         target = max(cfg.newton_tol * calls[0][1], ts.NEWTON_ABS_FLOOR)
-        assert target > ts.NEWTON_ABS_FLOOR and calls[0][0] == cfg.cg_tol
-        for tol, norm in calls:
-            assert tol == max(cfg.cg_tol, ts.NEWTON_LINEAR_SHARE * target / norm)
+        assert target > ts.NEWTON_ABS_FLOOR
+        norms = [n for _, n in calls] + [norm]
+        assert first == norms[1] / norms[0]   # the contraction _newton hands back
+        for k, (tol, n) in enumerate(calls):
+            kelley = max(cfg.cg_tol, ts.NEWTON_LINEAR_SHARE * target / n)
+            if k == 0 and rho is not None:
+                assert tol == max(kelley, ts.NEWTON_LINEAR_SHARE * rho)
+                bitten += tol > kelley
+            else:
+                assert tol == kelley and (k > 0 or tol == cfg.cg_tol)
             assert cfg.cg_tol <= tol <= 0.1
-    assert max(tol for calls in solves for tol, _ in calls) > cfg.cg_tol   # the rule bites
+        if kind == "chi":
+            pending = first
+        else:   # the attempt is accepted
+            prev = {"chi": pending, "theta": first}
+    assert events.count("rejected") == 1 and bitten >= 8
+    assert max(tol for e in events if e != "rejected" for tol, _ in e[2]) > cfg.cg_tol
 
 
-def test_newton_linear_share_moves_outputs_at_round_off_and_keeps_applies_flat(monkeypatch):
-    """20 steps of the stripe_96 physics at 16^2, 32^2 and 64^2, with the inner tolerances of
-    _newton and with every inner solve held at cg_tol: the same Newton counts in every row,
-    diagnostics within 1e-12 of each column's largest magnitude and final chi and u within
-    1e-12, while the preconditioner applies fall by at least 15% and applies per solve
-    grow by at most 0.25 from 16^2 to 64^2."""
+def assert_stripe_runs_save_applies_at_round_off(monkeypatch, hold) -> None:
+    """20 steps of the stripe_96 physics at 16^2, 32^2 and 64^2, each run once as shipped
+    and once under hold(mp, model, cfg), a monkeypatch context held for that run alone:
+    the same Newton counts in every row, diagnostics within 1e-12 of each column's largest
+    magnitude and final chi and u within 1e-12, while the preconditioner applies as shipped
+    are at least 15% fewer and applies per solve grow by at most 0.25 from 16^2 to 64^2."""
     counts = [0, 0]   # preconditioner applies, solves
-    real_solver, real_step = ShiftedInverse.solver, ts.Model.newton_step
+    real_solver = ShiftedInverse.solver
 
     def solver(self, c):
         solve = real_solver(self, c)
@@ -346,12 +385,13 @@ def test_newton_linear_share_moves_outputs_at_round_off_and_keeps_applies_flat(m
     per_solve = []
     for n in (16, 32, 64):
         runs = []
-        for fixed in (True, False):
-            m, s0, cfg = stripe_96_model(n)
-            if fixed:
-                m.newton_step = lambda d, r, tol, m=m: real_step(m, d, r, cfg.cg_tol)
-            counts[:] = [0, 0]
-            rows, final = run(m, cfg, s0, 20e-3)
+        for held in (True, False):
+            with monkeypatch.context() as mp:
+                m, s0, cfg = stripe_96_model(n)
+                if held:
+                    hold(mp, m, cfg)
+                counts[:] = [0, 0]
+                rows, final = run(m, cfg, s0, 20e-3)
             runs.append((np.array([dataclasses.astuple(r) for r in rows]), final, *counts))
         (rows_a, final_a, applies_a, solves_a), (rows_b, final_b, applies_b, solves_b) = runs
         assert len(rows_a) == len(rows_b) == 21 and solves_a == solves_b
@@ -363,6 +403,31 @@ def test_newton_linear_share_moves_outputs_at_round_off_and_keeps_applies_flat(m
         assert applies_b <= 0.85 * applies_a, (n, applies_a, applies_b)
         per_solve.append(applies_b / solves_b)
     assert per_solve[-1] - per_solve[0] <= 0.25, per_solve
+
+
+def test_newton_linear_share_moves_outputs_at_round_off_and_keeps_applies_flat(monkeypatch):
+    """The inner tolerances of _newton against every inner solve held at cg_tol, by
+    assert_stripe_runs_save_applies_at_round_off."""
+    real_step = ts.Model.newton_step
+
+    def hold(mp, m, cfg):
+        mp.setattr(m, "newton_step", lambda d, r, tol: real_step(m, d, r, cfg.cg_tol))
+
+    assert_stripe_runs_save_applies_at_round_off(monkeypatch, hold)
+
+
+def test_predicted_first_contraction_moves_outputs_at_round_off_and_keeps_applies_flat(
+        monkeypatch):
+    """The first Newton contraction that run carries from step to step against none carried,
+    so that every first inner solve keeps Kelley's floor alone, by
+    assert_stripe_runs_save_applies_at_round_off: 285-286 applies against 224-225 at each
+    size.  The steps hand _newton the carried contraction as its last argument."""
+    real_newton = ts._newton
+
+    def hold(mp, m, cfg):
+        mp.setattr(ts, "_newton", lambda *args: real_newton(*args[:-1], None))
+
+    assert_stripe_runs_save_applies_at_round_off(monkeypatch, hold)
 
 
 def test_stripe_steps_apply_k_once_per_inner_solve(monkeypatch):
@@ -388,6 +453,29 @@ def test_stripe_steps_apply_k_once_per_inner_solve(monkeypatch):
     assert len(rows) == 6 and len(solves) == sum(r.newton_iters_chi + r.newton_iters_theta
                                                  for r in rows)
     assert all(solves) and applies[0] == 2 + sum(solves), (applies, len(solves))
+
+
+def test_solver_counts_tool_counts_each_stepping_workload(monkeypatch):
+    """tools/solver_counts.py at the tiny sizes: per stepping workload the steps and Newton
+    iterations of its rows, K applied twice at the start and once per inner solve (as in
+    the test above), at least one preconditioner apply per solve of each kind and a mass
+    drift at round-off; every function it wraps is put back."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool adds perfbench to it
+    spec = importlib.util.spec_from_file_location(
+        "solver_counts", os.path.join(root, "tools", "solver_counts.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    wrapped = (ShiftedInverse.solver, StiffnessOp.apply, ts.step_chi, ts.step_theta)
+    for name, steps in zip(tool.STEPPING, (6, 40, 6)):
+        got = tool.counts(name, 1, "tiny")
+        assert got["steps"] == steps and got["newton_chi"] >= steps, got
+        assert got["k_applies"] == 2 + got["newton_chi"] + got["newton_theta"], got
+        assert got["precond_chi"] >= got["newton_chi"], got
+        assert got["precond_theta"] >= got["newton_theta"], got
+        assert got["precond"] == got["precond_chi"] + got["precond_theta"], got
+        assert got["mass_drift"] <= 1e-12, got
+    assert (ShiftedInverse.solver, StiffnessOp.apply, ts.step_chi, ts.step_theta) == wrapped
 
 
 def test_carried_k_stays_at_round_off_over_a_long_run(monkeypatch):
@@ -475,12 +563,15 @@ def test_homogeneous_step_evaluates_each_potential_once_per_iterate(monkeypatch)
                 assert step_calls == {**want, "apply": 2}, (k, step_calls)
 
 
-def test_carried_values_match_a_recomputation_bitwise():
+def test_carried_values_match_a_recomputation_bitwise(monkeypatch):
     """20 stripe steps with a source: every state equals the phase and heat steps
-    recomputed from the previous state with nothing carried to 1e-14 of its largest
-    magnitude (a carried K x + alpha K s rounds differently from a fresh K (x + alpha s);
-    the largest gap here is about 3 eps), and every row's functionals and dissipation sum
-    equal row_functionals and dissipation_increment evaluated afresh, bit for bit."""
+    recomputed from the previous state with no phase values or K u carried to 1e-14 of its
+    largest magnitude (a carried K x + alpha K s rounds differently from a fresh
+    K (x + alpha s); the largest gap here is about 3 eps), and every row's functionals and
+    dissipation sum equal row_functionals and dissipation_increment evaluated afresh, bit
+    for bit.  The recomputation takes the first Newton contractions run carried, which
+    are none at step 1 and then, to 1e-12 (they are shares of a first residual), those of
+    the recomputed step before."""
     m = make_model(nx=16, ny=8, p_bulk=Potential("logarithmic", 1.5),
                    l_bulk=LatentHeat(0.4, 0.1, 0.0), l_surf=LatentHeat(-0.3, 0.2, 0.1))
     g = m.grid
@@ -489,16 +580,29 @@ def test_carried_values_match_a_recomputation_bitwise():
     chi0 = preset_field(g, "tanh_stripe", amplitude=0.6, width=0.15) \
         + 0.05 * np.cos(2.0 * math.pi * g.x) * np.sin(math.pi * g.y)
     s0 = State(0.0, -1.0 / preset_field(g, "random", value=1.0, amplitude=0.2, seed=3), chi0)
-    states = []
+    states, carried = [], {"step_chi": [], "step_theta": []}   # the rho each step was given
+
+    def recording(name, real):
+        def recorded(*args):
+            carried[name].append(args[-1])
+            return real(*args)
+        return recorded
+
+    for name in carried:
+        monkeypatch.setattr(ts, name, recording(name, getattr(ts, name)))
     rows, _ = run(m, cfg, s0, 20.5 * cfg.tau, source, snapshot_every=1,
                   on_snapshot=lambda step, s: states.append(s))   # 20 full steps, then a cut one
     assert len(rows) == len(states) == 22
+    rho_chi, rho_theta = carried.values()
+    assert rho_chi[0] is None and rho_theta[0] is None
     dissipation = 0.0
     for k, (s, new, row) in enumerate(zip(states[:20], states[1:], rows[1:])):
         assert new.t == s.t + cfg.tau
-        chi, _, _, g = ts.step_chi(s, cfg.tau, cfg, m, m.phase_values(s.chi))
-        u = ts.step_theta(s, g, m.masses.m_comb * source.value(new.t), cfg.tau, cfg, m,
-                          m.stiffness.apply(s.u))[0]
+        chi, _, _, g, rho = ts.step_chi(s, cfg.tau, cfg, m, m.phase_values(s.chi), rho_chi[k])
+        assert abs(rho_chi[k + 1] - rho) <= 1e-12, k
+        u, _, _, rho = ts.step_theta(s, g, m.masses.m_comb * source.value(new.t), cfg.tau, cfg,
+                                     m, m.stiffness.apply(s.u), rho_theta[k])
+        assert abs(rho_theta[k + 1] - rho) <= 1e-12, k
         assert np.abs(new.chi - chi).max() <= 1e-14 * np.abs(chi).max(), k
         assert np.abs(new.u - u).max() <= 1e-14 * np.abs(u).max(), k
         dissipation += fn.dissipation_increment(new.u, s.chi, new.chi, cfg.tau, m)
@@ -588,9 +692,9 @@ def test_newton_solves_with_the_accepted_iterates_diagonal():
 
         model = SimpleNamespace(masses=SimpleNamespace(m_comb=np.ones(n)),
                                 newton_step=newton_step)
-        x, iters, norm, kx = ts._newton(np.full(n, 3.0), linearize, model.newton_step,
-                                        model.masses.m_comb, np.full(n, -10.0),
-                                        np.full(n, 10.0), 1.0e-10, 50, rel_tol, abs_tol)
+        x, iters, norm, _, kx = ts._newton(np.full(n, 3.0), linearize, model.newton_step,
+                                           model.masses.m_comb, np.full(n, -10.0),
+                                           np.full(n, 10.0), 1.0e-10, 50, rel_tol, abs_tol)
         assert np.max(np.abs(x - 0.3)) <= 1e-10
         assert norm == ts.measure_norm(np.arctan(x - 0.3), np.ones(n))
         kinds = [e[0] for e in events]
@@ -628,9 +732,9 @@ def test_newton_backtracks_from_a_nan_residual():
         return (np.where(x < -1.0, np.nan, mc * np.arctan(x - 0.3)),
                 mc / (1.0 + (x - 0.3) ** 2), x if kx is None else kx)
 
-    x, iters, norm, _ = ts._newton(np.full(mc.size, 3.0), linearize,
-                                   lambda d, r, tol: (-r / d, -r / d), mc, None,
-                                   np.full(mc.size, np.inf), 1.0e-10, 50, 0.0, 1.0e-12)
+    x, iters, norm, _, _ = ts._newton(np.full(mc.size, 3.0), linearize,
+                                      lambda d, r, tol: (-r / d, -r / d), mc, None,
+                                      np.full(mc.size, np.inf), 1.0e-10, 50, 0.0, 1.0e-12)
     assert np.max(np.abs(x - 0.3)) <= 1e-10 and norm <= 1e-12 and iters > 1
 
 
